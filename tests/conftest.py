@@ -12,6 +12,34 @@ from medli import validate_ensemble, validate_projective  # noqa: E402
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+ORTH = str(FIXTURES / "orthogonal_pair.json")
+PI6 = str(FIXTURES / "theta_pi6_pair.json")
+FIXED = str(FIXTURES / "fixed_point_d3.json")
+RANDOM_D4 = str(FIXTURES / "random_d4.json")
+MALFORMED = str(FIXTURES / "malformed.json")
+
+# Golden report name -> (expected exit code, CLI argv). Each report is the
+# command's byte-exact stdout; UPDATE_GOLDEN=1 pytest tests/test_cli.py
+# regenerates them after an intentional output change.
+GOLDEN_CASES = {
+    "solve_orthogonal.json": (0, ("solve", ORTH, "--seed", "0", "--quiet")),
+    "solve_oracle_pi6.json": (0, ("solve", PI6, "--oracle", "--seed", "0", "--quiet")),
+    "fixpoint_fixed_d3.json": (0, ("fixpoint", FIXED, "--quiet")),
+    "map_inverse_random_d4.json": (0, ("map", RANDOM_D4, "--direction", "inverse", "--quiet")),
+    "roundtrip_random_d4.json": (0, ("roundtrip", RANDOM_D4, "--seed", "0", "--quiet")),
+    "certify_orthogonal.json": (
+        0, ("certify", ORTH, str(GOLDEN / "solve_orthogonal.json"), "--quiet")
+    ),
+    "map_forward_fixed_d3.json": (0, ("map", FIXED, "--direction", "forward", "--quiet")),
+    "map_forward_uncertified_random_d4.json": (
+        3, ("map", RANDOM_D4, "--direction", "forward", "--tol-psd", "0.6", "--quiet")
+    ),
+    "gen_random_d4.json": (0, ("gen", "--dim", "4", "--signature", "2,1,1", "--seed", "11", "--quiet")),
+    "gen_fixed_point_d3.json": (
+        0, ("gen", "--dim", "3", "--signature", "2,1", "--seed", "5", "--fixed-point", "--quiet")
+    ),
+}
+
 
 def pure_pair(theta, priors=(0.5, 0.5)):
     """Real qubit pair |0> and cos(theta)|0> + sin(theta)|1> (overlap cos theta)."""

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import FIXTURES, GOLDEN, SRC, pure_pair, qubit_angle_oracle
+from conftest import GOLDEN, GOLDEN_CASES, MALFORMED, ORTH, RANDOM_D4, SRC, pure_pair, qubit_angle_oracle
 from medli import (
     INCONCLUSIVE,
     OPTIMAL,
@@ -278,28 +278,18 @@ def run_cli(*argv):
     return proc.returncode, proc.stdout
 
 
-GOLDEN_CASES = {
-    "solve_orthogonal.json": ("solve", str(FIXTURES / "orthogonal_pair.json"), "--seed", "0", "--quiet"),
-    "solve_oracle_pi6.json": ("solve", str(FIXTURES / "theta_pi6_pair.json"), "--oracle", "--seed", "0", "--quiet"),
-    "fixpoint_fixed_d3.json": ("fixpoint", str(FIXTURES / "fixed_point_d3.json"), "--quiet"),
-    "map_inverse_random_d4.json": ("map", str(FIXTURES / "random_d4.json"), "--direction", "inverse", "--quiet"),
-    "roundtrip_random_d4.json": ("roundtrip", str(FIXTURES / "random_d4.json"), "--seed", "0", "--quiet"),
-}
-
-
 def test_c10_cli_contract():
-    for name, argv in sorted(GOLDEN_CASES.items()):
+    for name, (expected, argv) in sorted(GOLDEN_CASES.items()):
         code, out = run_cli(*argv)
-        assert code == 0
+        assert code == expected, f"{argv} exited {code}, expected {expected}"
         assert out == (GOLDEN / name).read_bytes(), f"golden mismatch for {name}"
-    random_d4 = str(FIXTURES / "random_d4.json")
     partition = {
-        ("solve", str(FIXTURES / "orthogonal_pair.json"), "--quiet"): 0,
-        ("solve", str(FIXTURES / "malformed.json"), "--quiet"): 2,
+        ("solve", ORTH, "--quiet"): 0,
+        ("solve", MALFORMED, "--quiet"): 2,
         ("gen", "--dim", "3", "--signature", "2,2", "--quiet"): 2,
-        ("solve", random_d4, "--tol-psd", "0.6", "--quiet"): 3,
-        ("fixpoint", random_d4, "--quiet"): 3,
-        ("fixpoint", random_d4, "--tol-psd", "0.6", "--quiet"): 4,
+        ("solve", RANDOM_D4, "--tol-psd", "0.6", "--quiet"): 3,
+        ("fixpoint", RANDOM_D4, "--quiet"): 3,
+        ("fixpoint", RANDOM_D4, "--tol-psd", "0.6", "--quiet"): 4,
     }
     seen = set()
     for argv, expected in partition.items():

@@ -6,15 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, GOLDEN, SRC
+from conftest import FIXED, FIXTURES, GOLDEN, GOLDEN_CASES, MALFORMED, ORTH, PI6, RANDOM_D4, SRC
 from medli.cli import main
 from medli.serialize import dumps, ensemble_from_doc, ensemble_to_doc, load_json
-
-ORTH = str(FIXTURES / "orthogonal_pair.json")
-PI6 = str(FIXTURES / "theta_pi6_pair.json")
-FIXED = str(FIXTURES / "fixed_point_d3.json")
-RANDOM_D4 = str(FIXTURES / "random_d4.json")
-MALFORMED = str(FIXTURES / "malformed.json")
 
 
 def run_cli(*argv):
@@ -238,20 +232,12 @@ class TestSerializationRoundtrip:
         assert dumps(again).encode() == raw
 
 
-GOLDEN_CASES = {
-    "solve_orthogonal.json": ("solve", ORTH, "--seed", "0", "--quiet"),
-    "solve_oracle_pi6.json": ("solve", PI6, "--oracle", "--seed", "0", "--quiet"),
-    "fixpoint_fixed_d3.json": ("fixpoint", FIXED, "--quiet"),
-    "map_inverse_random_d4.json": ("map", RANDOM_D4, "--direction", "inverse", "--quiet"),
-    "roundtrip_random_d4.json": ("roundtrip", RANDOM_D4, "--seed", "0", "--quiet"),
-}
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_reports(name):
     """Byte equality against committed reports; UPDATE_GOLDEN=1 regenerates."""
-    code, out, err = run_cli(*GOLDEN_CASES[name])
-    assert code == 0, err
+    expected, argv = GOLDEN_CASES[name]
+    code, out, err = run_cli(*argv)
+    assert code == expected, err
     path = GOLDEN / name
     if os.environ.get("UPDATE_GOLDEN"):
         path.write_bytes(out)
