@@ -10,6 +10,7 @@ PGM projector and subtracting the Schur complement of the range block.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,10 @@ from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
     average_state,
-    measurement_elements,
+    check_pair,
     validate_ensemble,
 )
-from .errors import DimensionMismatch, MEDError, NotOptimalPair, SolverFailed
+from .errors import MEDError, NotOptimalPair, SolverFailed
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -62,20 +63,9 @@ class MapArtifacts:
     sigma_sqrt: np.ndarray
 
 
-def _check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, ...]:
-    elements = measurement_elements(measurement)
-    if len(elements) != ensemble.m:
-        raise DimensionMismatch(f"{len(elements)} measurement outcomes for {ensemble.m} states")
-    if elements[0].shape[0] != ensemble.dim:
-        raise DimensionMismatch(
-            f"measurement dim {elements[0].shape[0]} != ensemble dim {ensemble.dim}"
-        )
-    return elements
-
-
 def stationarity_residual(ensemble: Ensemble, measurement) -> float:
     """max over i != j of || Pi_j (p_j rho_j - p_i rho_i) Pi_i ||_F."""
-    elements = _check_pair(ensemble, measurement)
+    elements = check_pair(ensemble, measurement)
     weighted = ensemble.weighted_states()
     worst = 0.0
     for j in range(ensemble.m):
@@ -93,20 +83,26 @@ def dual_operator(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL
     Z equals the true dual operator only when the measurement is stationary;
     callers gate on the certificate validity, not on this construction.
     """
-    elements = _check_pair(ensemble, measurement)
-    k = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
-    for w, e in zip(ensemble.weighted_states(), elements):
+    weighted = ensemble.weighted_states()
+    k = _pairing(weighted, check_pair(ensemble, measurement))
+    return _certificate(herm(k), k, weighted)
+
+
+def _pairing(weighted, elements) -> np.ndarray:
+    """K = sum_i p_i rho_i E_i, Hermitian exactly when the measurement is stationary."""
+    k = np.zeros_like(weighted[0], dtype=complex)
+    for w, e in zip(weighted, elements):
         k += w @ e
-    z = herm(k)
-    herm_residual = float(np.linalg.norm(k - k.conj().T))
-    slacks = tuple(
-        float(np.linalg.eigvalsh(z - w)[0]) for w in ensemble.weighted_states()
-    )
+    return k
+
+
+def _certificate(z: np.ndarray, k: np.ndarray, weighted) -> DualCertificate:
+    """Certificate for the candidate dual operator z, with K's hermiticity residual."""
     return DualCertificate(
         z=z,
         dual_value=float(np.trace(z).real),
-        slack_min_eigs=slacks,
-        herm_residual=herm_residual,
+        slack_min_eigs=tuple(float(np.linalg.eigvalsh(z - w)[0]) for w in weighted),
+        herm_residual=float(np.linalg.norm(k - k.conj().T)),
     )
 
 
@@ -122,7 +118,7 @@ def forward_map(
     Refuses to run unless the pair actually certifies: the map is only
     defined at optimal dual pairs, and solving is the caller's job.
     """
-    elements = _check_pair(ensemble, measurement)
+    elements = check_pair(ensemble, measurement)
     residual = stationarity_residual(ensemble, measurement)
     if residual > tol.tol_recon:
         raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
@@ -171,10 +167,7 @@ def inverse_map(
     for proj in measurement.projectors:
         bd = block_decompose(sigma_sqrt, proj, tol)
         delta = schur_complement(bd, tol)
-        inner = np.block(
-            [[bd.a_block, bd.b_block], [bd.b_block.conj().T, bd.c_block - delta]]
-        )
-        x_ops.append(herm(bd.basis @ inner @ bd.basis.conj().T))
+        x_ops.append(dataclasses.replace(bd, c_block=bd.c_block - delta).reassemble())
         deltas.append(delta)
     traces = [float(np.trace(x).real) for x in x_ops]
     total = sum(traces)
@@ -186,17 +179,9 @@ def inverse_map(
             f"inverse map changed the rank signature: {pre_image.rank_signature} "
             f"!= {ensemble.rank_signature}"
         )
-    z = sigma_sqrt / total
-    k = np.zeros_like(z)
-    for w, e in zip(pre_image.weighted_states(), measurement.projectors):
-        k += w @ e
-    certificate = DualCertificate(
-        z=z,
-        dual_value=float(np.trace(z).real),
-        slack_min_eigs=tuple(
-            float(np.linalg.eigvalsh(z - w)[0]) for w in pre_image.weighted_states()
-        ),
-        herm_residual=float(np.linalg.norm(k - k.conj().T)),
+    weighted = pre_image.weighted_states()
+    certificate = _certificate(
+        sigma_sqrt / total, _pairing(weighted, measurement.projectors), weighted
     )
     artifacts = MapArtifacts(
         x_ops=tuple(x_ops), deltas=tuple(deltas), sigma_sqrt=sigma_sqrt

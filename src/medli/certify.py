@@ -14,6 +14,7 @@ certification on ill-conditioned instances fails loudly rather than silently.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,10 @@ from .ensembles import (
     GeneralPOVM,
     ProjectiveMeasurement,
     average_state,
-    measurement_elements,
+    check_pair,
     validate_projective,
 )
-from .errors import DimensionMismatch, MEDError, NotProjective, RankSignatureMismatch
+from .errors import MEDError, NotProjective, RankSignatureMismatch
 from .linalg import DEFAULT_TOL, Tolerances, herm, psd_sqrt
 from .pgm import pgm
 
@@ -48,12 +49,22 @@ class CertificationReport:
     dual_value: float
 
 
-def _three_tier(ok: bool, borderline: bool) -> str:
-    if ok:
-        return OPTIMAL
-    if borderline:
-        return INCONCLUSIVE
-    return NOT_OPTIMAL
+def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
+    """What both certifiers report; each sets the verdict by its own conditions."""
+    certificate = dual_operator(ensemble, measurement, tol)
+    return CertificationReport(
+        stationarity_residual=stationarity_residual(ensemble, measurement),
+        min_slack_eig=min(certificate.slack_min_eigs),
+        positivity_min_eig=float(np.linalg.eigvalsh(certificate.z)[0]),
+        hermiticity_residual=certificate.herm_residual,
+        verdict=INCONCLUSIVE,
+        dual_value=certificate.dual_value,
+    )
+
+
+def _three_tier(report: CertificationReport, ok: bool, borderline: bool) -> CertificationReport:
+    verdict = OPTIMAL if ok else INCONCLUSIVE if borderline else NOT_OPTIMAL
+    return dataclasses.replace(report, verdict=verdict)
 
 
 def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> CertificationReport:
@@ -62,29 +73,14 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
     Optimal iff all pairwise stationarity residuals stay within tol_recon and
     every slack eigenvalue of Z - p_i rho_i is above -tol_psd.
     """
-    elements = measurement_elements(measurement)
-    if len(elements) != ensemble.m or elements[0].shape[0] != ensemble.dim:
-        raise DimensionMismatch(
-            f"measurement ({len(elements)} outcomes, dim {elements[0].shape[0]}) does not "
-            f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
-        )
-    stationarity = stationarity_residual(ensemble, measurement)
-    certificate = dual_operator(ensemble, measurement, tol)
-    slack = min(certificate.slack_min_eigs)
-    positivity = float(np.linalg.eigvalsh(certificate.z)[0])
+    report = _residuals(ensemble, measurement, tol)
+    stationarity, slack = report.stationarity_residual, report.min_slack_eig
     ok = stationarity <= tol.tol_recon and slack >= -tol.tol_psd
     borderline = (
         stationarity <= _VERDICT_BAND * tol.tol_recon
         and slack >= -_VERDICT_BAND * tol.tol_psd
     )
-    return CertificationReport(
-        stationarity_residual=stationarity,
-        min_slack_eig=slack,
-        positivity_min_eig=positivity,
-        hermiticity_residual=certificate.herm_residual,
-        verdict=_three_tier(ok, borderline),
-        dual_value=certificate.dual_value,
-    )
+    return _three_tier(report, ok, borderline)
 
 
 def certify_simplified(
@@ -104,32 +100,20 @@ def certify_simplified(
             raise NotProjective(f"measurement is not projective: {exc}") from exc
     if not isinstance(measurement, ProjectiveMeasurement):
         raise NotProjective(f"expected projectors, got {type(measurement).__name__}")
-    if measurement.dim != ensemble.dim or measurement.m != ensemble.m:
-        raise DimensionMismatch(
-            f"measurement ({measurement.m} outcomes, dim {measurement.dim}) does not "
-            f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
-        )
+    check_pair(ensemble, measurement)
     if measurement.rank_signature != ensemble.rank_signature:
         raise RankSignatureMismatch(
             f"projector ranks {measurement.rank_signature} != state ranks "
             f"{ensemble.rank_signature}"
         )
-    certificate = dual_operator(ensemble, measurement, tol)
-    positivity = float(np.linalg.eigvalsh(certificate.z)[0])
-    hermiticity = certificate.herm_residual
+    report = _residuals(ensemble, measurement, tol)
+    hermiticity, positivity = report.hermiticity_residual, report.positivity_min_eig
     ok = hermiticity <= tol.tol_recon and positivity > tol.tol_psd
     borderline = (
         hermiticity <= _VERDICT_BAND * tol.tol_recon
         and positivity > -_VERDICT_BAND * tol.tol_psd
     )
-    return CertificationReport(
-        stationarity_residual=stationarity_residual(ensemble, measurement),
-        min_slack_eig=min(certificate.slack_min_eigs),
-        positivity_min_eig=positivity,
-        hermiticity_residual=hermiticity,
-        verdict=_three_tier(ok, borderline),
-        dual_value=certificate.dual_value,
-    )
+    return _three_tier(report, ok, borderline)
 
 
 @dataclass(frozen=True)
@@ -167,12 +151,7 @@ def detection_profile(ensemble: Ensemble, measurement) -> list[float]:
     At a fixed point of the Belavkin transform these are proportional to the
     state ranks; for rank-one signatures they are all equal.
     """
-    elements = measurement_elements(measurement)
-    if len(elements) != ensemble.m or elements[0].shape[0] != ensemble.dim:
-        raise DimensionMismatch(
-            f"measurement ({len(elements)} outcomes) does not match ensemble "
-            f"({ensemble.m} states, dim {ensemble.dim})"
-        )
+    elements = check_pair(ensemble, measurement)
     return [
         float(p * np.trace(e @ rho).real)
         for p, rho, e in zip(ensemble.priors, ensemble.states, elements)

@@ -10,6 +10,7 @@ and wall-clock timing go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 import time
@@ -18,7 +19,13 @@ import numpy as np
 
 from .belavkin import forward_map, inverse_map, roundtrip_check
 from .certify import OPTIMAL, certify_full, certify_simplified, fixpoint_check
-from .ensembles import ProjectiveMeasurement, random_ensemble, success_probability, validate_projective
+from .ensembles import (
+    ProjectiveMeasurement,
+    check_pair,
+    random_ensemble,
+    success_probability,
+    validate_projective,
+)
 from .errors import MEDError, RankSignatureMismatch, SolverFailed
 from .linalg import DEFAULT_TOL
 from .serialize import (
@@ -39,6 +46,27 @@ EXIT_NUMERICAL = 4
 _TOL_FLAGS = ("tol_psd", "tol_rank", "tol_recon", "tol_fixpoint")
 
 
+class _BadInput(Exception):
+    """A flag, an input or output file, its parse or its validation is at fault."""
+
+
+# What a command raises -> exit code and diagnostic prefix; the first
+# matching row wins. A MEDError raised while reading flags and files is
+# re-raised as _BadInput (see _input_phase); one raised while computing is a
+# numerical failure.
+_EXIT_TABLE = (
+    (_BadInput, EXIT_INPUT, "input error"),
+    (SolverFailed, EXIT_UNCERTIFIED, "uncertified"),
+    (MEDError, EXIT_NUMERICAL, "numerical failure"),
+    (np.linalg.LinAlgError, EXIT_NUMERICAL, "numerical failure"),
+)
+
+# Fields every report carries, in order, null when a command has no value.
+_REPORT_FIELDS = (
+    "success_prob", "dual_value", "verdict", "residuals", "measurement", "fixed_point", "timings"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="medli",
@@ -46,49 +74,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text, *positionals, restarts=True):
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("--out", help="write the primary output to this path instead of stdout")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
         for flag in _TOL_FLAGS:
             p.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None, dest=flag)
+        if restarts:
+            p.add_argument("--restarts", type=int, default=16)
         return p
 
-    p = common(sub.add_parser("solve", help="find and certify the optimal measurement"))
-    p.add_argument("input")
-    p.add_argument("--restarts", type=int, default=16)
+    p = command("solve", "find and certify the optimal measurement", "input")
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle (dim<=4, m<=3)")
-
-    p = common(sub.add_parser("certify", help="check optimality of a measurement for an ensemble"))
-    p.add_argument("input")
-    p.add_argument("povm")
-
-    p = common(sub.add_parser("map", help="apply the ensemble transform or its inverse"))
-    p.add_argument("input")
+    command(
+        "certify", "check optimality of a measurement for an ensemble", "input", "povm", restarts=False
+    )
+    p = command("map", "apply the ensemble transform or its inverse", "input")
     p.add_argument("--direction", choices=("forward", "inverse"), required=True)
-    p.add_argument("--restarts", type=int, default=16)
-
-    p = common(sub.add_parser("roundtrip", help="deviations of both transform compositions"))
-    p.add_argument("input")
-    p.add_argument("--restarts", type=int, default=16)
-
-    p = common(sub.add_parser("gen", help="generate a random or fixed-point ensemble file"))
+    command("roundtrip", "deviations of both transform compositions", "input")
+    p = command("gen", "generate a random or fixed-point ensemble file", restarts=False)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signature", required=True, help='comma-separated ranks, e.g. "2,1,1"')
     p.add_argument("--fixed-point", action="store_true")
-
-    p = common(sub.add_parser("fixpoint", help="test whether the PGM is already optimal"))
-    p.add_argument("input")
+    command("fixpoint", "test whether the PGM is already optimal", "input", restarts=False)
     return parser
+
+
+@contextlib.contextmanager
+def _input_phase():
+    """Re-raise what reading flags and files raises as _BadInput."""
+    try:
+        yield
+    except (MEDError, OSError, ValueError) as exc:
+        raise _BadInput(str(exc)) from exc
 
 
 def _tolerances(args):
     overrides = {flag: getattr(args, flag) for flag in _TOL_FLAGS if getattr(args, flag) is not None}
-    return DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
+    with _input_phase():
+        return DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
 
 
-def _tol_echo(args) -> dict:
-    return {flag: getattr(args, flag) for flag in _TOL_FLAGS}
+def _echo(args, *names) -> dict:
+    """The named flags a report echoes, then the tolerance overrides."""
+    echo = {name: getattr(args, name) for name in names}
+    echo["tolerances"] = {flag: getattr(args, flag) for flag in _TOL_FLAGS}
+    return echo
 
 
 def _diag(args, message: str) -> None:
@@ -100,27 +134,28 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _load(args):
+    """Tolerances from the flags, the validated input ensemble and its file digest."""
+    tol = _tolerances(args)
+    with _input_phase():
+        doc, data = load_json(args.input)
+        return tol, ensemble_from_doc(doc, tol), _digest(data)
+
+
 def _write(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _BadInput(f"cannot write --out {args.out}: {exc.strerror}") from exc
 
 
 def _report(command: str, args_echo: dict, digest, **fields) -> dict:
-    doc = {
-        "command": command,
-        "args": args_echo,
-        "input_digest": digest,
-        "success_prob": fields.pop("success_prob", None),
-        "dual_value": fields.pop("dual_value", None),
-        "verdict": fields.pop("verdict", None),
-        "residuals": fields.pop("residuals", None),
-        "measurement": fields.pop("measurement", None),
-        "fixed_point": fields.pop("fixed_point", None),
-        "timings": fields.pop("timings", None),
-    }
+    doc = {"command": command, "args": args_echo, "input_digest": digest}
+    doc.update((key, fields.pop(key, None)) for key in _REPORT_FIELDS)
     doc.update(fields)
     return doc
 
@@ -134,59 +169,51 @@ def _residuals_block(report) -> dict:
     }
 
 
-def _load_ensemble(args, path, tol):
-    doc, data = load_json(path)
-    return ensemble_from_doc(doc, tol), _digest(data)
+def _solve(args, ensemble, tol):
+    return solve(ensemble, SolveConfig(restarts=args.restarts, seed=args.seed), tol=tol)
 
 
-def cmd_solve(args) -> int:
-    tol = _tolerances(args)
-    try:
-        ensemble, digest = _load_ensemble(args, args.input, tol)
-    except (MEDError, OSError) as exc:
-        _diag(args, f"input error: {exc}")
-        return EXIT_INPUT
+def _result_fields(result) -> dict:
+    """Report fields of a SolveResult, all but its measurement."""
+    return {
+        "success_prob": result.success_prob,
+        "dual_value": result.report.dual_value,
+        "verdict": result.report.verdict,
+        "residuals": _residuals_block(result.report),
+        "timings": {"iterations": result.iterations, "certified": result.certified},
+    }
+
+
+# Each handler returns the document to write and the exit code.
+
+
+def cmd_solve(args):
+    tol, ensemble, digest = _load(args)
     started = time.perf_counter()
-    try:
-        if args.oracle:
-            result = solve_oracle(ensemble, seed=args.seed, tol=tol)
-        else:
-            result = solve(ensemble, SolveConfig(restarts=args.restarts, seed=args.seed), tol=tol)
-    except (MEDError, np.linalg.LinAlgError) as exc:
-        _diag(args, f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+    if args.oracle:
+        result = solve_oracle(ensemble, seed=args.seed, tol=tol)
+    else:
+        result = _solve(args, ensemble, tol)
     _diag(args, f"solve finished in {time.perf_counter() - started:.3f}s")
+    echo = _echo(args, "seed", "restarts", "oracle")
+    if args.oracle:
+        echo["restarts"] = None
     doc = _report(
         "solve",
-        {
-            "seed": args.seed,
-            "restarts": None if args.oracle else args.restarts,
-            "oracle": bool(args.oracle),
-            "tolerances": _tol_echo(args),
-        },
+        echo,
         digest,
-        success_prob=result.success_prob,
-        dual_value=result.report.dual_value,
-        verdict=result.report.verdict,
-        residuals=_residuals_block(result.report),
         measurement=measurement_to_doc(result.measurement),
-        timings={"iterations": result.iterations, "certified": result.certified},
+        **_result_fields(result),
     )
-    _write(args, dumps(doc))
-    return EXIT_OK if result.certified else EXIT_UNCERTIFIED
+    return doc, EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
 
-def cmd_certify(args) -> int:
-    tol = _tolerances(args)
-    try:
-        ensemble, digest_in = _load_ensemble(args, args.input, tol)
+def cmd_certify(args):
+    tol, ensemble, digest_in = _load(args)
+    with _input_phase():
         povm_doc, povm_data = load_json(args.povm)
         povm = povm_from_doc(povm_doc, tol)
-        if povm.m != ensemble.m or povm.dim != ensemble.dim:
-            raise RankSignatureMismatch(
-                f"measurement ({povm.m} outcomes, dim {povm.dim}) does not match "
-                f"ensemble ({ensemble.m} states, dim {ensemble.dim})"
-            )
+        check_pair(ensemble, povm)
         projective: ProjectiveMeasurement | None
         try:
             projective = validate_projective(povm.elements, tol)
@@ -197,20 +224,11 @@ def cmd_certify(args) -> int:
                 f"projector ranks {projective.rank_signature} != state ranks "
                 f"{ensemble.rank_signature}"
             )
-    except (MEDError, OSError) as exc:
-        _diag(args, f"input error: {exc}")
-        return EXIT_INPUT
-    try:
-        full = certify_full(ensemble, povm, tol)
-        simplified = (
-            certify_simplified(ensemble, projective, tol) if projective is not None else None
-        )
-    except (MEDError, np.linalg.LinAlgError) as exc:
-        _diag(args, f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+    full = certify_full(ensemble, povm, tol)
+    simplified = certify_simplified(ensemble, projective, tol) if projective is not None else None
     doc = _report(
         "certify",
-        {"tolerances": _tol_echo(args)},
+        _echo(args),
         {"ensemble": digest_in, "measurement": _digest(povm_data)},
         success_prob=success_probability(ensemble, povm, tol),
         dual_value=full.dual_value,
@@ -219,71 +237,31 @@ def cmd_certify(args) -> int:
         simplified_verdict=None if simplified is None else simplified.verdict,
         verdicts_agree=None if simplified is None else simplified.verdict == full.verdict,
     )
-    _write(args, dumps(doc))
-    return EXIT_OK if full.verdict == OPTIMAL else EXIT_UNCERTIFIED
+    return doc, EXIT_OK if full.verdict == OPTIMAL else EXIT_UNCERTIFIED
 
 
-def cmd_map(args) -> int:
-    tol = _tolerances(args)
-    try:
-        ensemble, digest = _load_ensemble(args, args.input, tol)
-    except (MEDError, OSError) as exc:
-        _diag(args, f"input error: {exc}")
-        return EXIT_INPUT
-    echo = {
-        "direction": args.direction,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "tolerances": _tol_echo(args),
-    }
+def cmd_map(args):
+    tol, ensemble, digest = _load(args)
+    echo = _echo(args, "direction", "seed", "restarts")
     if args.direction == "forward":
-        try:
-            result = solve(ensemble, SolveConfig(restarts=args.restarts, seed=args.seed), tol=tol)
-        except (MEDError, np.linalg.LinAlgError) as exc:
-            _diag(args, f"numerical failure: {exc}")
-            return EXIT_NUMERICAL
+        result = _solve(args, ensemble, tol)
         if not result.certified:
             _diag(args, "forward map requires a certified optimum; solve was uncertified")
-            doc = _report(
-                "map",
-                echo,
-                digest,
-                success_prob=result.success_prob,
-                dual_value=result.report.dual_value,
-                verdict=result.report.verdict,
-                residuals=_residuals_block(result.report),
-                timings={"iterations": result.iterations, "certified": False},
-            )
-            _write(args, dumps(doc))
-            return EXIT_UNCERTIFIED
-        try:
-            image = forward_map(ensemble, result.measurement, result.certificate, tol)
-        except (MEDError, np.linalg.LinAlgError) as exc:
-            _diag(args, f"numerical failure: {exc}")
-            return EXIT_NUMERICAL
+            return _report("map", echo, digest, **_result_fields(result)), EXIT_UNCERTIFIED
+        image = forward_map(ensemble, result.measurement, result.certificate, tol)
         doc = _report(
             "map",
             echo,
             digest,
-            success_prob=result.success_prob,
-            dual_value=result.report.dual_value,
-            verdict=result.report.verdict,
-            residuals=_residuals_block(result.report),
             measurement=measurement_to_doc(result.measurement),
-            timings={"iterations": result.iterations, "certified": True},
+            **_result_fields(result),
             ensemble=ensemble_to_doc(image),
         )
-        _write(args, dumps(doc))
-        return EXIT_OK
-    try:
-        pre_image, measurement, certificate, _ = inverse_map(ensemble, tol)
-        report = certify_simplified(pre_image, measurement, tol)
-    except (MEDError, np.linalg.LinAlgError) as exc:
-        _diag(args, f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+        return doc, EXIT_OK
+    pre_image, measurement, certificate, _ = inverse_map(ensemble, tol)
+    report = certify_simplified(pre_image, measurement, tol)
     if report.verdict != OPTIMAL:
-        _diag(args, f"inverse map failed to self-certify: verdict {report.verdict}")
-        return EXIT_NUMERICAL
+        raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
     doc = _report(
         "map",
         echo,
@@ -296,75 +274,44 @@ def cmd_map(args) -> int:
         timings={"iterations": 0, "certified": True},
         ensemble=ensemble_to_doc(pre_image),
     )
-    _write(args, dumps(doc))
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_roundtrip(args) -> int:
-    tol = _tolerances(args)
-    try:
-        ensemble, digest = _load_ensemble(args, args.input, tol)
-    except (MEDError, OSError) as exc:
-        _diag(args, f"input error: {exc}")
-        return EXIT_INPUT
-    solver = lambda e: solve(e, SolveConfig(restarts=args.restarts, seed=args.seed), tol=tol)
-    try:
-        report = roundtrip_check(ensemble, solver, tol)
-    except SolverFailed as exc:
-        _diag(args, f"uncertified: {exc}")
-        return EXIT_UNCERTIFIED
-    except (MEDError, np.linalg.LinAlgError) as exc:
-        _diag(args, f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+def cmd_roundtrip(args):
+    tol, ensemble, digest = _load(args)
+    report = roundtrip_check(ensemble, lambda e: _solve(args, e, tol), tol)
     doc = _report(
         "roundtrip",
-        {"seed": args.seed, "restarts": args.restarts, "tolerances": _tol_echo(args)},
+        _echo(args, "seed", "restarts"),
         digest,
         residuals={
             "forward_then_inverse": report.p_deviation,
             "inverse_then_forward": report.q_deviation,
         },
     )
-    _write(args, dumps(doc))
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
     try:
         signature = tuple(int(part) for part in args.signature.split(","))
     except ValueError:
-        _diag(args, f"input error: cannot parse signature {args.signature!r}")
-        return EXIT_INPUT
+        raise _BadInput(f"cannot parse signature {args.signature!r}") from None
     tol = _tolerances(args)
-    try:
-        if args.fixed_point:
-            ensemble = generate_fixed_point(args.dim, signature, args.seed, tol)
-        else:
-            ensemble = random_ensemble(args.dim, signature, args.seed, tol)
-    except MEDError as exc:
-        _diag(args, f"input error: {exc}")
-        return EXIT_INPUT
+    generate = generate_fixed_point if args.fixed_point else random_ensemble
+    with _input_phase():
+        ensemble = generate(args.dim, signature, args.seed, tol)
     kind = "fixed-point" if args.fixed_point else "random"
     label = f"{kind} d={args.dim} signature={args.signature} seed={args.seed}"
-    _write(args, dumps(ensemble_to_doc(ensemble, label=label)))
-    return EXIT_OK
+    return ensemble_to_doc(ensemble, label=label), EXIT_OK
 
 
-def cmd_fixpoint(args) -> int:
-    tol = _tolerances(args)
-    try:
-        ensemble, digest = _load_ensemble(args, args.input, tol)
-    except (MEDError, OSError) as exc:
-        _diag(args, f"input error: {exc}")
-        return EXIT_INPUT
-    try:
-        result = fixpoint_check(ensemble, tol)
-    except (MEDError, np.linalg.LinAlgError) as exc:
-        _diag(args, f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
+def cmd_fixpoint(args):
+    tol, ensemble, digest = _load(args)
+    result = fixpoint_check(ensemble, tol)
     doc = _report(
         "fixpoint",
-        {"tolerances": _tol_echo(args)},
+        _echo(args),
         digest,
         fixed_point={
             "is_fixed": result.is_fixed,
@@ -372,8 +319,7 @@ def cmd_fixpoint(args) -> int:
             "residual": result.residual,
         },
     )
-    _write(args, dumps(doc))
-    return EXIT_OK if result.is_fixed else EXIT_UNCERTIFIED
+    return doc, EXIT_OK if result.is_fixed else EXIT_UNCERTIFIED
 
 
 _HANDLERS = {
@@ -387,8 +333,15 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an exception becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        doc, code = _HANDLERS[args.command](args)
+        _write(args, dumps(doc))
+    except tuple(kind for kind, _, _ in _EXIT_TABLE) as exc:
+        code, prefix = next((c, p) for kind, c, p in _EXIT_TABLE if isinstance(exc, kind))
+        _diag(args, f"{prefix}: {exc}")
+    return code
 
 
 if __name__ == "__main__":

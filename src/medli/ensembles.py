@@ -33,7 +33,9 @@ from .linalg import (
     expi_herm,
     haar_unitary,
     herm,
+    projector_defect,
     random_hermitian,
+    rank_cutoff_mask,
     rank_eps,
 )
 
@@ -95,26 +97,78 @@ def measurement_elements(measurement) -> tuple[np.ndarray, ...]:
     raise TypeError(f"not a measurement: {type(measurement).__name__}")
 
 
-def _eigvec_blocks(states, tol: Tolerances):
-    """Per-state ranks and the eigenvectors above the rank cutoff."""
+def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, ...]:
+    """The measurement's elements, after checking they pair one-to-one with the states."""
+    elements = measurement_elements(measurement)
+    if len(elements) != ensemble.m or elements[0].shape[0] != ensemble.dim:
+        raise DimensionMismatch(
+            f"measurement ({len(elements)} outcomes, dim {elements[0].shape[0]}) does not "
+            f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
+        )
+    return elements
+
+
+def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
+    """The signature as a tuple of ints: at least two positive ranks summing to dim."""
+    sig = tuple(int(r) for r in rank_signature)
+    if len(sig) < 2 or any(r < 1 for r in sig) or sum(sig) != dim:
+        raise InvalidSignature(f"signature {sig} is invalid for dim {dim}")
+    return sig
+
+
+def _li_ranks(states, dim: int, tol: Tolerances) -> tuple[int, ...]:
+    """State ranks, if the eigenvectors above the rank cutoff form a basis.
+
+    Raises RankSumMismatch or NotLinearlyIndependent otherwise.
+    """
     ranks = []
     blocks = []
     for mat in states:
         w, v = np.linalg.eigh(herm(mat))
-        amax = float(np.abs(w).max()) if w.size else 0.0
-        scale = amax if amax > 0.0 else 1.0
-        keep = np.abs(w) > tol.tol_rank * scale
+        keep = rank_cutoff_mask(w, tol)
         ranks.append(int(keep.sum()))
         blocks.append(v[:, keep])
-    return ranks, blocks
-
-
-def _linearly_independent(states, dim: int, tol: Tolerances) -> bool:
-    ranks, blocks = _eigvec_blocks(states, tol)
     if sum(ranks) != dim:
-        return False
+        raise RankSumMismatch(f"state ranks {tuple(ranks)} sum to {sum(ranks)}, dim is {dim}")
     svals = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    return bool(svals[-1] > tol.tol_rank * svals[0])
+    if not svals[-1] > tol.tol_rank * svals[0]:
+        raise NotLinearlyIndependent(
+            f"stacked eigenvectors have singular value ratio {svals[-1] / svals[0]:.3e}"
+        )
+    return tuple(ranks)
+
+
+def _square_family(items, what: str, nonfinite) -> tuple[list[np.ndarray], int]:
+    """Same-shape square matrices and their dimension (0 for none).
+
+    A non-finite entry raises ``nonfinite``, the caller's invariant class.
+    """
+    mats = [as_square(x) for x in items]
+    dim = mats[0].shape[0] if mats else 0
+    for idx, mat in enumerate(mats):
+        if mat.shape != (dim, dim):
+            raise DimensionMismatch(f"{what} {idx} has shape {mat.shape}, expected {(dim, dim)}")
+        if not np.all(np.isfinite(mat)):
+            raise nonfinite(f"{what} {idx} has non-finite entries")
+    return mats, dim
+
+
+def _check_psd(mats, what: str, error, tol: Tolerances) -> None:
+    """Raise ``error`` unless every matrix is Hermitian and PSD within tolerance."""
+    for idx, mat in enumerate(mats):
+        try:
+            check_hermitian(mat, tol)
+        except ValueError as exc:
+            raise error(f"{what} {idx}: {exc}") from exc
+        w = np.linalg.eigvalsh(herm(mat))
+        if w[0] < -tol.tol_psd:
+            raise error(f"{what} {idx} has eigenvalue {w[0]:.3e}")
+
+
+def _check_complete(mats, dim: int, tol: Tolerances) -> None:
+    defect = float(np.linalg.norm(sum(mats) - np.eye(dim)))
+    if defect > tol.tol_recon:
+        raise NotComplete(f"elements sum to identity only within {defect:.3e}")
 
 
 def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
@@ -124,63 +178,40 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
     NotLinearlyIndependent naming the first violated invariant.
     """
     pr = np.asarray(priors, dtype=float).reshape(-1)
-    mats = [as_square(s) for s in states]
+    mats, dim = _square_family(states, "state", StateNotDensity)
     m = len(mats)
     if m < 2:
         raise DimensionMismatch(f"an ensemble needs at least 2 states, got {m}")
     if pr.shape[0] != m:
         raise DimensionMismatch(f"{pr.shape[0]} priors for {m} states")
-    dim = mats[0].shape[0]
-    for idx, mat in enumerate(mats):
-        if mat.shape != (dim, dim):
-            raise DimensionMismatch(f"state {idx} has shape {mat.shape}, expected {(dim, dim)}")
-    if np.any(pr <= 0.0):
-        raise PriorsInvalid(f"priors must be strictly positive, got {pr.tolist()}")
+    if not np.all(np.isfinite(pr) & (pr > 0.0)):
+        raise PriorsInvalid(f"priors must be finite and strictly positive, got {pr.tolist()}")
     if abs(pr.sum() - 1.0) > tol.tol_recon:
         raise PriorsInvalid(f"priors sum to {pr.sum()!r}, not 1")
+    _check_psd(mats, "state", StateNotDensity, tol)
     for idx, mat in enumerate(mats):
-        try:
-            check_hermitian(mat, tol)
-        except ValueError as exc:
-            raise StateNotDensity(f"state {idx}: {exc}") from exc
-        w = np.linalg.eigvalsh(herm(mat))
-        if w[0] < -tol.tol_psd:
-            raise StateNotDensity(f"state {idx} has eigenvalue {w[0]:.3e}")
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > tol.tol_recon:
             raise StateNotDensity(f"state {idx} has trace {trace!r}, not 1")
-    ranks, blocks = _eigvec_blocks(mats, tol)
-    if sum(ranks) != dim:
-        raise RankSumMismatch(f"state ranks {tuple(ranks)} sum to {sum(ranks)}, dim is {dim}")
-    svals = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    if svals[-1] <= tol.tol_rank * svals[0]:
-        raise NotLinearlyIndependent(
-            f"stacked eigenvectors have singular value ratio {svals[-1] / svals[0]:.3e}"
-        )
+    ranks = _li_ranks(mats, dim, tol)
     return Ensemble(
         dim=dim,
         priors=_frozen(pr),
         states=tuple(_frozen(mat) for mat in mats),
-        rank_signature=tuple(ranks),
+        rank_signature=ranks,
     )
 
 
 def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
     """Check mutual orthogonality and completeness of a projector family."""
-    mats = [as_square(p) for p in projectors]
+    mats, dim = _square_family(projectors, "element", NotProjector)
     if not mats:
         raise DimensionMismatch("a measurement needs at least one element")
-    dim = mats[0].shape[0]
     for idx, p in enumerate(mats):
-        if p.shape != (dim, dim):
-            raise DimensionMismatch(f"element {idx} has shape {p.shape}, expected {(dim, dim)}")
-        defect = float(np.linalg.norm(p @ p - p)) + float(np.linalg.norm(p - p.conj().T))
+        defect = projector_defect(p)
         if defect > tol.tol_recon:
             raise NotProjector(f"element {idx} has projector defect {defect:.3e}")
-    total = sum(mats)
-    defect = float(np.linalg.norm(total - np.eye(dim)))
-    if defect > tol.tol_recon:
-        raise NotComplete(f"elements sum to identity only within {defect:.3e}")
+    _check_complete(mats, dim, tol)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             cross = float(np.linalg.norm(mats[i] @ mats[j]))
@@ -195,23 +226,11 @@ def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> Projective
 
 def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
     """Check PSD-ness and completeness of general POVM elements."""
-    mats = [as_square(e) for e in elements]
+    mats, dim = _square_family(elements, "element", NotPSD)
     if not mats:
         raise DimensionMismatch("a POVM needs at least one element")
-    dim = mats[0].shape[0]
-    for idx, e in enumerate(mats):
-        if e.shape != (dim, dim):
-            raise DimensionMismatch(f"element {idx} has shape {e.shape}, expected {(dim, dim)}")
-        try:
-            check_hermitian(e, tol)
-        except ValueError as exc:
-            raise NotPSD(f"element {idx}: {exc}") from exc
-        w = np.linalg.eigvalsh(herm(e))
-        if w[0] < -tol.tol_psd:
-            raise NotPSD(f"element {idx} has eigenvalue {w[0]:.3e}")
-    defect = float(np.linalg.norm(sum(mats) - np.eye(dim)))
-    if defect > tol.tol_recon:
-        raise NotComplete(f"elements sum to identity only within {defect:.3e}")
+    _check_psd(mats, "element", NotPSD, tol)
+    _check_complete(mats, dim, tol)
     return GeneralPOVM(dim=dim, elements=tuple(_frozen(e) for e in mats))
 
 
@@ -220,13 +239,7 @@ def success_probability(ensemble: Ensemble, measurement, tol: Tolerances = DEFAU
 
     Clamped to [0, 1] only when within tol_recon of the boundary.
     """
-    elements = measurement_elements(measurement)
-    if len(elements) != ensemble.m:
-        raise DimensionMismatch(f"{len(elements)} outcomes for {ensemble.m} states")
-    if elements[0].shape[0] != ensemble.dim:
-        raise DimensionMismatch(
-            f"measurement dim {elements[0].shape[0]} != ensemble dim {ensemble.dim}"
-        )
+    elements = check_pair(ensemble, measurement)
     value = float(
         sum(
             p * np.trace(rho @ e).real
@@ -262,9 +275,7 @@ def random_ensemble(
     state is conjugated by a small random unitary (kept only when linear
     independence survives). Priors are a flat simplex sample.
     """
-    sig = tuple(int(r) for r in rank_signature)
-    if len(sig) < 2 or any(r < 1 for r in sig) or sum(sig) != dim:
-        raise InvalidSignature(f"signature {sig} is invalid for dim {dim}")
+    sig = check_signature(dim, rank_signature)
     rng = np.random.default_rng(seed)
     u = haar_unitary(dim, rng)
     states = []
@@ -280,8 +291,10 @@ def random_ensemble(
         gen /= max(1.0, float(np.linalg.norm(gen)))
         w = expi_herm(gen, perturbation)
         cand = herm(w @ states[i] @ w.conj().T)
-        trial = states[:i] + [cand] + states[i + 1 :]
-        if _linearly_independent(trial, dim, tol):
-            states[i] = cand
+        try:
+            _li_ranks(states[:i] + [cand] + states[i + 1 :], dim, tol)
+        except (RankSumMismatch, NotLinearlyIndependent):
+            continue
+        states[i] = cand
     priors = rng.dirichlet(np.ones(len(sig)))
     return validate_ensemble(priors, states, tol)

@@ -94,11 +94,7 @@ class BudgetExceeded(MEDError):
 
 
 class NoConvergence(MEDError):
-    """Every solver restart failed; carries the best partial result if any."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Every solver restart failed numerically."""
 
 
 class PDConstructionFailed(MEDError):

@@ -67,6 +67,12 @@ def hermiticity_defect(mat) -> float:
     return float(np.linalg.norm(arr - arr.conj().T))
 
 
+def projector_defect(mat) -> float:
+    """||P^2 - P||_F + ||P - P^dag||_F, zero for an orthogonal projector."""
+    arr = as_square(mat)
+    return float(np.linalg.norm(arr @ arr - arr)) + hermiticity_defect(arr)
+
+
 def check_hermitian(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return the matrix, raising ValueError if it is not Hermitian within tol_herm."""
     arr = as_square(mat)
@@ -97,10 +103,14 @@ def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:
 
     The cutoff scale falls back to 1 for the zero matrix, so rank_eps(0) = 0.
     """
-    w = np.linalg.eigvalsh(herm(mat))
-    amax = float(np.abs(w).max()) if w.size else 0.0
+    return int(np.sum(rank_cutoff_mask(np.linalg.eigvalsh(herm(mat)), tol)))
+
+
+def rank_cutoff_mask(eigvals: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Which eigenvalues lie above tol_rank * max|eigenvalue| (scale 1 if all are 0)."""
+    amax = float(np.abs(eigvals).max()) if eigvals.size else 0.0
     scale = amax if amax > 0.0 else 1.0
-    return int(np.sum(np.abs(w) > tol.tol_rank * scale))
+    return np.abs(eigvals) > tol.tol_rank * scale
 
 
 def psd_sqrt(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -196,7 +206,7 @@ def block_decompose(mat, proj, tol: Tolerances = DEFAULT_TOL) -> BlockDecomposit
     p = as_square(proj)
     if p.shape != arr.shape:
         raise ValueError(f"projector shape {p.shape} != matrix shape {arr.shape}")
-    defect = float(np.linalg.norm(p @ p - p)) + hermiticity_defect(p)
+    defect = projector_defect(p)
     if defect > tol.tol_recon:
         raise NotProjector(f"projector defect {defect:.3e} exceeds tol_recon")
     rank, basis = projector_basis(p)
@@ -229,12 +239,17 @@ def schur_complement(bd: BlockDecomposition, tol: Tolerances = DEFAULT_TOL) -> n
 # --- seeded random material and unitary exponentials ---
 
 
+def orthonormalize(mat: np.ndarray) -> np.ndarray:
+    """Q factor of the QR decomposition, with column phases making diag(R) positive."""
+    q, r = np.linalg.qr(mat)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Ginibre matrix."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    return orthonormalize(z)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -126,12 +126,18 @@ def _require(doc, key: str, kind, where: str):
     return value
 
 
-def _check_schema(doc, where: str) -> None:
+def _matrices(doc, key: str, where: str) -> list[np.ndarray]:
+    """The matrix list under ``key`` of a schema-checked document with a positive dim."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where}: expected a JSON object")
     version = _require(doc, "schema_version", str, where)
     if version != SCHEMA_VERSION:
         raise FileFormatError(f"{where}.schema_version: expected {SCHEMA_VERSION!r}, got {version!r}")
+    dim = _require(doc, "dim", int, where)
+    if isinstance(dim, bool) or dim < 1:
+        raise FileFormatError(f"{where}.dim: expected a positive integer")
+    raw = _require(doc, key, list, where)
+    return [_matrix_from_json(rows, dim, f"{where}.{key}[{idx}]") for idx, rows in enumerate(raw)]
 
 
 # --- ensembles ---
@@ -150,19 +156,11 @@ def ensemble_to_doc(ensemble: Ensemble, label: str | None = None) -> dict:
 
 
 def ensemble_from_doc(doc, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
-    _check_schema(doc, "ensemble")
-    dim = _require(doc, "dim", int, "ensemble")
-    if isinstance(dim, bool) or dim < 1:
-        raise FileFormatError("ensemble.dim: expected a positive integer")
+    states = _matrices(doc, "states", "ensemble")
     priors = _require(doc, "priors", list, "ensemble")
     for idx, p in enumerate(priors):
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise FileFormatError(f"ensemble.priors[{idx}]: expected a number")
-    states_raw = _require(doc, "states", list, "ensemble")
-    states = [
-        _matrix_from_json(rows, dim, f"ensemble.states[{idx}]")
-        for idx, rows in enumerate(states_raw)
-    ]
     if len(states) != len(priors):
         raise FileFormatError(
             f"ensemble: {len(priors)} priors but {len(states)} states"
@@ -187,16 +185,7 @@ def measurement_to_doc(measurement) -> dict:
 def povm_from_doc(doc, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
     if isinstance(doc, dict) and "measurement" in doc and "elements" not in doc:
         doc = doc["measurement"]
-    _check_schema(doc, "measurement")
-    dim = _require(doc, "dim", int, "measurement")
-    if isinstance(dim, bool) or dim < 1:
-        raise FileFormatError("measurement.dim: expected a positive integer")
-    elements_raw = _require(doc, "elements", list, "measurement")
-    elements = [
-        _matrix_from_json(rows, dim, f"measurement.elements[{idx}]")
-        for idx, rows in enumerate(elements_raw)
-    ]
-    return validate_povm(elements, tol)
+    return validate_povm(_matrices(doc, "elements", "measurement"), tol)
 
 
 # --- files ---

@@ -27,13 +27,13 @@ from .certify import OPTIMAL, CertificationReport, certify_simplified
 from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
+    check_signature,
     success_probability,
     validate_ensemble,
     validate_projective,
 )
 from .errors import (
     BudgetExceeded,
-    InvalidSignature,
     MEDError,
     NoConvergence,
     NotTwoState,
@@ -46,6 +46,7 @@ from .linalg import (
     haar_unitary,
     herm,
     is_pd,
+    orthonormalize,
     random_hermitian,
 )
 from .pgm import pgm
@@ -53,18 +54,21 @@ from .pgm import pgm
 # Certified results must close the duality gap to this bound.
 GAP_BOUND = 1e-8
 
+# Ascent stops below this gradient norm or once a step would shrink below
+# MIN_STEP; a step is accepted on the Armijo condition with constant ARMIJO.
+GRAD_TOL = 1e-7
+MIN_STEP = 1e-14
+ARMIJO = 1e-4
+# Newton polish runs at most this many rounds.
+POLISH_ROUNDS = 60
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     restarts: int = 16
     seed: int = 0
     max_iters: int = 500
-    grad_tol: float = 1e-7
-    polish_rounds: int = 60
-    armijo: float = 1e-4
-    min_step: float = 1e-14
     include_pgm_start: bool = True
-    stop_when_certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,12 @@ def _objective(weighted, projectors) -> float:
     return float(sum(np.trace(w @ p).real for w, p in zip(weighted, projectors)))
 
 
-def _orthonormalize(u: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(u)
-    signs = np.diag(r) / np.abs(np.diag(r))
-    return q * signs
+def _commutator(weighted, projectors) -> np.ndarray:
+    """sum_i [Pi_i, p_i rho_i]: anti-Hermitian, zero exactly at stationary measurements."""
+    grad = np.zeros_like(projectors[0])
+    for w, p in zip(weighted, projectors):
+        grad += p @ w - w @ p
+    return grad
 
 
 def _ascend(weighted, u0, slices, cfg: SolveConfig):
@@ -123,20 +129,18 @@ def _ascend(weighted, u0, slices, cfg: SolveConfig):
     step = 0.5
     accepted = 0
     for _ in range(cfg.max_iters):
-        grad = np.zeros_like(u)
-        for w, p in zip(weighted, projectors):
-            grad += p @ w - w @ p
+        grad = _commutator(weighted, projectors)
         grad_sq = float(np.linalg.norm(grad) ** 2)
-        if np.sqrt(grad_sq) <= cfg.grad_tol:
+        if np.sqrt(grad_sq) <= GRAD_TOL:
             break
         # e^{-t G} with G anti-Hermitian equals e^{i t H} for H = 1j * G
         direction = herm(1j * grad)
         moved = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             candidate = expi_herm(direction, step) @ u
             cand_projs = _projectors_from_unitary(candidate, slices)
             cand_value = _objective(weighted, cand_projs)
-            if cand_value >= value + cfg.armijo * step * grad_sq:
+            if cand_value >= value + ARMIJO * step * grad_sq:
                 u, projectors, value = candidate, cand_projs, cand_value
                 values.append(value)
                 accepted += 1
@@ -149,24 +153,28 @@ def _ascend(weighted, u0, slices, cfg: SolveConfig):
     return u, values, accepted
 
 
-def _orthonormal_hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Hermitian basis orthonormal under Tr(A B)."""
-    basis = []
+def _hermitian_generators(dim: int) -> list[np.ndarray]:
+    """Hermitian basis with entries of modulus 1.
+
+    The d diagonal units come first, then per k < j a real and an imaginary
+    off-diagonal generator. The Newton polish and the oracle's pattern search
+    both use it; sharing the basis shares no search code.
+    """
+    gens = []
     for k in range(dim):
         g = np.zeros((dim, dim), dtype=complex)
         g[k, k] = 1.0
-        basis.append(g)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        gens.append(g)
     for k in range(dim):
         for j in range(k + 1, dim):
             g = np.zeros((dim, dim), dtype=complex)
-            g[k, j] = g[j, k] = inv_sqrt2
-            basis.append(g)
+            g[k, j] = g[j, k] = 1.0
+            gens.append(g)
             g = np.zeros((dim, dim), dtype=complex)
-            g[k, j] = -1j * inv_sqrt2
-            g[j, k] = 1j * inv_sqrt2
-            basis.append(g)
-    return basis
+            g[k, j] = -1j
+            g[j, k] = 1j
+            gens.append(g)
+    return gens
 
 
 def _gradient_matrix(weighted, u: np.ndarray, slices) -> np.ndarray:
@@ -175,13 +183,10 @@ def _gradient_matrix(weighted, u: np.ndarray, slices) -> np.ndarray:
     Moving along exp(i t H) u changes the objective at first order by
     t * Tr(H Mg), so Mg = 0 exactly at stationary measurements.
     """
-    grad = np.zeros_like(u)
-    for w, p in zip(weighted, _projectors_from_unitary(u, slices)):
-        grad += p @ w - w @ p
-    return herm(1j * grad)
+    return herm(1j * _commutator(weighted, _projectors_from_unitary(u, slices)))
 
 
-def _polish(weighted, u: np.ndarray, slices, cfg: SolveConfig) -> np.ndarray:
+def _polish(weighted, u: np.ndarray, slices) -> np.ndarray:
     """Newton refinement of the stationarity equation on the unitary group.
 
     First-order ascent stalls once objective increments drop below float
@@ -193,14 +198,16 @@ def _polish(weighted, u: np.ndarray, slices, cfg: SolveConfig) -> np.ndarray:
     ignores them since the gradient has no component there.
     """
     dim = u.shape[0]
-    basis = _orthonormal_hermitian_basis(dim)
+    # orthonormal under Tr(A B): the off-diagonal generators scaled by 1/sqrt(2)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    basis = [g if b < dim else g * inv_sqrt2 for b, g in enumerate(_hermitian_generators(dim))]
     eps = 1e-5
 
     def grad_vector(mat_u: np.ndarray) -> np.ndarray:
         mg = _gradient_matrix(weighted, mat_u, slices)
         return np.array([float(np.trace(h @ mg).real) for h in basis])
 
-    for _ in range(cfg.polish_rounds):
+    for _ in range(POLISH_ROUNDS):
         grad = grad_vector(u)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-13:
@@ -250,8 +257,8 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
 
     Restarts include the PGM of the ensemble as a warm start (exact at fixed
     points, near-optimal elsewhere) plus seeded random unitaries. Stops at
-    the first certified restart by default; an uncertified best-effort
-    result is returned when no restart certifies.
+    the first certified restart; an uncertified best-effort result is
+    returned when no restart certifies.
     """
     cfg = config or SolveConfig()
     slices = _signature_slices(ensemble.rank_signature)
@@ -266,7 +273,7 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
             for proj, r in zip(warm.projectors, warm.rank_signature):
                 _, v = np.linalg.eigh(proj)
                 cols.append(v[:, ensemble.dim - r :])
-            starts.append(_orthonormalize(np.hstack(cols)))
+            starts.append(orthonormalize(np.hstack(cols)))
         except MEDError:
             pass
     while len(starts) < max(1, cfg.restarts):
@@ -278,7 +285,7 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
         try:
             u, _, accepted = _ascend(weighted, u0, slices, cfg)
             raw_value = _objective(weighted, _projectors_from_unitary(u, slices))
-            polished = _polish(weighted, u, slices, cfg)
+            polished = _polish(weighted, u, slices)
             if _objective(weighted, _projectors_from_unitary(polished, slices)) >= raw_value - 1e-12:
                 u = polished
             result = _finish(ensemble, _projectors_from_unitary(u, slices), accepted, tol)
@@ -290,31 +297,13 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
             best.success_prob,
         ):
             best = result
-        if result.certified and cfg.stop_when_certified:
+        if result.certified:
             break
     if best is None:
         raise NoConvergence(
             f"every restart failed numerically: {failures[-1] if failures else 'no starts'}"
         )
     return best
-
-
-def _hermitian_generators(dim: int) -> list[np.ndarray]:
-    gens = []
-    for k in range(dim):
-        g = np.zeros((dim, dim), dtype=complex)
-        g[k, k] = 1.0
-        gens.append(g)
-    for k in range(dim):
-        for j in range(k + 1, dim):
-            g = np.zeros((dim, dim), dtype=complex)
-            g[k, j] = g[j, k] = 1.0
-            gens.append(g)
-            g = np.zeros((dim, dim), dtype=complex)
-            g[k, j] = -1j
-            g[j, k] = 1j
-            gens.append(g)
-    return gens
 
 
 def solve_oracle(
@@ -435,9 +424,7 @@ def generate_fixed_point(dim: int, rank_signature, seed: int, tol: Tolerances = 
     coordinate projectors the PGM. A seeded Haar unitary then hides the
     structure.
     """
-    sig = tuple(int(r) for r in rank_signature)
-    if len(sig) < 2 or any(r < 1 for r in sig) or sum(sig) != dim:
-        raise InvalidSignature(f"signature {sig} is invalid for dim {dim}")
+    sig = check_signature(dim, rank_signature)
     rng = np.random.default_rng(seed)
     slices = _signature_slices(sig)
     for scale in (0.5, 0.25, 0.1, 0.05):

@@ -69,6 +69,30 @@ class TestExitCodePartition:
         code, _, err = run_cli("gen", "--dim", "3", "--signature", "2,2")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_bad_tolerance_flag(self, value):
+        code, out, err = run_cli("solve", ORTH, "--tol-psd", value)
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:") and "tol_psd" in err
+
+    def test_unwritable_out_path(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli("gen", "--dim", "2", "--signature", "1,1", "--out", str(target))
+        assert code == 2
+        assert err.startswith("input error:") and str(target) in err
+
+    def test_nan_prior_is_input_error(self, tmp_path):
+        # json accepts the NaN literal; the validator must reject the value
+        doc = json.loads(open(ORTH).read())
+        doc["priors"][0] = float("nan")
+        bad = tmp_path / "nan_prior.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli("fixpoint", str(bad))
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:")
+
     def test_fixpoint_false_is_exit_3(self):
         code, out, _ = run_cli("fixpoint", RANDOM_D4, "--quiet")
         assert code == 3

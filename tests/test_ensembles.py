@@ -8,6 +8,8 @@ from medli import (
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
+    NotProjector,
+    NotPSD,
     PriorsInvalid,
     RankSumMismatch,
     StateNotDensity,
@@ -83,6 +85,27 @@ class TestValidateEnsemble:
         ens = validate_ensemble([0.5, 0.5], ORTH_STATES)
         with pytest.raises(ValueError):
             ens.states[0][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+class TestNonFiniteRejected:
+    """NaN compares False against every bound, so each validator tests finiteness first."""
+
+    def test_prior(self, bad):
+        with pytest.raises(PriorsInvalid):
+            validate_ensemble([bad, 0.5], ORTH_STATES)
+
+    def test_state_entry(self, bad):
+        with pytest.raises(StateNotDensity, match="non-finite"):
+            validate_ensemble([0.5, 0.5], [np.diag([1.0, bad]), ORTH_STATES[1]])
+
+    def test_povm_element(self, bad):
+        with pytest.raises(NotPSD):
+            validate_povm([np.diag([1.0, bad]), np.diag([0.0, 1.0])])
+
+    def test_projector(self, bad):
+        with pytest.raises(NotProjector):
+            validate_projective([np.diag([1.0, bad]), np.diag([0.0, 1.0])])
 
 
 class TestValidateProjective:
