@@ -15,11 +15,11 @@ certification on ill-conditioned instances fails loudly rather than silently.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belavkin import dual_operator, stationarity_residual
+from .belavkin import DualCertificate, dual_operator, stationarity_residual
 from .ensembles import (
     Ensemble,
     GeneralPOVM,
@@ -41,12 +41,19 @@ _VERDICT_BAND = 10.0
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """Residuals and verdict of one certifier run.
+
+    ``certificate`` is the candidate dual operator the residuals were read
+    from, so a caller that needs it does not build it again.
+    """
+
     stationarity_residual: float
     min_slack_eig: float
     positivity_min_eig: float
     hermiticity_residual: float
     verdict: str
     dual_value: float
+    certificate: DualCertificate = field(repr=False, compare=False)
 
 
 def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
@@ -59,6 +66,7 @@ def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> Certificatio
         hermiticity_residual=certificate.herm_residual,
         verdict=INCONCLUSIVE,
         dual_value=certificate.dual_value,
+        certificate=certificate,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import os
 import sys
 import time
 
@@ -140,6 +141,21 @@ def _load(args):
     with _input_phase():
         doc, data = load_json(args.input)
         return tol, ensemble_from_doc(doc, tol), _digest(data)
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path that cannot be written, before any computation."""
+    target = os.path.abspath(path)
+    parent = os.path.dirname(target)
+    if os.path.isdir(target):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "No such file or directory"
+    elif not os.access(target if os.path.exists(target) else parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise _BadInput(f"cannot write --out {path}: {reason}")
 
 
 def _write(args, text: str) -> None:
@@ -336,6 +352,8 @@ def main(argv=None) -> int:
     """Run one command; the only place an exception becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         doc, code = _HANDLERS[args.command](args)
         _write(args, dumps(doc))
     except tuple(kind for kind, _, _ in _EXIT_TABLE) as exc:

@@ -1,11 +1,13 @@
 """Certified solvers for the discrimination optimum.
 
-``solve`` runs gradient ascent over the manifold of rank-compatible
-projective measurements (parameterized as column-block partitions of a
-unitary), followed by a Newton polish of the stationarity equation, and
-accepts a result only when the simplified certificate says Optimal: the
-certificate is the acceptance authority, not the optimizer's convergence
-flag, because the simplified condition is an iff for this problem class.
+``solve`` runs a saddle-free Riemannian Newton ascent over the manifold of
+rank-compatible projective measurements (parameterized as column-block
+partitions of a unitary), with the exact gradient and Hessian taken in the
+frame of the current unitary: there the gradient is the off-block-diagonal
+anti-Hermitian part of sum_i p_i rho_i Pi_i. It accepts a result only when
+the simplified certificate says Optimal: the certificate is the acceptance
+authority, not the optimizer's convergence flag, because the simplified
+condition is an iff for this problem class.
 
 ``solve_oracle`` is an independent brute-force check for tiny instances: a
 seeded sample grid over unitaries plus derivative-free coordinate pattern
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belavkin import DualCertificate, dual_operator
+from .belavkin import DualCertificate
 from .certify import OPTIMAL, CertificationReport, certify_simplified
 from .ensembles import (
     Ensemble,
@@ -54,20 +56,14 @@ from .pgm import pgm
 # Certified results must close the duality gap to this bound.
 GAP_BOUND = 1e-8
 
-# Ascent stops below this gradient norm or once a step would shrink below
-# MIN_STEP; a step is accepted on the Armijo condition with constant ARMIJO.
-GRAD_TOL = 1e-7
-MIN_STEP = 1e-14
-ARMIJO = 1e-4
-# Newton polish runs at most this many rounds.
-POLISH_ROUNDS = 60
+# Newton ascent runs at most this many rounds per restart.
+NEWTON_ROUNDS = 60
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     restarts: int = 16
     seed: int = 0
-    max_iters: int = 500
     include_pgm_start: bool = True
 
 
@@ -77,8 +73,8 @@ class SolveResult:
 
     ``certified`` is True only when the simplified certificate reports
     Optimal and the duality gap |success_prob - dual_value| closes within
-    1e-8. ``iterations`` counts accepted ascent steps for ``solve`` and
-    objective evaluations for ``solve_oracle``.
+    1e-8. ``iterations`` counts the accepted Newton steps of the returned
+    restart for ``solve`` and objective evaluations for ``solve_oracle``.
     """
 
     measurement: ProjectiveMeasurement
@@ -106,59 +102,11 @@ def _objective(weighted, projectors) -> float:
     return float(sum(np.trace(w @ p).real for w, p in zip(weighted, projectors)))
 
 
-def _commutator(weighted, projectors) -> np.ndarray:
-    """sum_i [Pi_i, p_i rho_i]: anti-Hermitian, zero exactly at stationary measurements."""
-    grad = np.zeros_like(projectors[0])
-    for w, p in zip(weighted, projectors):
-        grad += p @ w - w @ p
-    return grad
-
-
-def _ascend(weighted, u0, slices, cfg: SolveConfig):
-    """Armijo-backtracked gradient ascent along unitary left-multipliers.
-
-    Returns the final unitary, the trace of accepted objective values, and
-    the number of accepted steps. The ascent direction is the commutator
-    gradient sum_i p_i [Pi_i, rho_i]; it vanishes exactly at stationary
-    measurements.
-    """
-    u = u0
-    projectors = _projectors_from_unitary(u, slices)
-    value = _objective(weighted, projectors)
-    values = [value]
-    step = 0.5
-    accepted = 0
-    for _ in range(cfg.max_iters):
-        grad = _commutator(weighted, projectors)
-        grad_sq = float(np.linalg.norm(grad) ** 2)
-        if np.sqrt(grad_sq) <= GRAD_TOL:
-            break
-        # e^{-t G} with G anti-Hermitian equals e^{i t H} for H = 1j * G
-        direction = herm(1j * grad)
-        moved = False
-        while step >= MIN_STEP:
-            candidate = expi_herm(direction, step) @ u
-            cand_projs = _projectors_from_unitary(candidate, slices)
-            cand_value = _objective(weighted, cand_projs)
-            if cand_value >= value + ARMIJO * step * grad_sq:
-                u, projectors, value = candidate, cand_projs, cand_value
-                values.append(value)
-                accepted += 1
-                step = min(step * 2.0, 2.0)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return u, values, accepted
-
-
 def _hermitian_generators(dim: int) -> list[np.ndarray]:
     """Hermitian basis with entries of modulus 1.
 
     The d diagonal units come first, then per k < j a real and an imaginary
-    off-diagonal generator. The Newton polish and the oracle's pattern search
-    both use it; sharing the basis shares no search code.
+    off-diagonal generator. Only the oracle's pattern search uses it.
     """
     gens = []
     for k in range(dim):
@@ -177,74 +125,142 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
     return gens
 
 
-def _gradient_matrix(weighted, u: np.ndarray, slices) -> np.ndarray:
-    """Riemannian gradient of the objective as a Hermitian matrix.
+@dataclass(frozen=True)
+class _Horizontal:
+    """Coordinates of the horizontal directions for one rank signature.
 
-    Moving along exp(i t H) u changes the objective at first order by
-    t * Tr(H Mg), so Mg = 0 exactly at stationary measurements.
+    ``labels[a]`` is the block of coordinate a. The horizontal generators are
+    the Hermitian K with K_ab != 0 only where labels[a] != labels[b]; for each
+    such pair a < b (``rows``, ``cols``) K_ab = (x + i y) / sqrt(2), so the real
+    vector z = [x; y] is orthonormal under the trace inner product.
     """
-    return herm(1j * _commutator(weighted, _projectors_from_unitary(u, slices)))
+
+    labels: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, slices, dim: int) -> "_Horizontal":
+        labels = np.empty(dim, dtype=int)
+        for i, s in enumerate(slices):
+            labels[s] = i
+        rows, cols = np.triu_indices(dim, 1)
+        keep = labels[rows] != labels[cols]
+        return cls(labels, rows[keep], cols[keep])
+
+    def generator(self, z: np.ndarray) -> np.ndarray:
+        """The Hermitian K with coordinates z."""
+        n = len(self.rows)
+        dim = len(self.labels)
+        k = np.zeros((dim, dim), dtype=complex)
+        k[self.rows, self.cols] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
+        return k + k.conj().T
+
+    def value_and_gradient(self, tilde: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective and its gradient in z at the frame tilde_i = U^dag W_i U.
+
+        Moving to U exp(iK) changes the objective at first order by
+        Tr(G K) with G_ab = i (W~_{l(a)} - W~_{l(b)})_ab; G is Hermitian and
+        vanishes exactly at stationary measurements.
+        """
+        diag = np.arange(len(self.labels))
+        value = float(tilde[self.labels, diag, diag].real.sum())
+        g = 1j * (
+            tilde[self.labels[self.rows], self.rows, self.cols]
+            - tilde[self.labels[self.cols], self.rows, self.cols]
+        )
+        return value, np.sqrt(2.0) * np.concatenate([g.real, g.imag])
+
+    def hessian(self, tilde: np.ndarray) -> np.ndarray:
+        """Hessian in z of the objective along U exp(iK) at the frame tilde.
+
+        The second-order term is Tr(L(K) K) / 2 with
+        L(K) = -sum_i [[K, E_i], W~_i] = -(K (M - V_a) + (M^dag - V_b) K)
+        at entry (a, b), where V_a = W~_{l(a)} and row a of M is row a of V_a.
+        Its matrix S on the horizontal entries is gathered from two
+        (d, d, d) stacks, then mapped to z.
+        """
+        v = tilde[self.labels]
+        m = v[np.arange(len(self.labels)), np.arange(len(self.labels))]
+        right = m[None, :, :] - v
+        left = m.conj().T[None, :, :] - v
+        # entries (a, b): the upper ones, then their transposes
+        ra = np.concatenate([self.rows, self.cols])
+        rb = np.concatenate([self.cols, self.rows])
+        a, b = ra[:, None], rb[:, None]
+        c, e = ra[None, :], rb[None, :]
+        s = -np.where(a == c, right[a, e, b], 0.0) - np.where(b == e, left[b, a, c], 0.0)
+        n = len(self.rows)
+        s11, s12, s21, s22 = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
+        # Re(A^dag S A) with A = [[I, iI], [I, -iI]] / sqrt(2) mapping z to the entries
+        hess = 0.5 * np.block(
+            [
+                [(s11 + s12 + s21 + s22).real, (1j * (s11 - s12 + s21 - s22)).real],
+                [(1j * (s21 + s22 - s11 - s12)).real, (s11 - s12 - s21 + s22).real],
+            ]
+        )
+        return (hess + hess.T) / 2.0
 
 
-def _polish(weighted, u: np.ndarray, slices) -> np.ndarray:
-    """Newton refinement of the stationarity equation on the unitary group.
+def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
+    """Saddle-free Riemannian Newton ascent over rank-compatible measurements.
 
-    First-order ascent stalls once objective increments drop below float
-    resolution (they scale with the squared residual), so the endgame solves
-    gradient = 0 directly: the Hessian is formed by central differences of
-    the gradient along an orthonormal Hermitian basis and steps are accepted
-    on gradient-norm decrease, which is measurable down to machine epsilon.
-    Stabilizer directions make the Hessian singular; the pseudo-inverse
-    ignores them since the gradient has no component there.
+    Works in the frame of the current unitary: the projectors are
+    U E_i U^dag with E_i the coordinate projectors of the signature, and each
+    step moves U to U exp(iK) along a horizontal generator K (stabilizer
+    directions leave every projector fixed and are never parameterized).
+    The step divides the gradient by the absolute Hessian eigenvalues, so it
+    ascends at saddles too, and is clamped to norm 0.3. A step is accepted
+    on an Armijo increase, or, once objective increments sink below float
+    resolution, when the objective holds within 1e-15 and the gradient norm
+    falls; otherwise it is halved, at most 30 times.
+
+    Returns the final unitary and the objective after each accepted step,
+    starting with the initial value.
     """
-    dim = u.shape[0]
-    # orthonormal under Tr(A B): the off-diagonal generators scaled by 1/sqrt(2)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    basis = [g if b < dim else g * inv_sqrt2 for b, g in enumerate(_hermitian_generators(dim))]
-    eps = 1e-5
+    space = _Horizontal.of(slices, u.shape[0])
+    stack = np.asarray(weighted)
 
-    def grad_vector(mat_u: np.ndarray) -> np.ndarray:
-        mg = _gradient_matrix(weighted, mat_u, slices)
-        return np.array([float(np.trace(h @ mg).real) for h in basis])
+    def frame(mat_u):
+        tilde = mat_u.conj().T @ stack @ mat_u
+        return (tilde, *space.value_and_gradient(tilde))
 
-    for _ in range(POLISH_ROUNDS):
-        grad = grad_vector(u)
+    tilde, value, grad = frame(u)
+    values = [value]
+    for _ in range(NEWTON_ROUNDS):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-13:
             break
-        hess = np.empty((len(basis), len(basis)))
-        for b, h in enumerate(basis):
-            plus = grad_vector(expi_herm(h, eps) @ u)
-            minus = grad_vector(expi_herm(h, -eps) @ u)
-            hess[:, b] = (plus - minus) / (2.0 * eps)
-        hess = (hess + hess.T) / 2.0
-        step = -np.linalg.pinv(hess, rcond=1e-12, hermitian=True) @ grad
+        eigvals, eigvecs = np.linalg.eigh(space.hessian(tilde))
+        scale = np.maximum(np.abs(eigvals), 1e-12 * float(np.abs(eigvals).max()))
+        step = eigvecs @ ((eigvecs.T @ grad) / scale)
         norm = float(np.linalg.norm(step))
         if norm > 0.3:
             step *= 0.3 / norm
-        accepted = False
-        for _ in range(8):
-            direction = sum(s * h for s, h in zip(step, basis))
-            candidate = expi_herm(direction) @ u
-            if float(np.linalg.norm(grad_vector(candidate))) < gnorm:
-                u = candidate
-                accepted = True
+        for _ in range(31):
+            candidate = u @ expi_herm(space.generator(step))
+            cand_tilde, cand_value, cand_grad = frame(candidate)
+            rise = cand_value - value
+            if rise >= 1e-4 * float(grad @ step) or (
+                rise >= -1e-15 and float(np.linalg.norm(cand_grad)) < gnorm
+            ):
+                u, tilde, value, grad = candidate, cand_tilde, cand_value, cand_grad
+                values.append(value)
                 break
             step /= 2.0
-        if not accepted:
+        else:
             break
-    return u
+    return u, values
 
 
 def _finish(ensemble: Ensemble, projectors, iterations: int, tol: Tolerances) -> SolveResult:
     measurement = validate_projective(projectors, tol)
-    certificate = dual_operator(ensemble, measurement, tol)
     report = certify_simplified(ensemble, measurement, tol)
     prob = success_probability(ensemble, measurement, tol)
     certified = report.verdict == OPTIMAL and abs(prob - report.dual_value) <= GAP_BOUND
     return SolveResult(
         measurement=measurement,
-        certificate=certificate,
+        certificate=report.certificate,
         report=report,
         success_prob=prob,
         iterations=iterations,
@@ -252,8 +268,29 @@ def _finish(ensemble: Ensemble, projectors, iterations: int, tol: Tolerances) ->
     )
 
 
+def _starts(ensemble: Ensemble, cfg: SolveConfig, tol: Tolerances):
+    """The PGM warm start, then seeded Haar unitaries, each built only when a restart uses it."""
+    built = 0
+    if cfg.include_pgm_start:
+        try:
+            warm = pgm(ensemble, tol)
+        except MEDError:
+            pass
+        else:
+            cols = []
+            for proj, r in zip(warm.projectors, warm.rank_signature):
+                _, v = np.linalg.eigh(proj)
+                cols.append(v[:, ensemble.dim - r :])
+            built += 1
+            yield orthonormalize(np.hstack(cols))
+    rng = np.random.default_rng(cfg.seed)
+    while built < max(1, cfg.restarts):
+        built += 1
+        yield haar_unitary(ensemble.dim, rng)
+
+
 def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL) -> SolveResult:
-    """Certified ascent over rank-compatible projective measurements.
+    """Certified Newton ascent over rank-compatible projective measurements.
 
     Restarts include the PGM of the ensemble as a warm start (exact at fixed
     points, near-optimal elsewhere) plus seeded random unitaries. Stops at
@@ -263,32 +300,13 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
     cfg = config or SolveConfig()
     slices = _signature_slices(ensemble.rank_signature)
     weighted = ensemble.weighted_states()
-    rng = np.random.default_rng(cfg.seed)
-
-    starts: list[np.ndarray] = []
-    if cfg.include_pgm_start:
-        try:
-            warm = pgm(ensemble, tol)
-            cols = []
-            for proj, r in zip(warm.projectors, warm.rank_signature):
-                _, v = np.linalg.eigh(proj)
-                cols.append(v[:, ensemble.dim - r :])
-            starts.append(orthonormalize(np.hstack(cols)))
-        except MEDError:
-            pass
-    while len(starts) < max(1, cfg.restarts):
-        starts.append(haar_unitary(ensemble.dim, rng))
 
     best: SolveResult | None = None
     failures: list[str] = []
-    for u0 in starts:
+    for u0 in _starts(ensemble, cfg, tol):
         try:
-            u, _, accepted = _ascend(weighted, u0, slices, cfg)
-            raw_value = _objective(weighted, _projectors_from_unitary(u, slices))
-            polished = _polish(weighted, u, slices)
-            if _objective(weighted, _projectors_from_unitary(polished, slices)) >= raw_value - 1e-12:
-                u = polished
-            result = _finish(ensemble, _projectors_from_unitary(u, slices), accepted, tol)
+            u, values = _newton(weighted, u0, slices)
+            result = _finish(ensemble, _projectors_from_unitary(u, slices), len(values) - 1, tol)
         except MEDError as exc:
             failures.append(str(exc))
             continue
@@ -319,7 +337,7 @@ def solve_oracle(
     coordinates of left-multiplied exp(i theta H_a) factors, then by Newton
     steps on a quadratic model built from objective samples. Certification
     still goes through the simplified certificate; the search path is
-    deliberately independent of the gradient machinery in ``solve``.
+    deliberately independent of the Newton machinery in ``solve``.
     """
     if ensemble.dim > 4 or ensemble.m > 3:
         raise BudgetExceeded(

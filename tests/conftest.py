@@ -48,6 +48,29 @@ def pure_pair(theta, priors=(0.5, 0.5)):
     return validate_ensemble(list(priors), [np.outer(psi1, psi1), np.outer(psi2, psi2)])
 
 
+def near_collinear(dim, signature, noise, seed):
+    """LI ensemble whose state vectors all lie within ``noise`` of one direction.
+
+    The same construction as the benchmark's stiff instances: the smaller the
+    noise, the worse conditioned the average state.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    base /= np.linalg.norm(base)
+    states = []
+    for r in signature:
+        vecs = []
+        for _ in range(r):
+            g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            x = base + noise * g / np.linalg.norm(g)
+            vecs.append(x / np.linalg.norm(x))
+        lam = rng.uniform(0.25, 1.0, size=r)
+        lam /= lam.sum()
+        rho = sum(weight * np.outer(x, x.conj()) for weight, x in zip(lam, vecs))
+        states.append((rho + rho.conj().T) / 2)
+    return validate_ensemble(rng.dirichlet(np.ones(len(signature))), states)
+
+
 def angle_measurement(phi):
     """Projective qubit pair {P(phi), Id - P(phi)} with P onto (cos phi, sin phi)."""
     v = np.array([np.cos(phi), np.sin(phi)])

@@ -82,6 +82,15 @@ class TestExitCodePartition:
         assert code == 2
         assert err.startswith("input error:") and str(target) in err
 
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_out_rejected_before_solving(self, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run_cli("solve", RANDOM_D4, "--out", str(target))
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:") and str(target) in err
+        assert "solve finished" not in err
+
     def test_nan_prior_is_input_error(self, tmp_path):
         # json accepts the NaN literal; the validator must reject the value
         doc = json.loads(open(ORTH).read())

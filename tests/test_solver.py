@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pure_pair, qubit_angle_oracle
+from conftest import near_collinear, pure_pair, qubit_angle_oracle
 from medli import (
     BudgetExceeded,
     InvalidSignature,
@@ -11,15 +11,23 @@ from medli import (
     fixpoint_check,
     generate_fixed_point,
     helstrom_comparator,
+    inverse_map,
     pgm,
     random_ensemble,
     solve,
     solve_oracle,
+    success_probability,
     validate_ensemble,
 )
 from medli.certify import OPTIMAL
-from medli.linalg import DEFAULT_TOL
-from medli.solver import _ascend, _signature_slices
+from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
+from medli.solver import (
+    _Horizontal,
+    _newton,
+    _objective,
+    _projectors_from_unitary,
+    _signature_slices,
+)
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
@@ -89,15 +97,60 @@ class TestSolve:
 
     def test_monotone_ascent(self):
         ens = random_ensemble(4, (2, 2), seed=14)
-        rng = np.random.default_rng(0)
-        from medli.linalg import haar_unitary
-
-        u0 = haar_unitary(4, rng)
-        _, values, _ = _ascend(
-            ens.weighted_states(), u0, _signature_slices(ens.rank_signature), SolveConfig()
-        )
+        u0 = haar_unitary(4, np.random.default_rng(0))
+        _, values = _newton(ens.weighted_states(), u0, _signature_slices(ens.rank_signature))
+        assert len(values) > 1
         diffs = np.diff(np.array(values))
         assert np.all(diffs >= -1e-12)
+
+    @pytest.mark.parametrize(
+        "sig", [(1, 1, 1, 1), (2, 1, 1), (1, 1, 1, 1, 1), (3, 2), (2, 2, 2), (1, 2, 3)]
+    )
+    def test_analytic_derivatives_match_central_differences(self, sig):
+        dim = sum(sig)
+        ens = random_ensemble(dim, sig, seed=17)
+        weighted = ens.weighted_states()
+        slices = _signature_slices(sig)
+        u = haar_unitary(dim, np.random.default_rng(dim))
+        space = _Horizontal.of(slices, dim)
+        value, grad = space.value_and_gradient(u.conj().T @ np.asarray(weighted) @ u)
+        hess = space.hessian(u.conj().T @ np.asarray(weighted) @ u)
+        n = dim * dim - sum(r * r for r in sig)
+        assert grad.shape == (n,) and hess.shape == (n, n)
+
+        def f(z):
+            moved = u @ expi_herm(space.generator(z))
+            return _objective(weighted, _projectors_from_unitary(moved, slices))
+
+        assert value == pytest.approx(f(np.zeros(n)), abs=1e-14)
+        unit = np.eye(n)
+        h = 1e-5
+        fd_grad = np.array([(f(h * e) - f(-h * e)) / (2 * h) for e in unit])
+        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-9)
+        h = 1e-4
+        fd_hess = np.array(
+            [
+                [
+                    (f(h * (a + b)) - f(h * (a - b)) - f(h * (b - a)) + f(-h * (a + b))) / (4 * h * h)
+                    for b in unit
+                ]
+                for a in unit
+            ]
+        )
+        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "dim, noise, seed",
+        [(4, 0.01, 20331)] + [(5, noise, seed) for noise in (0.03, 0.01) for seed in (2, 3, 4)],
+    )
+    def test_certifies_near_collinear_known_answer(self, dim, noise, seed):
+        # inverse_map(Q) = (P, PGM(Q), ...): the optimum of P is known in closed form
+        image = near_collinear(dim, (1,) * dim, noise, seed)
+        pre_image, measurement, _, _ = inverse_map(image)
+        result = solve(pre_image)
+        assert result.certified
+        known = success_probability(pre_image, measurement)
+        assert result.success_prob == pytest.approx(known, abs=1e-9)
 
     def test_uncertified_best_effort_returned(self):
         ens = random_ensemble(3, (1, 1, 1), seed=15)
