@@ -5,7 +5,9 @@ The forward map sends an ensemble P, together with an optimal dual pair
 The inverse map reconstructs, from any LI ensemble Q, the unique pre-image P
 whose optimal measurement is the pretty good measurement of Q; it works by
 splitting the square root of Q's average state into blocks adapted to each
-PGM projector and subtracting the Schur complement of the range block.
+PGM projector and subtracting the Schur complement of the range block. All
+the blocks are slices of one matrix, sigma^{1/2} in the PGM's frame, which
+comes with the PGM from one SVD (see :mod:`medli.pgm`).
 """
 
 from __future__ import annotations
@@ -18,20 +20,18 @@ import numpy as np
 from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
-    average_state,
     check_pair,
     validate_ensemble,
 )
 from .errors import MEDError, NotOptimalPair, SolverFailed
 from .linalg import (
     DEFAULT_TOL,
+    BlockDecomposition,
     Tolerances,
-    block_decompose,
     herm,
-    psd_sqrt,
     schur_complement,
 )
-from .pgm import pgm
+from .pgm import _measurement, _polar, _signature_slices
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,14 @@ class MapArtifacts:
 
 def stationarity_residual(ensemble: Ensemble, measurement) -> float:
     """max over i != j of || Pi_j (p_j rho_j - p_i rho_i) Pi_i ||_F."""
-    elements = check_pair(ensemble, measurement)
-    weighted = ensemble.weighted_states()
+    elements = np.asarray(check_pair(ensemble, measurement))
+    weighted = np.asarray(ensemble.weighted_states())
     worst = 0.0
     for j in range(ensemble.m):
-        for i in range(ensemble.m):
-            if i == j:
-                continue
-            residual = float(np.linalg.norm(elements[j] @ (weighted[j] - weighted[i]) @ elements[i]))
-            worst = max(worst, residual)
+        # row j of the pairs: one batched product over the (m, d, d) stacks
+        residuals = np.linalg.norm(elements[j] @ (weighted[j] - weighted) @ elements, axis=(-2, -1))
+        residuals[j] = 0.0
+        worst = max(worst, float(residuals.max()))
     return worst
 
 
@@ -150,22 +149,36 @@ def inverse_map(
 ) -> tuple[Ensemble, ProjectiveMeasurement, DualCertificate, MapArtifacts]:
     """Pre-image ensemble whose optimal measurement is this ensemble's PGM.
 
-    For each PGM projector, sigma^{1/2} is block-decomposed in an adapted
-    basis, the Schur complement of the range block is subtracted from the
-    kernel block to form X_i, and the X_i are normalized into an ensemble.
-    X_i is assembled in the adapted basis and rotated back once, preserving
-    the exact zero of (sigma^{1/2} - X_i) Pi_i to machine precision.
+    For each PGM projector, the blocks A, B, C of sigma^{1/2} in an adapted
+    basis are read off G = W^dag sigma^{1/2} W, with W the PGM unitary: the
+    projector's column block of W spans its range, the other columns its
+    kernel. The Schur complement Delta_i = C - B^dag A^{-1} B is subtracted
+    from the kernel block to form X_i, and the X_i are normalized into an
+    ensemble. X_i is assembled in the adapted basis and rotated back once,
+    preserving the exact zero of (sigma^{1/2} - X_i) Pi_i to machine
+    precision. Raises NotPD if a range block A is not positive definite.
 
     Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
     certificate that self-certifies with no solver involved, and the map
     intermediates.
     """
-    measurement = pgm(ensemble, tol)
-    sigma_sqrt = psd_sqrt(average_state(ensemble), tol)
+    w, frame, sigma_sqrt = _polar(ensemble, tol)
+    measurement = _measurement(w, ensemble)
+    coords = np.arange(ensemble.dim)
     x_ops = []
     deltas = []
-    for proj in measurement.projectors:
-        bd = block_decompose(sigma_sqrt, proj, tol)
+    for block in _signature_slices(ensemble.rank_signature):
+        # the block's own coordinates first, then the rest, as in block_decompose
+        order = np.concatenate([coords[block], coords[: block.start], coords[block.stop :]])
+        rotated = frame[np.ix_(order, order)]
+        rank = block.stop - block.start
+        bd = BlockDecomposition(
+            a_block=rotated[:rank, :rank],
+            b_block=rotated[:rank, rank:],
+            c_block=rotated[rank:, rank:],
+            basis=w[:, order],
+            rank=rank,
+        )
         delta = schur_complement(bd, tol)
         x_ops.append(dataclasses.replace(bd, c_block=bd.c_block - delta).reassemble())
         deltas.append(delta)

@@ -24,13 +24,12 @@ from .ensembles import (
     Ensemble,
     GeneralPOVM,
     ProjectiveMeasurement,
-    average_state,
     check_pair,
     validate_projective,
 )
 from .errors import MEDError, NotProjective, RankSignatureMismatch
-from .linalg import DEFAULT_TOL, Tolerances, herm, psd_sqrt
-from .pgm import pgm
+from .linalg import DEFAULT_TOL, Tolerances
+from .pgm import _polar, _signature_slices
 
 OPTIMAL = "Optimal"
 NOT_OPTIMAL = "NotOptimal"
@@ -136,15 +135,16 @@ def fixpoint_check(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Fixpoin
 
     Tests sum_i Pi_i rho^{1/2} Pi_i = c Id with Pi the PGM projectors and rho
     the average state. c is estimated as the trace mean, which minimizes the
-    Frobenius residual and makes the test sharpest.
+    Frobenius residual and makes the test sharpest. The test is read in the
+    PGM's block frame, G = W^dag rho^{1/2} W with W the PGM unitary: there the
+    pinching keeps the diagonal blocks G_ii, and the Frobenius residual is
+    unchanged by the unitary change of frame.
     """
-    measurement = pgm(ensemble, tol)
-    root = psd_sqrt(average_state(ensemble), tol)
-    pinched = np.zeros_like(root)
-    for proj in measurement.projectors:
-        pinched += proj @ root @ proj
-    pinched = herm(pinched)
-    c_estimate = float(np.trace(pinched).real) / ensemble.dim
+    _, frame, _ = _polar(ensemble, tol)
+    pinched = np.zeros_like(frame)
+    for block in _signature_slices(ensemble.rank_signature):
+        pinched[block, block] = frame[block, block]
+    c_estimate = float(np.trace(frame).real) / ensemble.dim
     residual = float(np.linalg.norm(pinched - c_estimate * np.eye(ensemble.dim)))
     return FixpointResult(
         is_fixed=residual <= tol.tol_fixpoint,

@@ -1,10 +1,12 @@
 """Tolerance-aware linear algebra for dense complex Hermitian matrices.
 
-Everything funnels through one primitive, the Hermitian eigendecomposition:
-matrix square roots, inverse square roots, positivity and rank tests, and the
-block decomposition of a matrix in a basis adapted to a projector. Matrices
-are plain complex numpy arrays; domain-level structure is validated by the
-callers in :mod:`medli.ensembles`.
+The helpers here rest on the Hermitian eigendecomposition: matrix square
+roots, inverse square roots, positivity and rank tests, and the block
+decomposition of a matrix in a basis adapted to a projector. The PGM,
+sigma^{1/2} and the blocks of sigma^{1/2} in the PGM's frame do not use them:
+they come from one SVD in :mod:`medli.pgm`. Matrices are plain complex numpy
+arrays; domain-level structure is validated by the callers in
+:mod:`medli.ensembles`.
 """
 
 from __future__ import annotations

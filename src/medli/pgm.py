@@ -1,16 +1,72 @@
-"""The pretty good measurement and its projective form for LI ensembles."""
+"""The pretty good measurement and its projective form for LI ensembles.
+
+For an LI ensemble the PGM is the polar factor of Psi, the d x d matrix whose
+columns are sqrt(p_i lambda_ik) v_ik over the range eigenpairs of every state,
+so that sigma = Psi Psi^dag (Hausladen-Wootters 1994; Eldar-Forney, IEEE TIT
+47, 858 (2001)). One SVD Psi = U S V^dag gives the PGM unitary W = U V^dag,
+whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
+frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma.
+``pgm_general`` keeps the direct sigma^{-1/2} (p_i rho_i) sigma^{-1/2} form.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import Ensemble, GeneralPOVM, ProjectiveMeasurement, average_state, validate_projective
-from .errors import MEDError, NotProjectiveAfterPGM, SigmaSingular
+from .ensembles import Ensemble, GeneralPOVM, ProjectiveMeasurement, _frozen, average_state
+from .errors import NotProjectiveAfterPGM, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, herm, psd_inv_sqrt
 
 # Beyond this condition number of the average state, near-dependent ensembles
 # are outside the stable regime and the inverse square root returns garbage.
 COND_LIMIT = 1e12
+
+
+def _signature_slices(signature) -> list[slice]:
+    """Consecutive coordinate blocks of sizes r_1, r_2, ..., one per state."""
+    slices = []
+    start = 0
+    for r in signature:
+        slices.append(slice(start, start + r))
+        start += r
+    return slices
+
+
+def _projectors_from_unitary(u: np.ndarray, slices) -> list[np.ndarray]:
+    """Projectors U_i U_i^dag onto the column blocks of a unitary."""
+    return [herm(u[:, s] @ u[:, s].conj().T) for s in slices]
+
+
+def _check_sigma(smallest: float, largest: float, tol: Tolerances) -> None:
+    """Raise SigmaSingular unless sigma's extreme eigenvalues pass both gates."""
+    if smallest <= tol.tol_psd:
+        raise SigmaSingular(f"average state has smallest eigenvalue {smallest:.3e}")
+    if largest / smallest > COND_LIMIT:
+        raise SigmaSingular(f"average state condition number {largest / smallest:.3e} too large")
+
+
+def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, G, sigma^{1/2}) from one SVD of Psi, with G = W^dag sigma^{1/2} W.
+
+    Column block i of the unitary W (``_signature_slices``) spans PGM
+    projector i, so G is sigma^{1/2} in the PGM's block frame. Raises
+    SigmaSingular on the same two gates as ``pgm_general`` and
+    NotProjectiveAfterPGM if W is not unitary within tol_recon.
+    """
+    cols = []
+    for p, rho, r in zip(ensemble.priors, ensemble.states, ensemble.rank_signature):
+        lam, vecs = np.linalg.eigh(herm(rho))
+        top = slice(ensemble.dim - r, None)
+        cols.append(vecs[:, top] * np.sqrt(p * np.clip(lam[top], 0.0, None)))
+    u, s, vh = np.linalg.svd(np.hstack(cols))
+    _check_sigma(float(s[-1]) ** 2, float(s[0]) ** 2, tol)
+    w = u @ vh
+    defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
+    if defect > tol.tol_recon:
+        raise NotProjectiveAfterPGM(f"PGM unitary fails unitarity by {defect:.3e}")
+    g = herm((vh.conj().T * s) @ vh)
+    sigma_sqrt = herm((u * s) @ u.conj().T)
+    return w, g, sigma_sqrt
 
 
 def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
@@ -21,10 +77,7 @@ def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOV
     """
     sigma = average_state(ensemble)
     w = np.linalg.eigvalsh(sigma)
-    if w[0] <= tol.tol_psd:
-        raise SigmaSingular(f"average state has smallest eigenvalue {w[0]:.3e}")
-    if w[-1] / w[0] > COND_LIMIT:
-        raise SigmaSingular(f"average state condition number {w[-1] / w[0]:.3e} too large")
+    _check_sigma(float(w[0]), float(w[-1]), tol)
     t = psd_inv_sqrt(sigma, tol)
     elements = tuple(
         herm(t @ (p * rho) @ t) for p, rho in zip(ensemble.priors, ensemble.states)
@@ -33,32 +86,22 @@ def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOV
 
 
 def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
-    """Pretty good measurement of an LI ensemble, promoted to projectors.
+    """Pretty good measurement of an LI ensemble, as projectors.
 
-    For LI input every element is idempotent with the state's rank; each
-    projector's range basis is re-orthonormalized (project, orthonormalize,
-    rebuild) before returning, because downstream block decompositions need
-    crisp projectors and drift compounds through the conditioning of the
-    inverse square root.
+    Projector i is W_i W_i^dag for column block i of the polar factor W of
+    Psi. Since W is checked unitary within tol_recon, the projectors are
+    idempotent, mutually orthogonal, complete and of the states' ranks by
+    construction; no validation pass or rebuild follows.
     """
-    povm = pgm_general(ensemble, tol)
-    projectors = []
-    for idx, (element, r) in enumerate(zip(povm.elements, ensemble.rank_signature)):
-        defect = float(np.linalg.norm(element @ element - element))
-        if defect > tol.tol_recon:
-            raise NotProjectiveAfterPGM(
-                f"element {idx} fails idempotency by {defect:.3e}; "
-                "tolerances too tight for this instance's conditioning"
-            )
-        _, v = np.linalg.eigh(element)
-        basis = v[:, ensemble.dim - r :]
-        projectors.append(herm(basis @ basis.conj().T))
-    try:
-        meas = validate_projective(projectors, tol)
-    except MEDError as exc:
-        raise NotProjectiveAfterPGM(f"rebuilt projectors fail validation: {exc}") from exc
-    if meas.rank_signature != ensemble.rank_signature:
-        raise NotProjectiveAfterPGM(
-            f"projector ranks {meas.rank_signature} != state ranks {ensemble.rank_signature}"
-        )
-    return meas
+    w, _, _ = _polar(ensemble, tol)
+    return _measurement(w, ensemble)
+
+
+def _measurement(w: np.ndarray, ensemble: Ensemble) -> ProjectiveMeasurement:
+    """The projective measurement of W's column blocks, with the ensemble's ranks."""
+    projectors = _projectors_from_unitary(w, _signature_slices(ensemble.rank_signature))
+    return ProjectiveMeasurement(
+        dim=ensemble.dim,
+        projectors=tuple(_frozen(p) for p in projectors),
+        rank_signature=ensemble.rank_signature,
+    )

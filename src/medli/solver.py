@@ -48,10 +48,9 @@ from .linalg import (
     haar_unitary,
     herm,
     is_pd,
-    orthonormalize,
     random_hermitian,
 )
-from .pgm import pgm
+from .pgm import _polar, _projectors_from_unitary, _signature_slices
 
 # Certified results must close the duality gap to this bound.
 GAP_BOUND = 1e-8
@@ -83,19 +82,6 @@ class SolveResult:
     success_prob: float
     iterations: int
     certified: bool
-
-
-def _signature_slices(signature) -> list[slice]:
-    slices = []
-    start = 0
-    for r in signature:
-        slices.append(slice(start, start + r))
-        start += r
-    return slices
-
-
-def _projectors_from_unitary(u: np.ndarray, slices) -> list[np.ndarray]:
-    return [herm(u[:, s] @ u[:, s].conj().T) for s in slices]
 
 
 def _objective(weighted, projectors) -> float:
@@ -273,16 +259,12 @@ def _starts(ensemble: Ensemble, cfg: SolveConfig, tol: Tolerances):
     built = 0
     if cfg.include_pgm_start:
         try:
-            warm = pgm(ensemble, tol)
+            warm, _, _ = _polar(ensemble, tol)
         except MEDError:
             pass
         else:
-            cols = []
-            for proj, r in zip(warm.projectors, warm.rank_signature):
-                _, v = np.linalg.eigh(proj)
-                cols.append(v[:, ensemble.dim - r :])
             built += 1
-            yield orthonormalize(np.hstack(cols))
+            yield warm
     rng = np.random.default_rng(cfg.seed)
     while built < max(1, cfg.restarts):
         built += 1

@@ -1,13 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import pure_pair
 from medli import (
     SigmaSingular,
+    average_state,
+    block_decompose,
+    fixpoint_check,
+    inverse_map,
     pgm,
     pgm_general,
+    psd_sqrt,
     random_ensemble,
+    schur_complement,
+    stationarity_residual,
     validate_ensemble,
+    validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
 
@@ -91,3 +101,56 @@ def test_sigma_conditioning_guard():
     ens = pure_pair(theta)
     with pytest.raises(SigmaSingular):
         pgm(ens)
+
+
+def _ambient_reference(ensemble, projectors):
+    """sigma^{1/2}, X_i, Delta_i spectra and fixed-point residual built in the ambient basis.
+
+    One eigendecomposition for sigma^{1/2} and one block decomposition per
+    projector: the construction the polar factor replaces.
+    """
+    root = psd_sqrt(average_state(ensemble))
+    x_ops, delta_spectra = [], []
+    for proj in projectors:
+        bd = block_decompose(root, proj)
+        delta = schur_complement(bd)
+        x_ops.append(dataclasses.replace(bd, c_block=bd.c_block - delta).reassemble())
+        delta_spectra.append(np.linalg.eigvalsh(delta))
+    pinched = herm(sum(proj @ root @ proj for proj in projectors))
+    c_estimate = float(np.trace(pinched).real) / ensemble.dim
+    residual = float(np.linalg.norm(pinched - c_estimate * np.eye(ensemble.dim)))
+    return root, x_ops, delta_spectra, residual
+
+
+def _pairwise_stationarity(ensemble, elements):
+    weighted = ensemble.weighted_states()
+    return max(
+        float(np.linalg.norm(elements[j] @ (weighted[j] - weighted[i]) @ elements[i]))
+        for j in range(ensemble.m)
+        for i in range(ensemble.m)
+        if i != j
+    )
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [(1,) * d for d in range(2, 17)]
+    + [(2,) * (d // 2) + (1,) * (d % 2) for d in range(3, 17)],
+    ids=lambda sig: f"d{sum(sig)}-{'mixed' if max(sig) > 1 else 'pure'}",
+)
+def test_polar_path_matches_ambient_construction(sig):
+    ens = random_ensemble(sum(sig), sig, seed=500 + sum(sig))
+    meas = pgm(ens)
+    assert validate_projective(meas.projectors).rank_signature == ens.rank_signature
+    for proj, element in zip(meas.projectors, pgm_general(ens).elements):
+        assert np.abs(proj - element).max() <= 1e-9
+    root, x_ref, delta_ref, residual_ref = _ambient_reference(ens, meas.projectors)
+    _, _, _, arts = inverse_map(ens)
+    assert np.abs(arts.sigma_sqrt - root).max() <= 1e-12
+    for x, want in zip(arts.x_ops, x_ref):
+        assert np.abs(x - want).max() <= 1e-12
+    for delta, want in zip(arts.deltas, delta_ref):
+        np.testing.assert_allclose(np.linalg.eigvalsh(delta), want, rtol=0, atol=1e-12)
+    assert fixpoint_check(ens).residual == pytest.approx(residual_ref, rel=0, abs=1e-14)
+    reference = _pairwise_stationarity(ens, meas.projectors)
+    assert stationarity_residual(ens, meas) == pytest.approx(reference, rel=1e-15, abs=0)
