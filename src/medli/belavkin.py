@@ -97,10 +97,11 @@ def _pairing(weighted, elements) -> np.ndarray:
 
 def _certificate(z: np.ndarray, k: np.ndarray, weighted) -> DualCertificate:
     """Certificate for the candidate dual operator z, with K's hermiticity residual."""
+    slacks = np.linalg.eigvalsh(z - np.asarray(weighted))
     return DualCertificate(
         z=z,
         dual_value=float(np.trace(z).real),
-        slack_min_eigs=tuple(float(np.linalg.eigvalsh(z - w)[0]) for w in weighted),
+        slack_min_eigs=tuple(float(low) for low in slacks[:, 0]),
         herm_residual=float(np.linalg.norm(k - k.conj().T)),
     )
 

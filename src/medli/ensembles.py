@@ -4,12 +4,15 @@ An ensemble is linearly independent (LI) when the union of all states'
 eigenvectors (above the rank cutoff) is a linearly independent set spanning
 the space; this forces the state ranks to sum to the dimension. Validators
 always recompute the rank signature rather than trusting the input, since
-everything downstream keys on exact ranks.
+everything downstream keys on exact ranks. ``validate_ensemble``
+eigendecomposes all states in one stacked call and keeps each state's range
+eigenpairs on the Ensemble, so the PGM (:mod:`medli.pgm`) is built from the
+very eigenpairs the LI test counted, without decomposing any state again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +51,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Prior-weighted list of density matrices with its rank signature."""
+    """Prior-weighted list of density matrices with its rank signature.
+
+    ``range_pairs`` holds, per state, the read-only eigenvalues and
+    eigenvector columns (ascending) above the rank cutoff, as found by the
+    LI test; state i's pair has ``rank_signature[i]`` columns.
+    """
 
     dim: int
     priors: np.ndarray
     states: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
+    range_pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -116,26 +125,28 @@ def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
     return sig
 
 
-def _li_ranks(states, dim: int, tol: Tolerances) -> tuple[int, ...]:
-    """State ranks, if the eigenvectors above the rank cutoff form a basis.
+def _li_ranks(
+    w: np.ndarray, v: np.ndarray, dim: int, tol: Tolerances
+) -> tuple[tuple[int, ...], tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """State ranks and range eigenpairs, if the range eigenvectors form a basis.
 
-    Raises RankSumMismatch or NotLinearlyIndependent otherwise.
+    ``w`` and ``v`` are the stacked eigenvalues (m, d) and eigenvectors
+    (m, d, d) of the states' Hermitian parts. Raises RankSumMismatch or
+    NotLinearlyIndependent otherwise.
     """
-    ranks = []
-    blocks = []
-    for mat in states:
-        w, v = np.linalg.eigh(herm(mat))
-        keep = rank_cutoff_mask(w, tol)
-        ranks.append(int(keep.sum()))
-        blocks.append(v[:, keep])
+    pairs = []
+    for lam, vecs in zip(w, v):
+        keep = rank_cutoff_mask(lam, tol)
+        pairs.append((_frozen(lam[keep]), _frozen(vecs[:, keep])))
+    ranks = tuple(vecs.shape[1] for _, vecs in pairs)
     if sum(ranks) != dim:
-        raise RankSumMismatch(f"state ranks {tuple(ranks)} sum to {sum(ranks)}, dim is {dim}")
-    svals = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+        raise RankSumMismatch(f"state ranks {ranks} sum to {sum(ranks)}, dim is {dim}")
+    svals = np.linalg.svd(np.hstack([vecs for _, vecs in pairs]), compute_uv=False)
     if not svals[-1] > tol.tol_rank * svals[0]:
         raise NotLinearlyIndependent(
             f"stacked eigenvectors have singular value ratio {svals[-1] / svals[0]:.3e}"
         )
-    return tuple(ranks)
+    return ranks, tuple(pairs)
 
 
 def _square_family(items, what: str, nonfinite) -> tuple[list[np.ndarray], int]:
@@ -153,16 +164,22 @@ def _square_family(items, what: str, nonfinite) -> tuple[list[np.ndarray], int]:
     return mats, dim
 
 
-def _check_psd(mats, what: str, error, tol: Tolerances) -> None:
-    """Raise ``error`` unless every matrix is Hermitian and PSD within tolerance."""
+def _hermitian_stack(mats, what: str, error, tol: Tolerances) -> np.ndarray:
+    """The (m, d, d) stack of Hermitian parts; ``error`` unless each is Hermitian within tol."""
     for idx, mat in enumerate(mats):
         try:
             check_hermitian(mat, tol)
         except ValueError as exc:
             raise error(f"{what} {idx}: {exc}") from exc
-        w = np.linalg.eigvalsh(herm(mat))
-        if w[0] < -tol.tol_psd:
-            raise error(f"{what} {idx} has eigenvalue {w[0]:.3e}")
+    stack = np.asarray(mats)
+    return (stack + stack.conj().swapaxes(-2, -1)) / 2.0
+
+
+def _check_psd(eigvals: np.ndarray, what: str, error, tol: Tolerances) -> None:
+    """Raise ``error`` unless every row of stacked ascending eigenvalues is >= -tol_psd."""
+    for idx, low in enumerate(eigvals[:, 0]):
+        if low < -tol.tol_psd:
+            raise error(f"{what} {idx} has eigenvalue {low:.3e}")
 
 
 def _check_complete(mats, dim: int, tol: Tolerances) -> None:
@@ -174,7 +191,10 @@ def _check_complete(mats, dim: int, tol: Tolerances) -> None:
 def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Check membership in the LI ensemble class and build the Ensemble.
 
-    Raises PriorsInvalid, StateNotDensity, RankSumMismatch, or
+    All states are eigendecomposed in one stacked call; its eigenvalues feed
+    the PSD gate and the LI test, and the range eigenpairs the LI test
+    counted are kept on the Ensemble as ``range_pairs``. Raises
+    PriorsInvalid, StateNotDensity, RankSumMismatch, or
     NotLinearlyIndependent naming the first violated invariant.
     """
     pr = np.asarray(priors, dtype=float).reshape(-1)
@@ -188,17 +208,19 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
         raise PriorsInvalid(f"priors must be finite and strictly positive, got {pr.tolist()}")
     if abs(pr.sum() - 1.0) > tol.tol_recon:
         raise PriorsInvalid(f"priors sum to {pr.sum()!r}, not 1")
-    _check_psd(mats, "state", StateNotDensity, tol)
+    w, v = np.linalg.eigh(_hermitian_stack(mats, "state", StateNotDensity, tol))
+    _check_psd(w, "state", StateNotDensity, tol)
     for idx, mat in enumerate(mats):
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > tol.tol_recon:
             raise StateNotDensity(f"state {idx} has trace {trace!r}, not 1")
-    ranks = _li_ranks(mats, dim, tol)
+    ranks, pairs = _li_ranks(w, v, dim, tol)
     return Ensemble(
         dim=dim,
         priors=_frozen(pr),
         states=tuple(_frozen(mat) for mat in mats),
         rank_signature=ranks,
+        range_pairs=pairs,
     )
 
 
@@ -229,7 +251,8 @@ def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
     mats, dim = _square_family(elements, "element", NotPSD)
     if not mats:
         raise DimensionMismatch("a POVM needs at least one element")
-    _check_psd(mats, "element", NotPSD, tol)
+    eigvals = np.linalg.eigvalsh(_hermitian_stack(mats, "element", NotPSD, tol))
+    _check_psd(eigvals, "element", NotPSD, tol)
     _check_complete(mats, dim, tol)
     return GeneralPOVM(dim=dim, elements=tuple(_frozen(e) for e in mats))
 
@@ -291,8 +314,9 @@ def random_ensemble(
         gen /= max(1.0, float(np.linalg.norm(gen)))
         w = expi_herm(gen, perturbation)
         cand = herm(w @ states[i] @ w.conj().T)
+        trial = np.asarray(states[:i] + [cand] + states[i + 1 :])
         try:
-            _li_ranks(states[:i] + [cand] + states[i + 1 :], dim, tol)
+            _li_ranks(*np.linalg.eigh(trial), dim, tol)
         except (RankSumMismatch, NotLinearlyIndependent):
             continue
         states[i] = cand

@@ -155,9 +155,12 @@ class BlockDecomposition:
 
     def reassemble(self) -> np.ndarray:
         """Rotate the blocks back to the ambient basis."""
-        inner = np.block(
-            [[self.a_block, self.b_block], [self.b_block.conj().T, self.c_block]]
-        )
+        r = self.rank
+        inner = np.empty(self.basis.shape, dtype=complex)
+        inner[:r, :r] = self.a_block
+        inner[:r, r:] = self.b_block
+        inner[r:, :r] = self.b_block.conj().T
+        inner[r:, r:] = self.c_block
         return herm(self.basis @ inner @ self.basis.conj().T)
 
 

@@ -5,7 +5,9 @@ columns are sqrt(p_i lambda_ik) v_ik over the range eigenpairs of every state,
 so that sigma = Psi Psi^dag (Hausladen-Wootters 1994; Eldar-Forney, IEEE TIT
 47, 858 (2001)). One SVD Psi = U S V^dag gives the PGM unitary W = U V^dag,
 whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
-frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma.
+frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. The
+range eigenpairs come from ``Ensemble.range_pairs``, kept by validation, so no
+state is eigendecomposed here.
 ``pgm_general`` keeps the direct sigma^{-1/2} (p_i rho_i) sigma^{-1/2} form.
 """
 
@@ -48,16 +50,17 @@ def _check_sigma(smallest: float, largest: float, tol: Tolerances) -> None:
 def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, G, sigma^{1/2}) from one SVD of Psi, with G = W^dag sigma^{1/2} W.
 
-    Column block i of the unitary W (``_signature_slices``) spans PGM
-    projector i, so G is sigma^{1/2} in the PGM's block frame. Raises
-    SigmaSingular on the same two gates as ``pgm_general`` and
-    NotProjectiveAfterPGM if W is not unitary within tol_recon.
+    Psi stacks the range eigenpairs validation kept (``range_pairs``), the
+    same ones that fixed the rank signature. Column block i of the unitary W
+    (``_signature_slices``) spans PGM projector i, so G is sigma^{1/2} in the
+    PGM's block frame. Raises SigmaSingular on the same two gates as
+    ``pgm_general`` and NotProjectiveAfterPGM if W is not unitary within
+    tol_recon.
     """
-    cols = []
-    for p, rho, r in zip(ensemble.priors, ensemble.states, ensemble.rank_signature):
-        lam, vecs = np.linalg.eigh(herm(rho))
-        top = slice(ensemble.dim - r, None)
-        cols.append(vecs[:, top] * np.sqrt(p * np.clip(lam[top], 0.0, None)))
+    cols = [
+        vecs * np.sqrt(p * np.clip(lam, 0.0, None))
+        for p, (lam, vecs) in zip(ensemble.priors, ensemble.range_pairs)
+    ]
     u, s, vh = np.linalg.svd(np.hstack(cols))
     _check_sigma(float(s[-1]) ** 2, float(s[0]) ** 2, tol)
     w = u @ vh

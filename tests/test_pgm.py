@@ -8,6 +8,7 @@ from medli import (
     SigmaSingular,
     average_state,
     block_decompose,
+    dual_operator,
     fixpoint_check,
     inverse_map,
     pgm,
@@ -132,12 +133,15 @@ def _pairwise_stationarity(ensemble, elements):
     )
 
 
-@pytest.mark.parametrize(
+SWEEP = pytest.mark.parametrize(
     "sig",
     [(1,) * d for d in range(2, 17)]
     + [(2,) * (d // 2) + (1,) * (d % 2) for d in range(3, 17)],
     ids=lambda sig: f"d{sum(sig)}-{'mixed' if max(sig) > 1 else 'pure'}",
 )
+
+
+@SWEEP
 def test_polar_path_matches_ambient_construction(sig):
     ens = random_ensemble(sum(sig), sig, seed=500 + sum(sig))
     meas = pgm(ens)
@@ -154,3 +158,51 @@ def test_polar_path_matches_ambient_construction(sig):
     assert fixpoint_check(ens).residual == pytest.approx(residual_ref, rel=0, abs=1e-14)
     reference = _pairwise_stationarity(ens, meas.projectors)
     assert stationarity_residual(ens, meas) == pytest.approx(reference, rel=1e-15, abs=0)
+
+
+@SWEEP
+def test_stored_range_pairs_and_stacked_slacks(sig):
+    ens = random_ensemble(sum(sig), sig, seed=700 + sum(sig))
+    assert len(ens.range_pairs) == ens.m
+    for rho, r, (lam, vecs) in zip(ens.states, ens.rank_signature, ens.range_pairs):
+        assert vecs.shape == (ens.dim, r) and lam.shape == (r,)
+        assert not lam.flags.writeable and not vecs.flags.writeable
+        assert np.abs((vecs * lam) @ vecs.conj().T - rho).max() <= 1e-12
+    pre_image, _, image_certificate, _ = inverse_map(ens)
+    for certificate, weighted in (
+        (dual_operator(ens, pgm(ens)), ens.weighted_states()),
+        (image_certificate, pre_image.weighted_states()),
+    ):
+        loop = tuple(float(np.linalg.eigvalsh(certificate.z - w)[0]) for w in weighted)
+        assert certificate.slack_min_eigs == loop
+
+
+def _decomposition_counter(monkeypatch):
+    """A function running fn(*args) that returns its numpy.linalg eigh/eigvalsh call counts."""
+    counts = {}
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def calls(fn, *args):
+        counts.update(eigh=0, eigvalsh=0)
+        fn(*args)
+        return dict(counts)
+
+    return calls
+
+
+@pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
+def test_each_state_is_decomposed_once(monkeypatch, sig):
+    ens = random_ensemble(sum(sig), sig, seed=13)
+    meas = pgm(ens)
+    calls = _decomposition_counter(monkeypatch)
+    assert calls(validate_ensemble, ens.priors, ens.states) == {"eigh": 1, "eigvalsh": 0}
+    assert calls(pgm, ens)["eigh"] == 0
+    assert calls(fixpoint_check, ens)["eigh"] == 0
+    assert calls(inverse_map, ens)["eigh"] == 1
+    assert calls(dual_operator, ens, meas) == {"eigh": 0, "eigvalsh": 1}
