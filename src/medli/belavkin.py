@@ -29,6 +29,7 @@ from .linalg import (
     BlockDecomposition,
     Tolerances,
     herm,
+    hermiticity_defect,
     schur_complement,
 )
 from .pgm import _measurement, _polar, _signature_slices
@@ -102,7 +103,7 @@ def _certificate(z: np.ndarray, k: np.ndarray, weighted) -> DualCertificate:
         z=z,
         dual_value=float(np.trace(z).real),
         slack_min_eigs=tuple(float(low) for low in slacks[:, 0]),
-        herm_residual=float(np.linalg.norm(k - k.conj().T)),
+        herm_residual=hermiticity_defect(k),
     )
 
 
@@ -164,7 +165,7 @@ def inverse_map(
     intermediates.
     """
     w, frame, sigma_sqrt = _polar(ensemble, tol)
-    measurement = _measurement(w, ensemble)
+    measurement = _measurement(w, ensemble, tol)
     coords = np.arange(ensemble.dim)
     x_ops = []
     deltas = []

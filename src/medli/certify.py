@@ -90,15 +90,14 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
     return _three_tier(report, ok, borderline)
 
 
-def certify_simplified(
-    ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL
-) -> CertificationReport:
-    """Simplified conditions for rank-matched projective measurements.
+def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
+    """The measurement as projectors paired with the states and of their ranks.
 
-    Optimal iff sum_i p_i rho_i Pi_i is Hermitian within tol_recon and PD
-    above tol_psd. The full stationarity residual and slack spectrum are
-    still computed for the report, but only hermiticity and positivity drive
-    the verdict.
+    A GeneralPOVM comes from outside (a file, or user arrays) and is the one
+    kind that is validated here, by ``validate_projective``. Raises
+    NotProjective if it is not projective, DimensionMismatch if it does not
+    pair with the states, RankSignatureMismatch if its ranks differ from
+    theirs.
     """
     if isinstance(measurement, GeneralPOVM):
         try:
@@ -113,7 +112,20 @@ def certify_simplified(
             f"projector ranks {measurement.rank_signature} != state ranks "
             f"{ensemble.rank_signature}"
         )
-    report = _residuals(ensemble, measurement, tol)
+    return measurement
+
+
+def certify_simplified(
+    ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL
+) -> CertificationReport:
+    """Simplified conditions for rank-matched projective measurements.
+
+    Optimal iff sum_i p_i rho_i Pi_i is Hermitian within tol_recon and PD
+    above tol_psd. The full stationarity residual and slack spectrum are
+    still computed for the report, but only hermiticity and positivity drive
+    the verdict. The measurement goes through ``rank_matched`` first.
+    """
+    report = _residuals(ensemble, rank_matched(ensemble, measurement, tol), tol)
     hermiticity, positivity = report.hermiticity_residual, report.positivity_min_eig
     ok = hermiticity <= tol.tol_recon and positivity > tol.tol_psd
     borderline = (

@@ -19,15 +19,9 @@ import time
 import numpy as np
 
 from .belavkin import forward_map, inverse_map, roundtrip_check
-from .certify import OPTIMAL, certify_full, certify_simplified, fixpoint_check
-from .ensembles import (
-    ProjectiveMeasurement,
-    check_pair,
-    random_ensemble,
-    success_probability,
-    validate_projective,
-)
-from .errors import MEDError, RankSignatureMismatch, SolverFailed
+from .certify import OPTIMAL, certify_full, certify_simplified, fixpoint_check, rank_matched
+from .ensembles import ProjectiveMeasurement, check_pair, random_ensemble, success_probability
+from .errors import MEDError, NotProjective, SolverFailed
 from .linalg import DEFAULT_TOL
 from .serialize import (
     dumps,
@@ -232,14 +226,9 @@ def cmd_certify(args):
         check_pair(ensemble, povm)
         projective: ProjectiveMeasurement | None
         try:
-            projective = validate_projective(povm.elements, tol)
-        except MEDError:
+            projective = rank_matched(ensemble, povm, tol)
+        except NotProjective:
             projective = None
-        if projective is not None and projective.rank_signature != ensemble.rank_signature:
-            raise RankSignatureMismatch(
-                f"projector ranks {projective.rank_signature} != state ranks "
-                f"{ensemble.rank_signature}"
-            )
     full = certify_full(ensemble, povm, tol)
     simplified = certify_simplified(ensemble, projective, tol) if projective is not None else None
     doc = _report(

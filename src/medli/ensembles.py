@@ -43,6 +43,10 @@ from .linalg import (
 )
 
 
+# random_ensemble perturbs each state by exp(i PERTURBATION H), ||H||_F <= 1.
+PERTURBATION = 0.1
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr)
     out.setflags(write=False)
@@ -284,19 +288,14 @@ def average_state(ensemble: Ensemble) -> np.ndarray:
     return herm(acc)
 
 
-def random_ensemble(
-    dim: int,
-    rank_signature,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    perturbation: float = 0.1,
-) -> Ensemble:
+def random_ensemble(dim: int, rank_signature, seed: int, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Seed-deterministic LI ensemble with the requested rank signature.
 
     Columns of a Haar unitary are partitioned into per-state eigenbases, each
     state gets random positive eigenvalues normalized to unit trace, then each
-    state is conjugated by a small random unitary (kept only when linear
-    independence survives). Priors are a flat simplex sample.
+    state is conjugated by exp(i PERTURBATION H), H random Hermitian of norm
+    at most 1 (kept only when linear independence survives). Priors are a
+    flat simplex sample.
     """
     sig = check_signature(dim, rank_signature)
     rng = np.random.default_rng(seed)
@@ -312,7 +311,7 @@ def random_ensemble(
     for i in range(len(sig)):
         gen = random_hermitian(dim, rng)
         gen /= max(1.0, float(np.linalg.norm(gen)))
-        w = expi_herm(gen, perturbation)
+        w = expi_herm(gen, PERTURBATION)
         cand = herm(w @ states[i] @ w.conj().T)
         trial = np.asarray(states[:i] + [cand] + states[i + 1 :])
         try:

@@ -72,7 +72,7 @@ class SigmaSingular(MEDError):
 
 
 class NotProjectiveAfterPGM(MEDError):
-    """The pretty good measurement of an LI ensemble failed to come out projective."""
+    """A unitary medli built, the PGM's or a restart's, failed its unitarity check."""
 
 
 class NotOptimalPair(MEDError):

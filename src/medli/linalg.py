@@ -164,45 +164,16 @@ class BlockDecomposition:
         return herm(self.basis @ inner @ self.basis.conj().T)
 
 
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        if abs(pivot) > 0:
-            v[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return v
-
-
-def _lex_column_order(v: np.ndarray) -> np.ndarray:
-    if v.shape[1] <= 1:
-        return v
-    keys = []
-    for row in v:
-        keys.append(np.real(row))
-        keys.append(np.imag(row))
-    # descending, so coordinate vectors keep their natural order
-    order = np.lexsort(np.asarray(keys)[::-1])[::-1]
-    return v[:, order]
-
-
 def projector_basis(proj: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank and a deterministic adapting unitary for a projector.
+    """Rank and an adapting unitary for a projector: eigh's eigenvectors, range first.
 
-    Range vectors come first; within each eigenvalue cluster ties are broken
-    by phase-fixed lexicographic ordering of the components, so repeated runs
-    on the same input give identical bases.
+    A stable sort on descending eigenvalue puts the range vectors first.
+    Within the range and within the kernel the basis is whatever eigh
+    returns, so only quantities that do not depend on it (block spectra,
+    reassembly) are meaningful to compare.
     """
     w, v = np.linalg.eigh(herm(proj))
-    order = np.argsort(-w, kind="stable")
-    v = v[:, order]
-    rank = int(np.sum(w > 0.5))
-    v = _fix_column_phases(v)
-    if rank > 1:
-        v[:, :rank] = _lex_column_order(v[:, :rank])
-    if v.shape[1] - rank > 1:
-        v[:, rank:] = _lex_column_order(v[:, rank:])
-    return rank, v
+    return int(np.sum(w > 0.5)), v[:, np.argsort(-w, kind="stable")]
 
 
 def block_decompose(mat, proj, tol: Tolerances = DEFAULT_TOL) -> BlockDecomposition:

@@ -8,6 +8,9 @@ whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
 frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. The
 range eigenpairs come from ``Ensemble.range_pairs``, kept by validation, so no
 state is eigendecomposed here.
+Every measurement medli builds, the PGM and each solver restart's, comes
+from a unitary through ``_measurement``; outside input is validated by
+``certify.rank_matched``.
 ``pgm_general`` keeps the direct sigma^{-1/2} (p_i rho_i) sigma^{-1/2} form.
 """
 
@@ -54,8 +57,8 @@ def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray,
     same ones that fixed the rank signature. Column block i of the unitary W
     (``_signature_slices``) spans PGM projector i, so G is sigma^{1/2} in the
     PGM's block frame. Raises SigmaSingular on the same two gates as
-    ``pgm_general`` and NotProjectiveAfterPGM if W is not unitary within
-    tol_recon.
+    ``pgm_general``. W is not checked here: ``_measurement`` checks it when
+    a measurement is built from it, and the fixed-point test reads only G.
     """
     cols = [
         vecs * np.sqrt(p * np.clip(lam, 0.0, None))
@@ -63,13 +66,9 @@ def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray,
     ]
     u, s, vh = np.linalg.svd(np.hstack(cols))
     _check_sigma(float(s[-1]) ** 2, float(s[0]) ** 2, tol)
-    w = u @ vh
-    defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
-    if defect > tol.tol_recon:
-        raise NotProjectiveAfterPGM(f"PGM unitary fails unitarity by {defect:.3e}")
     g = herm((vh.conj().T * s) @ vh)
     sigma_sqrt = herm((u * s) @ u.conj().T)
-    return w, g, sigma_sqrt
+    return u @ vh, g, sigma_sqrt
 
 
 def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
@@ -92,16 +91,24 @@ def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurem
     """Pretty good measurement of an LI ensemble, as projectors.
 
     Projector i is W_i W_i^dag for column block i of the polar factor W of
-    Psi. Since W is checked unitary within tol_recon, the projectors are
-    idempotent, mutually orthogonal, complete and of the states' ranks by
-    construction; no validation pass or rebuild follows.
+    Psi, built by ``_measurement``.
     """
     w, _, _ = _polar(ensemble, tol)
-    return _measurement(w, ensemble)
+    return _measurement(w, ensemble, tol)
 
 
-def _measurement(w: np.ndarray, ensemble: Ensemble) -> ProjectiveMeasurement:
-    """The projective measurement of W's column blocks, with the ensemble's ranks."""
+def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> ProjectiveMeasurement:
+    """The projective measurement of W's column blocks, with the ensemble's ranks.
+
+    W is a unitary medli built: the PGM's or a solver restart's. Once
+    ||W^dag W - Id||_F <= tol_recon, the projectors W_i W_i^dag are
+    idempotent, mutually orthogonal, complete and of the states' ranks by
+    construction, so no validation pass follows. Raises
+    NotProjectiveAfterPGM otherwise.
+    """
+    defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
+    if defect > tol.tol_recon:
+        raise NotProjectiveAfterPGM(f"unitary fails unitarity by {defect:.3e}")
     projectors = _projectors_from_unitary(w, _signature_slices(ensemble.rank_signature))
     return ProjectiveMeasurement(
         dim=ensemble.dim,

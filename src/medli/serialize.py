@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensembles import Ensemble, GeneralPOVM, validate_ensemble, validate_povm
+from .ensembles import Ensemble, GeneralPOVM, measurement_elements, validate_ensemble, validate_povm
 from .errors import FileFormatError
 from .linalg import DEFAULT_TOL, Tolerances
 
@@ -172,8 +172,6 @@ def ensemble_from_doc(doc, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
 
 
 def measurement_to_doc(measurement) -> dict:
-    from .ensembles import measurement_elements
-
     elements = measurement_elements(measurement)
     return {
         "schema_version": SCHEMA_VERSION,

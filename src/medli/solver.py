@@ -32,7 +32,6 @@ from .ensembles import (
     check_signature,
     success_probability,
     validate_ensemble,
-    validate_projective,
 )
 from .errors import (
     BudgetExceeded,
@@ -50,13 +49,16 @@ from .linalg import (
     is_pd,
     random_hermitian,
 )
-from .pgm import _polar, _projectors_from_unitary, _signature_slices
+from .pgm import _measurement, _polar, _projectors_from_unitary, _signature_slices
 
 # Certified results must close the duality gap to this bound.
 GAP_BOUND = 1e-8
 
 # Newton ascent runs at most this many rounds per restart.
 NEWTON_ROUNDS = 60
+
+# The oracle's sampled-quadratic endgame takes this many Newton steps.
+REFINE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,9 @@ def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
     return u, values
 
 
-def _finish(ensemble: Ensemble, projectors, iterations: int, tol: Tolerances) -> SolveResult:
-    measurement = validate_projective(projectors, tol)
+def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances) -> SolveResult:
+    """Certify the measurement of u's column blocks; ``_measurement`` checks u is unitary."""
+    measurement = _measurement(u, ensemble, tol)
     report = certify_simplified(ensemble, measurement, tol)
     prob = success_probability(ensemble, measurement, tol)
     certified = report.verdict == OPTIMAL and abs(prob - report.dual_value) <= GAP_BOUND
@@ -288,7 +291,7 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
     for u0 in _starts(ensemble, cfg, tol):
         try:
             u, values = _newton(weighted, u0, slices)
-            result = _finish(ensemble, _projectors_from_unitary(u, slices), len(values) - 1, tol)
+            result = _finish(ensemble, u, len(values) - 1, tol)
         except MEDError as exc:
             failures.append(str(exc))
             continue
@@ -373,10 +376,10 @@ def solve_oracle(
         value = value_of(u)
         if value > best_value:
             best_u, best_value = u, value
-    return _finish(ensemble, _projectors_from_unitary(best_u, slices), evals, tol)
+    return _finish(ensemble, best_u, evals, tol)
 
 
-def _sampled_quadratic_refine(u, generators, factor, value_of, rounds: int = 3):
+def _sampled_quadratic_refine(u, generators, factor, value_of):
     """Endgame for the oracle: Newton steps on a sampled quadratic model.
 
     Pattern search stalls once objective differences sink below float
@@ -386,7 +389,7 @@ def _sampled_quadratic_refine(u, generators, factor, value_of, rounds: int = 3):
     the analytic gradient formulas used by ``solve``.
     """
     n = len(generators)
-    for round_idx in range(rounds):
+    for round_idx in range(REFINE_ROUNDS):
         h = 1e-4 if round_idx == 0 else 1e-5
         f0 = value_of(u)
         f_plus = np.empty(n)

@@ -165,6 +165,19 @@ class TestCertifyCommand:
         # inside the roundoff band, so Inconclusive rather than NotOptimal
         assert doc["simplified_verdict"] in ("NotOptimal", "Inconclusive")
 
+    def test_non_projective_povm_has_no_simplified_verdict(self, tmp_path):
+        half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        path = tmp_path / "halves.json"
+        path.write_text(
+            json.dumps({"schema_version": "med-li/1", "dim": 2, "elements": [half, half]})
+        )
+        code, out, _ = run_cli("certify", ORTH, str(path), "--quiet")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "NotOptimal"
+        assert doc["simplified_verdict"] is None
+        assert doc["verdicts_agree"] is None
+
     def test_rank_mismatched_measurement_rejected(self, tmp_path):
         # fixed_point_d3 has signature (2,1); feed it projectors of ranks (1,2)
         meas = self._measurement_file(tmp_path, FIXED)

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import pure_pair
 from medli import (
+    NotProjectiveAfterPGM,
     SigmaSingular,
+    SolveConfig,
     average_state,
     block_decompose,
     dual_operator,
@@ -16,11 +18,13 @@ from medli import (
     psd_sqrt,
     random_ensemble,
     schur_complement,
+    solve,
     stationarity_residual,
     validate_ensemble,
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
+from medli.pgm import _measurement
 
 
 def test_orthogonal_pair_gives_support_projectors():
@@ -206,3 +210,27 @@ def test_each_state_is_decomposed_once(monkeypatch, sig):
     assert calls(fixpoint_check, ens)["eigh"] == 0
     assert calls(inverse_map, ens)["eigh"] == 1
     assert calls(dual_operator, ens, meas) == {"eigh": 0, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
+def test_solve_builds_its_measurement_without_validation(monkeypatch, sig):
+    # one restart, the PGM start: its only spectra are the stacked slacks and Z's positivity
+    ens = random_ensemble(sum(sig), sig, seed=13)
+    results = []
+    calls = _decomposition_counter(monkeypatch)
+    assert calls(lambda: results.append(solve(ens, SolveConfig(restarts=1))))["eigvalsh"] == 2
+    assert results[0].certified
+    assert results[0].measurement.rank_signature == ens.rank_signature
+
+
+def test_measurement_checks_that_the_unitary_is_unitary():
+    ens = random_ensemble(4, (2, 1, 1), seed=21)
+    w = haar_unitary(4, np.random.default_rng(21))
+    meas = _measurement(w, ens, DEFAULT_TOL)
+    assert meas.rank_signature == ens.rank_signature
+    assert validate_projective(meas.projectors).rank_signature == ens.rank_signature
+    np.testing.assert_array_equal(meas.projectors[0], herm(w[:, :2] @ w[:, :2].conj().T))
+    scaled = w.copy()
+    scaled[:, 1] *= 1.0 + 1e-6
+    with pytest.raises(NotProjectiveAfterPGM):
+        _measurement(scaled, ens, DEFAULT_TOL)
