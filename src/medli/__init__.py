@@ -64,19 +64,8 @@ from .errors import (
     SolverFailed,
     StateNotDensity,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    BlockDecomposition,
-    Tolerances,
-    block_decompose,
-    is_pd,
-    is_psd,
-    psd_inv_sqrt,
-    psd_sqrt,
-    rank_eps,
-    schur_complement,
-)
-from .pgm import pgm, pgm_general
+from .linalg import DEFAULT_TOL, Tolerances, is_pd, rank_eps
+from .pgm import pgm
 from .solver import (
     SolveConfig,
     SolveResult,

@@ -3,16 +3,14 @@
 The forward map sends an ensemble P, together with an optimal dual pair
 (measurement, Z), to the derived ensemble Q with q_i sigma_i = Z Pi_i Z / Tr(Z^2).
 The inverse map reconstructs, from any LI ensemble Q, the unique pre-image P
-whose optimal measurement is the pretty good measurement of Q; it works by
-splitting the square root of Q's average state into blocks adapted to each
-PGM projector and subtracting the Schur complement of the range block. All
-the blocks are slices of one matrix, sigma^{1/2} in the PGM's frame, which
-comes with the PGM from one SVD (see :mod:`medli.pgm`).
+whose optimal measurement is the pretty good measurement of Q. It reads the
+blocks of the square root of Q's average state around each PGM projector
+from one matrix, sigma^{1/2} in the PGM's frame, which comes with the PGM
+from one SVD (see :mod:`medli.pgm`); in that frame each X_i is one product.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +21,8 @@ from .ensembles import (
     check_pair,
     validate_ensemble,
 )
-from .errors import MEDError, NotOptimalPair, SolverFailed
-from .linalg import (
-    DEFAULT_TOL,
-    BlockDecomposition,
-    Tolerances,
-    herm,
-    hermiticity_defect,
-    schur_complement,
-)
+from .errors import MEDError, NotOptimalPair, NotPD, SolverFailed
+from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
 from .pgm import _measurement, _polar, _signature_slices
 
 
@@ -151,14 +142,15 @@ def inverse_map(
 ) -> tuple[Ensemble, ProjectiveMeasurement, DualCertificate, MapArtifacts]:
     """Pre-image ensemble whose optimal measurement is this ensemble's PGM.
 
-    For each PGM projector, the blocks A, B, C of sigma^{1/2} in an adapted
-    basis are read off G = W^dag sigma^{1/2} W, with W the PGM unitary: the
-    projector's column block of W spans its range, the other columns its
-    kernel. The Schur complement Delta_i = C - B^dag A^{-1} B is subtracted
-    from the kernel block to form X_i, and the X_i are normalized into an
-    ensemble. X_i is assembled in the adapted basis and rotated back once,
-    preserving the exact zero of (sigma^{1/2} - X_i) Pi_i to machine
-    precision. Raises NotPD if a range block A is not positive definite.
+    In the PGM frame G = W^dag sigma^{1/2} W, with W the PGM unitary, the
+    coordinates of block i span projector i's range and the others its
+    kernel, so the blocks A, B, C of sigma^{1/2} are slices of G. The paper's
+    X_i = [[A, B], [B^dag, B^dag A^{-1} B]] is then G[:, i] A^{-1} G[i, :],
+    rotated back by W once, and Delta_i = C - B^dag A^{-1} B is what it leaves
+    of G on the kernel coordinates. The product's block-i columns are G's up
+    to round-off, so (sigma^{1/2} - X_i) Pi_i is zero to machine precision.
+    The X_i are normalized into an ensemble. Raises NotPD if a range block A
+    is not positive definite.
 
     Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
     certificate that self-certifies with no solver involved, and the map
@@ -170,20 +162,15 @@ def inverse_map(
     x_ops = []
     deltas = []
     for block in _signature_slices(ensemble.rank_signature):
-        # the block's own coordinates first, then the rest, as in block_decompose
-        order = np.concatenate([coords[block], coords[: block.start], coords[block.stop :]])
-        rotated = frame[np.ix_(order, order)]
-        rank = block.stop - block.start
-        bd = BlockDecomposition(
-            a_block=rotated[:rank, :rank],
-            b_block=rotated[:rank, rank:],
-            c_block=rotated[rank:, rank:],
-            basis=w[:, order],
-            rank=rank,
-        )
-        delta = schur_complement(bd, tol)
-        x_ops.append(dataclasses.replace(bd, c_block=bd.c_block - delta).reassemble())
-        deltas.append(delta)
+        col = frame[:, block]
+        a = col[block]
+        low = float(np.linalg.eigvalsh(a)[0])
+        if low <= tol.tol_psd:
+            raise NotPD(f"A block is singular within tolerance (min eigenvalue {low:.3e})")
+        inner = col @ np.linalg.solve(a, col.conj().T)
+        x_ops.append(herm(w @ inner @ w.conj().T))
+        rest = np.delete(coords, block)
+        deltas.append(herm((frame - inner)[np.ix_(rest, rest)]))
     traces = [float(np.trace(x).real) for x in x_ops]
     total = sum(traces)
     priors = [t / total for t in traces]

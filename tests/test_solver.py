@@ -171,6 +171,26 @@ class TestSolve:
         assert result.certified
         assert abs(result.success_prob - result.certificate.dual_value) <= 1e-8
 
+    def test_optimal_verdict_certifies_when_the_probability_is_clamped(self, monkeypatch):
+        # priors summing to 1 + 5e-7 pass validation at tol_recon 1e-6: the
+        # success probability is clamped to 1 while Tr Z stays 1 + 5e-7
+        tol = DEFAULT_TOL.replace(tol_recon=1e-6)
+        ens = validate_ensemble(
+            [0.5 + 2.5e-7] * 2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], tol
+        )
+        restarts = []
+
+        def counted(*args):
+            restarts.append(args)
+            return certify_simplified(*args)
+
+        monkeypatch.setattr("medli.solver.certify_simplified", counted)
+        result = solve(ens, tol=tol)
+        assert result.report.verdict == OPTIMAL
+        assert result.certified
+        assert result.success_prob == 1.0
+        assert len(restarts) == 1
+
 
 class TestGenerateFixedPoint:
     def test_explicit_two_by_two_arithmetic(self):
