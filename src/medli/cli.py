@@ -132,6 +132,8 @@ def _digest(data: bytes) -> str:
 def _load(args):
     """Tolerances from the flags, the validated input ensemble and its file digest."""
     tol = _tolerances(args)
+    if getattr(args, "restarts", 1) < 1:
+        raise _BadInput(f"--restarts must be at least 1, got {args.restarts}")
     with _input_phase():
         doc, data = load_json(args.input)
         return tol, ensemble_from_doc(doc, tol), _digest(data)

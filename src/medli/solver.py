@@ -1,13 +1,16 @@
 """Certified solvers for the discrimination optimum.
 
-``solve`` runs a saddle-free Riemannian Newton ascent over the manifold of
-rank-compatible projective measurements (parameterized as column-block
-partitions of a unitary), with the exact gradient and Hessian taken in the
-frame of the current unitary: there the gradient is the off-block-diagonal
-anti-Hermitian part of sum_i p_i rho_i Pi_i. It accepts a result only when
-the simplified certificate says Optimal: the certificate is the acceptance
-authority, not the optimizer's convergence flag, because the simplified
-condition is an iff for this problem class.
+``solve`` searches the manifold of rank-compatible projective measurements
+(parameterized as column-block partitions of a unitary) in two stages per
+restart. Polar steps U <- U polar(K~) drive K = sum_i p_i rho_i Pi_i towards
+Hermitian PSD, the paper's simplified optimality condition; each costs one
+d x d SVD. A saddle-free Riemannian Newton ascent then finishes, with the
+exact gradient and Hessian taken in the frame of the current unitary: there
+the gradient is the off-block-diagonal anti-Hermitian part of K. Newton
+builds its Hessian only when the polar steps stall, as on stiff instances.
+It accepts a result only when the simplified certificate says Optimal: the
+certificate is the acceptance authority, not the optimizer's convergence
+flag, because the simplified condition is an iff for this problem class.
 
 ``solve_oracle`` is an independent brute-force check for tiny instances: a
 seeded sample grid over unitaries plus derivative-free coordinate pattern
@@ -51,6 +54,9 @@ from .linalg import (
 )
 from .pgm import _measurement, _polar, _projectors_from_unitary, _signature_slices
 
+# Each restart takes at most this many polar steps before Newton.
+POLAR_STEPS = 30
+
 # Newton ascent runs at most this many rounds per restart.
 NEWTON_ROUNDS = 60
 
@@ -70,8 +76,9 @@ class SolveResult:
     """A candidate optimum with its certificate.
 
     ``certified`` is True exactly when the simplified certificate reports
-    Optimal. ``iterations`` counts the accepted Newton steps of the returned
-    restart for ``solve`` and objective evaluations for ``solve_oracle``.
+    Optimal. ``iterations`` counts the polar steps plus the accepted Newton
+    steps of the returned restart for ``solve``, and objective evaluations
+    for ``solve_oracle``.
     """
 
     measurement: ProjectiveMeasurement
@@ -109,6 +116,14 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
     return gens
 
 
+def _block_labels(slices, dim: int) -> np.ndarray:
+    """The block index of each coordinate under the signature's slices."""
+    labels = np.empty(dim, dtype=int)
+    for i, s in enumerate(slices):
+        labels[s] = i
+    return labels
+
+
 @dataclass(frozen=True)
 class _Horizontal:
     """Coordinates of the horizontal directions for one rank signature.
@@ -125,9 +140,7 @@ class _Horizontal:
 
     @classmethod
     def of(cls, slices, dim: int) -> "_Horizontal":
-        labels = np.empty(dim, dtype=int)
-        for i, s in enumerate(slices):
-            labels[s] = i
+        labels = _block_labels(slices, dim)
         rows, cols = np.triu_indices(dim, 1)
         keep = labels[rows] != labels[cols]
         return cls(labels, rows[keep], cols[keep])
@@ -237,6 +250,40 @@ def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
     return u, values
 
 
+def _polar_steps(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, int]:
+    """Move U to U polar(K~) until K = sum_i p_i rho_i Pi_i is Hermitian PSD.
+
+    In the frame W~_i = U^dag W_i U, K~ = U^dag K U = sum_i W~_i E_i, so column
+    a of K~ is column a of W~_{l(a)}. With the SVD K~ = A S B^dag the step is
+    U <- U R, R = A B^dag; the fixed points, R = I, are the measurements the
+    simplified optimality condition accepts. Each new Pi_j is the PGM of
+    {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek iteration).
+
+    Stops before a step once ||R - I||_F < 1e-13, once the defect exceeds
+    half the previous one (the iteration has slowed to a crawl and Newton
+    takes over), or after POLAR_STEPS steps; an optimal start is never
+    moved. Returns the unitary and the number of steps taken.
+    """
+    dim = u.shape[0]
+    labels = _block_labels(slices, dim)
+    cols = np.arange(dim)
+    stack = np.asarray(weighted)
+    eye = np.eye(dim)
+    previous = np.inf
+    steps = 0
+    while steps < POLAR_STEPS:
+        k = (u.conj().T @ stack @ u)[labels, :, cols].T
+        left, _, right = np.linalg.svd(k)
+        rotation = left @ right
+        defect = float(np.linalg.norm(rotation - eye))
+        if defect < 1e-13 or defect > previous / 2.0:
+            break
+        u = u @ rotation
+        previous = defect
+        steps += 1
+    return u, steps
+
+
 def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances) -> SolveResult:
     """Certify the measurement of u's column blocks; ``_measurement`` checks u is unitary."""
     measurement = _measurement(u, ensemble, tol)
@@ -269,12 +316,13 @@ def _starts(ensemble: Ensemble, cfg: SolveConfig, tol: Tolerances):
 
 
 def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL) -> SolveResult:
-    """Certified Newton ascent over rank-compatible projective measurements.
+    """Certified optimum over rank-compatible projective measurements.
 
-    Restarts include the PGM of the ensemble as a warm start (exact at fixed
-    points, near-optimal elsewhere) plus seeded random unitaries. Stops at
-    the first certified restart; an uncertified best-effort result is
-    returned when no restart certifies.
+    Each restart takes polar steps (``_polar_steps``), then Newton ascent
+    (``_newton``), and certifies the result. Restarts include the PGM of the
+    ensemble as a warm start (exact at fixed points, near-optimal elsewhere)
+    plus seeded random unitaries. Stops at the first certified restart; an
+    uncertified best-effort result is returned when no restart certifies.
     """
     cfg = config or SolveConfig()
     slices = _signature_slices(ensemble.rank_signature)
@@ -284,8 +332,9 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
     failures: list[str] = []
     for u0 in _starts(ensemble, cfg, tol):
         try:
-            u, values = _newton(weighted, u0, slices)
-            result = _finish(ensemble, u, len(values) - 1, tol)
+            u, steps = _polar_steps(weighted, u0, slices)
+            u, values = _newton(weighted, u, slices)
+            result = _finish(ensemble, u, steps + len(values) - 1, tol)
         except MEDError as exc:
             failures.append(str(exc))
             continue

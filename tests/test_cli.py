@@ -76,6 +76,13 @@ class TestExitCodePartition:
         assert out == b""
         assert err.startswith("input error:") and "tol_psd" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_restarts_below_one(self, value):
+        code, out, err = run_cli("solve", RANDOM_D4, "--restarts", value)
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:") and "--restarts" in err
+
     def test_unwritable_out_path(self, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, _, err = run_cli("gen", "--dim", "2", "--signature", "1,1", "--out", str(target))

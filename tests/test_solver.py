@@ -21,10 +21,12 @@ from medli import (
 )
 from medli.certify import OPTIMAL
 from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
+from medli.pgm import _polar
 from medli.solver import (
     _Horizontal,
     _newton,
     _objective,
+    _polar_steps,
     _projectors_from_unitary,
     _signature_slices,
 )
@@ -190,6 +192,61 @@ class TestSolve:
         assert result.certified
         assert result.success_prob == 1.0
         assert len(restarts) == 1
+
+
+class TestPolarSteps:
+    @pytest.mark.parametrize("dim", [16, 24])
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_haar_start_certifies_the_unique_optimum(self, dim, pairs):
+        # the paper's optimum is unique: one Haar start must reach the PGM start's
+        sig = (2,) * (dim // 2) if pairs else (1,) * dim
+        ens = random_ensemble(dim, sig, seed=dim + pairs)
+        warm = solve(ens, SolveConfig(restarts=1))
+        cold = solve(ens, SolveConfig(restarts=1, include_pgm_start=False))
+        assert warm.certified and cold.certified
+        for a, b in zip(warm.measurement.projectors, cold.measurement.projectors):
+            assert np.abs(a - b).max() <= 1e-7
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_fixed_point_pgm_is_not_moved(self, dim):
+        sigs = {(1,) * dim, (2,) * (dim // 2) + (1,) * (dim % 2), (dim - 1, 1)}
+        for sig in sorted(sig for sig in sigs if len(sig) > 1):
+            for seed in range(2):
+                ens = generate_fixed_point(dim, sig, seed=seed)
+                u, _, _ = _polar(ens, DEFAULT_TOL)
+                moved, steps = _polar_steps(ens.weighted_states(), u, _signature_slices(sig))
+                assert steps == 0
+                assert moved is u
+
+    @pytest.mark.parametrize(
+        "dim, sig, noise",
+        [(4, (2, 2), None), (6, (1,) * 6, None), (8, (2, 2, 2, 1, 1), None), (12, (3,) * 4, None)]
+        # pre-images of near-collinear ensembles, where the steps crawl
+        + [(4, (1,) * 4, 1e-3), (8, (2,) * 4, 1e-2)],
+    )
+    def test_objective_does_not_fall_across_steps(self, dim, sig, noise, monkeypatch):
+        # one step per call, so the objective is read after every step
+        monkeypatch.setattr("medli.solver.POLAR_STEPS", 1)
+        if noise is None:
+            ens = random_ensemble(dim, sig, seed=dim)
+        else:
+            ens = inverse_map(near_collinear(dim, sig, noise, seed=1))[0]
+        weighted = ens.weighted_states()
+        slices = _signature_slices(sig)
+        rng = np.random.default_rng(dim)
+        taken = 0
+        for _ in range(3):
+            u = haar_unitary(dim, rng)
+            value = _objective(weighted, _projectors_from_unitary(u, slices))
+            for _ in range(30):
+                u, steps = _polar_steps(weighted, u, slices)
+                if steps == 0:
+                    break
+                taken += 1
+                moved = _objective(weighted, _projectors_from_unitary(u, slices))
+                assert moved >= value - 1e-12
+                value = moved
+        assert taken > 0
 
 
 class TestGenerateFixedPoint:
