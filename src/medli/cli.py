@@ -31,7 +31,7 @@ from .serialize import (
     measurement_to_doc,
     povm_from_doc,
 )
-from .solver import SolveConfig, generate_fixed_point, solve, solve_oracle
+from .solver import SolveConfig, check_oracle_size, generate_fixed_point, solve, solve_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,6 +201,9 @@ def _result_fields(result) -> dict:
 
 def cmd_solve(args):
     tol, ensemble, digest = _load(args)
+    if args.oracle:
+        with _input_phase():
+            check_oracle_size(ensemble)
     started = time.perf_counter()
     if args.oracle:
         result = solve_oracle(ensemble, seed=args.seed, tol=tol)

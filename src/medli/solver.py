@@ -1,13 +1,13 @@
 """Certified solvers for the discrimination optimum.
 
 ``solve`` searches the manifold of rank-compatible projective measurements
-(parameterized as column-block partitions of a unitary) in two stages per
-restart. Polar steps U <- U polar(K~) drive K = sum_i p_i rho_i Pi_i towards
-Hermitian PSD, the paper's simplified optimality condition; each costs one
-d x d SVD. A saddle-free Riemannian Newton ascent then finishes, with the
-exact gradient and Hessian taken in the frame of the current unitary: there
-the gradient is the off-block-diagonal anti-Hermitian part of K. Newton
-builds its Hessian only when the polar steps stall, as on stiff instances.
+(parameterized as column-block partitions of a unitary). Each restart, from
+the PGM and then from seeded Haar unitaries, reads K~ = U^dag K U with
+K = sum_i p_i rho_i Pi_i from one frame of the current U. Polar steps
+U <- U polar(K~), one d x d SVD each, drive K towards Hermitian PSD, the
+paper's simplified optimality condition. A saddle-free Riemannian Newton
+ascent on Re Tr K~ finishes, building its Hessian only where the polar steps
+stall; its gradient norm is the certificate's hermiticity residual.
 It accepts a result only when the simplified certificate says Optimal: the
 certificate is the acceptance authority, not the optimizer's convergence
 flag, because the simplified condition is an iff for this problem class.
@@ -68,7 +68,10 @@ REFINE_ROUNDS = 3
 class SolveConfig:
     restarts: int = 16
     seed: int = 0
-    include_pgm_start: bool = True
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class SolveResult:
     """A candidate optimum with its certificate.
 
     ``certified`` is True exactly when the simplified certificate reports
-    Optimal. ``iterations`` counts the polar steps plus the accepted Newton
-    steps of the returned restart for ``solve``, and objective evaluations
-    for ``solve_oracle``.
+    Optimal. For ``solve``, ``iterations`` counts the polar steps plus the
+    accepted Newton steps of the restart that returned it (``_restart``); for
+    ``solve_oracle`` it counts objective evaluations.
     """
 
     measurement: ProjectiveMeasurement
@@ -116,14 +119,6 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
     return gens
 
 
-def _block_labels(slices, dim: int) -> np.ndarray:
-    """The block index of each coordinate under the signature's slices."""
-    labels = np.empty(dim, dtype=int)
-    for i, s in enumerate(slices):
-        labels[s] = i
-    return labels
-
-
 @dataclass(frozen=True)
 class _Horizontal:
     """Coordinates of the horizontal directions for one rank signature.
@@ -140,7 +135,7 @@ class _Horizontal:
 
     @classmethod
     def of(cls, slices, dim: int) -> "_Horizontal":
-        labels = _block_labels(slices, dim)
+        labels = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
         rows, cols = np.triu_indices(dim, 1)
         keep = labels[rows] != labels[cols]
         return cls(labels, rows[keep], cols[keep])
@@ -153,32 +148,37 @@ class _Horizontal:
         k[self.rows, self.cols] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
         return k + k.conj().T
 
-    def value_and_gradient(self, tilde: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective and its gradient in z at the frame tilde_i = U^dag W_i U.
+    def frame(self, stack: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stack tilde of W~_i = U^dag W_i U for W_i = p_i rho_i, then K~ and m.
 
-        Moving to U exp(iK) changes the objective at first order by
-        Tr(G K) with G_ab = i (W~_{l(a)} - W~_{l(b)})_ab; G is Hermitian and
-        vanishes exactly at stationary measurements.
+        K~ = U^dag K U = sum_i W~_i E_i, so column a of K~ is column a of
+        W~_{l(a)}. Row a of m is row a of W~_{l(a)}: K~^dag up to round-off,
+        gathered rather than conjugated so that every iterate keeps its bits.
         """
-        diag = np.arange(len(self.labels))
-        value = float(tilde[self.labels, diag, diag].real.sum())
-        g = 1j * (
-            tilde[self.labels[self.rows], self.rows, self.cols]
-            - tilde[self.labels[self.cols], self.rows, self.cols]
-        )
+        tilde = u.conj().T @ stack @ u
+        coords = np.arange(len(self.labels))
+        return tilde, tilde[self.labels, :, coords].T, tilde[self.labels, coords, :]
+
+    def value_and_gradient(self, k: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective Re Tr K~ and its gradient in z, from ``frame``'s k and m.
+
+        Moving to U exp(iK) changes the objective at first order by Tr(G K), with
+        G = i (m - k) off the diagonal blocks: Hermitian, zero exactly at stationary points.
+        """
+        value = float(m.diagonal().real.sum())
+        g = 1j * (m[self.rows, self.cols] - k[self.rows, self.cols])
         return value, np.sqrt(2.0) * np.concatenate([g.real, g.imag])
 
-    def hessian(self, tilde: np.ndarray) -> np.ndarray:
-        """Hessian in z of the objective along U exp(iK) at the frame tilde.
+    def hessian(self, tilde: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Hessian in z of the objective along U exp(iK), from ``frame``'s tilde and m.
 
         The second-order term is Tr(L(K) K) / 2 with
         L(K) = -sum_i [[K, E_i], W~_i] = -(K (M - V_a) + (M^dag - V_b) K)
-        at entry (a, b), where V_a = W~_{l(a)} and row a of M is row a of V_a.
-        Its matrix S on the horizontal entries is gathered from two
-        (d, d, d) stacks, then mapped to z.
+        at entry (a, b), where V_a = W~_{l(a)} and M = m. Its matrix S on the
+        horizontal entries is gathered from two (d, d, d) stacks, then mapped
+        to z.
         """
         v = tilde[self.labels]
-        m = v[np.arange(len(self.labels)), np.arange(len(self.labels))]
         right = m[None, :, :] - v
         left = m.conj().T[None, :, :] - v
         # entries (a, b): the upper ones, then their transposes
@@ -199,7 +199,7 @@ class _Horizontal:
         return (hess + hess.T) / 2.0
 
 
-def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
+def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, list[float]]:
     """Saddle-free Riemannian Newton ascent over rank-compatible measurements.
 
     Works in the frame of the current unitary: the projectors are
@@ -215,20 +215,18 @@ def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
     Returns the final unitary and the objective after each accepted step,
     starting with the initial value.
     """
-    space = _Horizontal.of(slices, u.shape[0])
-    stack = np.asarray(weighted)
 
     def frame(mat_u):
-        tilde = mat_u.conj().T @ stack @ mat_u
-        return (tilde, *space.value_and_gradient(tilde))
+        tilde, k, m = space.frame(stack, mat_u)
+        return (tilde, m, *space.value_and_gradient(k, m))
 
-    tilde, value, grad = frame(u)
+    tilde, m, value, grad = frame(u)
     values = [value]
     for _ in range(NEWTON_ROUNDS):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-13:
             break
-        eigvals, eigvecs = np.linalg.eigh(space.hessian(tilde))
+        eigvals, eigvecs = np.linalg.eigh(space.hessian(tilde, m))
         scale = np.maximum(np.abs(eigvals), 1e-12 * float(np.abs(eigvals).max()))
         step = eigvecs @ ((eigvecs.T @ grad) / scale)
         norm = float(np.linalg.norm(step))
@@ -236,12 +234,12 @@ def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
             step *= 0.3 / norm
         for _ in range(31):
             candidate = u @ expi_herm(space.generator(step))
-            cand_tilde, cand_value, cand_grad = frame(candidate)
+            cand_tilde, cand_m, cand_value, cand_grad = frame(candidate)
             rise = cand_value - value
             if rise >= 1e-4 * float(grad @ step) or (
                 rise >= -1e-15 and float(np.linalg.norm(cand_grad)) < gnorm
             ):
-                u, tilde, value, grad = candidate, cand_tilde, cand_value, cand_grad
+                u, tilde, m, value, grad = candidate, cand_tilde, cand_m, cand_value, cand_grad
                 values.append(value)
                 break
             step /= 2.0
@@ -250,13 +248,12 @@ def _newton(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, list[float]]:
     return u, values
 
 
-def _polar_steps(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, int]:
+def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, int]:
     """Move U to U polar(K~) until K = sum_i p_i rho_i Pi_i is Hermitian PSD.
 
-    In the frame W~_i = U^dag W_i U, K~ = U^dag K U = sum_i W~_i E_i, so column
-    a of K~ is column a of W~_{l(a)}. With the SVD K~ = A S B^dag the step is
-    U <- U R, R = A B^dag; the fixed points, R = I, are the measurements the
-    simplified optimality condition accepts. Each new Pi_j is the PGM of
+    K~ = U^dag K U comes from ``space.frame``. With the SVD K~ = A S B^dag the
+    step is U <- U R, R = A B^dag; the fixed points, R = I, are the
+    measurements the simplified optimality condition accepts. Each new Pi_j is the PGM of
     {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek iteration).
 
     Stops before a step once ||R - I||_F < 1e-13, once the defect exceeds
@@ -264,15 +261,11 @@ def _polar_steps(weighted, u: np.ndarray, slices) -> tuple[np.ndarray, int]:
     takes over), or after POLAR_STEPS steps; an optimal start is never
     moved. Returns the unitary and the number of steps taken.
     """
-    dim = u.shape[0]
-    labels = _block_labels(slices, dim)
-    cols = np.arange(dim)
-    stack = np.asarray(weighted)
-    eye = np.eye(dim)
+    eye = np.eye(u.shape[0])
     previous = np.inf
     steps = 0
     while steps < POLAR_STEPS:
-        k = (u.conj().T @ stack @ u)[labels, :, cols].T
+        _, k, _ = space.frame(stack, u)
         left, _, right = np.linalg.svd(k)
         rotation = left @ right
         defect = float(np.linalg.norm(rotation - eye))
@@ -298,45 +291,49 @@ def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances)
     )
 
 
+def _restart(ensemble: Ensemble, stack, space: _Horizontal, u0, tol: Tolerances) -> SolveResult:
+    """One restart from u0: polar steps, then Newton ascent, then the certificate."""
+    u, steps = _polar_steps(stack, u0, space)
+    u, values = _newton(stack, u, space)
+    return _finish(ensemble, u, steps + len(values) - 1, tol)
+
+
 def _starts(ensemble: Ensemble, cfg: SolveConfig, tol: Tolerances):
-    """The PGM warm start, then seeded Haar unitaries, each built only when a restart uses it."""
-    built = 0
-    if cfg.include_pgm_start:
-        try:
-            warm, _, _ = _polar(ensemble, tol)
-        except MEDError:
-            pass
-        else:
-            built += 1
-            yield warm
+    """The PGM start unless ``_polar`` fails, then seeded Haar unitaries.
+
+    Yields cfg.restarts starts, each built only when a restart uses it.
+    """
+    try:
+        starts = [_polar(ensemble, tol)[0]]
+    except MEDError:
+        starts = []
+    yield from starts
     rng = np.random.default_rng(cfg.seed)
-    while built < max(1, cfg.restarts):
-        built += 1
+    for _ in range(cfg.restarts - len(starts)):
         yield haar_unitary(ensemble.dim, rng)
 
 
 def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL) -> SolveResult:
     """Certified optimum over rank-compatible projective measurements.
 
-    Each restart takes polar steps (``_polar_steps``), then Newton ascent
-    (``_newton``), and certifies the result. Restarts include the PGM of the
-    ensemble as a warm start (exact at fixed points, near-optimal elsewhere)
-    plus seeded random unitaries. Stops at the first certified restart; an
-    uncertified best-effort result is returned when no restart certifies.
+    Each restart (``_restart``) takes polar steps, then Newton ascent, and
+    certifies the result; all restarts share one weighted-state stack and one
+    coordinate space. The first start is the PGM of the ensemble (exact at
+    fixed points, near-optimal elsewhere), the rest seeded random unitaries.
+    Stops at the first certified restart; an uncertified best-effort result
+    is returned when no restart certifies.
     """
     cfg = config or SolveConfig()
-    slices = _signature_slices(ensemble.rank_signature)
-    weighted = ensemble.weighted_states()
+    stack = np.asarray(ensemble.weighted_states())
+    space = _Horizontal.of(_signature_slices(ensemble.rank_signature), ensemble.dim)
 
     best: SolveResult | None = None
-    failures: list[str] = []
+    failure = ""
     for u0 in _starts(ensemble, cfg, tol):
         try:
-            u, steps = _polar_steps(weighted, u0, slices)
-            u, values = _newton(weighted, u, slices)
-            result = _finish(ensemble, u, steps + len(values) - 1, tol)
+            result = _restart(ensemble, stack, space, u0, tol)
         except MEDError as exc:
-            failures.append(str(exc))
+            failure = str(exc)
             continue
         if best is None or (result.certified, result.success_prob) > (
             best.certified,
@@ -346,10 +343,16 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
         if result.certified:
             break
     if best is None:
-        raise NoConvergence(
-            f"every restart failed numerically: {failures[-1] if failures else 'no starts'}"
-        )
+        raise NoConvergence(f"every restart failed numerically: {failure}")
     return best
+
+
+def check_oracle_size(ensemble: Ensemble) -> None:
+    """Raise BudgetExceeded unless the ensemble is small enough for ``solve_oracle``."""
+    if ensemble.dim > 4 or ensemble.m > 3:
+        raise BudgetExceeded(
+            f"oracle is limited to dim <= 4 and m <= 3, got dim {ensemble.dim}, m {ensemble.m}"
+        )
 
 
 def solve_oracle(
@@ -367,10 +370,7 @@ def solve_oracle(
     still goes through the simplified certificate; the search path is
     deliberately independent of the Newton machinery in ``solve``.
     """
-    if ensemble.dim > 4 or ensemble.m > 3:
-        raise BudgetExceeded(
-            f"oracle is limited to dim <= 4 and m <= 3, got dim {ensemble.dim}, m {ensemble.m}"
-        )
+    check_oracle_size(ensemble)
     slices = _signature_slices(ensemble.rank_signature)
     weighted = ensemble.weighted_states()
     rng = np.random.default_rng(seed)

@@ -8,6 +8,9 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from medli import validate_ensemble, validate_projective  # noqa: E402
+from medli.linalg import DEFAULT_TOL, haar_unitary  # noqa: E402
+from medli.pgm import _signature_slices  # noqa: E402
+from medli.solver import _Horizontal, _restart  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -69,6 +72,13 @@ def near_collinear(dim, signature, noise, seed):
         rho = sum(weight * np.outer(x, x.conj()) for weight, x in zip(lam, vecs))
         states.append((rho + rho.conj().T) / 2)
     return validate_ensemble(rng.dirichlet(np.ones(len(signature))), states)
+
+
+def haar_restart(ensemble, seed):
+    """One ``solve`` restart from the first Haar unitary of ``default_rng(seed)``."""
+    space = _Horizontal.of(_signature_slices(ensemble.rank_signature), ensemble.dim)
+    u0 = haar_unitary(ensemble.dim, np.random.default_rng(seed))
+    return _restart(ensemble, np.asarray(ensemble.weighted_states()), space, u0, DEFAULT_TOL)
 
 
 def angle_measurement(phi):

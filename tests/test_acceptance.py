@@ -11,11 +11,20 @@ import time
 
 import numpy as np
 
-from conftest import GOLDEN, GOLDEN_CASES, MALFORMED, ORTH, RANDOM_D4, SRC, pure_pair, qubit_angle_oracle
+from conftest import (
+    GOLDEN,
+    GOLDEN_CASES,
+    MALFORMED,
+    ORTH,
+    RANDOM_D4,
+    SRC,
+    haar_restart,
+    pure_pair,
+    qubit_angle_oracle,
+)
 from medli import (
     INCONCLUSIVE,
     OPTIMAL,
-    SolveConfig,
     certify_full,
     certify_simplified,
     detection_profile,
@@ -259,7 +268,7 @@ def test_c09_uniqueness():
         sig = CORPUS_SIGNATURES[k % len(CORPUS_SIGNATURES)]
         ens = random_ensemble(sum(sig), sig, seed=90_000 + k)
         first = solve(ens)
-        second = solve(ens, SolveConfig(seed=1000 + k, include_pgm_start=False))
+        second = haar_restart(ens, 1000 + k)
         assert first.certified and second.certified
         dev = max(
             float(np.abs(a - b).max())

@@ -83,6 +83,17 @@ class TestExitCodePartition:
         assert out == b""
         assert err.startswith("input error:") and "--restarts" in err
 
+    def test_oracle_outside_its_domain(self, tmp_path):
+        ensemble = tmp_path / "d5.json"
+        code, _, _ = run_cli(
+            "gen", "--dim", "5", "--signature", "1,1,1,1,1", "--seed", "1", "--out", str(ensemble)
+        )
+        assert code == 0
+        code, out, err = run_cli("solve", str(ensemble), "--oracle")
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:") and "oracle" in err
+
     def test_unwritable_out_path(self, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, _, err = run_cli("gen", "--dim", "2", "--signature", "1,1", "--out", str(target))

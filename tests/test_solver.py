@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import near_collinear, pure_pair, qubit_angle_oracle
+from conftest import RANDOM_D4, haar_restart, near_collinear, pure_pair, qubit_angle_oracle
 from medli import (
     BudgetExceeded,
     InvalidSignature,
@@ -21,7 +21,8 @@ from medli import (
 )
 from medli.certify import OPTIMAL
 from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
-from medli.pgm import _polar
+from medli.pgm import _measurement, _polar
+from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
     _Horizontal,
     _newton,
@@ -66,6 +67,27 @@ class TestSolveOracle:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_config_rejects_restarts_below_one(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            SolveConfig(restarts=restarts)
+
+    def test_one_coordinate_space_per_solve(self, monkeypatch):
+        # an impossible positivity bar leaves every one of the 16 restarts uncertified
+        tol = DEFAULT_TOL.replace(tol_psd=0.6)
+        ens = ensemble_from_doc(load_json(RANDOM_D4)[0], tol)
+        built = []
+        original = _Horizontal.of
+
+        def counted(slices, dim):
+            built.append(dim)
+            return original(slices, dim)
+
+        monkeypatch.setattr(_Horizontal, "of", staticmethod(counted))
+        result = solve(ens, tol=tol)
+        assert not result.certified
+        assert built == [4]
+
     def test_pgm_start_on_fixed_point_takes_zero_steps(self):
         ens = generate_fixed_point(3, (2, 1), seed=12)
         result = solve(ens)
@@ -92,7 +114,7 @@ class TestSolve:
         sig = [(1, 1), (2, 1), (2, 2)][seed % 3]
         ens = random_ensemble(sum(sig), sig, seed=110 + seed)
         first = solve(ens)
-        second = solve(ens, SolveConfig(seed=1234 + seed, include_pgm_start=False))
+        second = haar_restart(ens, 1234 + seed)
         assert first.certified and second.certified
         for a, b in zip(first.measurement.projectors, second.measurement.projectors):
             assert np.abs(a - b).max() <= 1e-7
@@ -100,7 +122,8 @@ class TestSolve:
     def test_monotone_ascent(self):
         ens = random_ensemble(4, (2, 2), seed=14)
         u0 = haar_unitary(4, np.random.default_rng(0))
-        _, values = _newton(ens.weighted_states(), u0, _signature_slices(ens.rank_signature))
+        space = _Horizontal.of(_signature_slices(ens.rank_signature), 4)
+        _, values = _newton(np.asarray(ens.weighted_states()), u0, space)
         assert len(values) > 1
         diffs = np.diff(np.array(values))
         assert np.all(diffs >= -1e-12)
@@ -115,8 +138,9 @@ class TestSolve:
         slices = _signature_slices(sig)
         u = haar_unitary(dim, np.random.default_rng(dim))
         space = _Horizontal.of(slices, dim)
-        value, grad = space.value_and_gradient(u.conj().T @ np.asarray(weighted) @ u)
-        hess = space.hessian(u.conj().T @ np.asarray(weighted) @ u)
+        tilde, k, m = space.frame(np.asarray(weighted), u)
+        value, grad = space.value_and_gradient(k, m)
+        hess = space.hessian(tilde, m)
         n = dim * dim - sum(r * r for r in sig)
         assert grad.shape == (n,) and hess.shape == (n, n)
 
@@ -194,6 +218,28 @@ class TestSolve:
         assert len(restarts) == 1
 
 
+class TestFrame:
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_frame_is_the_certifiers_k(self, dim):
+        # K~ = U^dag (sum_i p_i rho_i Pi_i) U, m = K~^dag and ||grad|| = ||K - K^dag||_F
+        sigs = {(1,) * dim, (2,) * (dim // 2) + (1,) * (dim % 2)}
+        for sig in sorted(sig for sig in sigs if len(sig) > 1):
+            for seed in range(2):
+                ens = random_ensemble(dim, sig, seed=seed)
+                weighted = ens.weighted_states()
+                slices = _signature_slices(sig)
+                u = haar_unitary(dim, np.random.default_rng(seed))
+                space = _Horizontal.of(slices, dim)
+                _, k, m = space.frame(np.asarray(weighted), u)
+                projectors = _projectors_from_unitary(u, slices)
+                expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
+                assert np.linalg.norm(k - expected) <= 1e-13 * np.linalg.norm(expected)
+                assert np.abs(m - k.conj().T).max() <= 1e-14
+                _, grad = space.value_and_gradient(k, m)
+                report = certify_simplified(ens, _measurement(u, ens, DEFAULT_TOL))
+                assert np.linalg.norm(grad) == pytest.approx(report.hermiticity_residual, rel=1e-12)
+
+
 class TestPolarSteps:
     @pytest.mark.parametrize("dim", [16, 24])
     @pytest.mark.parametrize("pairs", [False, True])
@@ -202,7 +248,7 @@ class TestPolarSteps:
         sig = (2,) * (dim // 2) if pairs else (1,) * dim
         ens = random_ensemble(dim, sig, seed=dim + pairs)
         warm = solve(ens, SolveConfig(restarts=1))
-        cold = solve(ens, SolveConfig(restarts=1, include_pgm_start=False))
+        cold = haar_restart(ens, 0)
         assert warm.certified and cold.certified
         for a, b in zip(warm.measurement.projectors, cold.measurement.projectors):
             assert np.abs(a - b).max() <= 1e-7
@@ -214,7 +260,8 @@ class TestPolarSteps:
             for seed in range(2):
                 ens = generate_fixed_point(dim, sig, seed=seed)
                 u, _, _ = _polar(ens, DEFAULT_TOL)
-                moved, steps = _polar_steps(ens.weighted_states(), u, _signature_slices(sig))
+                space = _Horizontal.of(_signature_slices(sig), dim)
+                moved, steps = _polar_steps(np.asarray(ens.weighted_states()), u, space)
                 assert steps == 0
                 assert moved is u
 
@@ -233,13 +280,14 @@ class TestPolarSteps:
             ens = inverse_map(near_collinear(dim, sig, noise, seed=1))[0]
         weighted = ens.weighted_states()
         slices = _signature_slices(sig)
+        stack, space = np.asarray(weighted), _Horizontal.of(slices, dim)
         rng = np.random.default_rng(dim)
         taken = 0
         for _ in range(3):
             u = haar_unitary(dim, rng)
             value = _objective(weighted, _projectors_from_unitary(u, slices))
             for _ in range(30):
-                u, steps = _polar_steps(weighted, u, slices)
+                u, steps = _polar_steps(stack, u, space)
                 if steps == 0:
                     break
                 taken += 1
