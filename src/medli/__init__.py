@@ -24,7 +24,6 @@ from .certify import (
     FixpointResult,
     certify_full,
     certify_simplified,
-    detection_profile,
     fixpoint_check,
 )
 from .ensembles import (
@@ -32,6 +31,7 @@ from .ensembles import (
     GeneralPOVM,
     ProjectiveMeasurement,
     average_state,
+    detection_profile,
     measurement_elements,
     random_ensemble,
     success_probability,

@@ -68,27 +68,27 @@ def stationarity_residual(ensemble: Ensemble, measurement) -> float:
     return worst
 
 
-def dual_operator(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> DualCertificate:
+def dual_operator(ensemble: Ensemble, measurement) -> DualCertificate:
     """Candidate dual operator Z = sym(sum_i p_i rho_i Pi_i) with slack spectra.
 
     Z equals the true dual operator only when the measurement is stationary;
     callers gate on the certificate validity, not on this construction.
     """
+    return _certificate(ensemble, check_pair(ensemble, measurement))
+
+
+def _certificate(ensemble: Ensemble, elements, z: np.ndarray | None = None) -> DualCertificate:
+    """Certificate for the dual operator z, by default sym(K), K = sum_i p_i rho_i E_i.
+
+    K is Hermitian exactly when the measurement is stationary; its
+    hermiticity residual ||K - K^dag||_F is recorded either way.
+    """
     weighted = ensemble.weighted_states()
-    k = _pairing(weighted, check_pair(ensemble, measurement))
-    return _certificate(herm(k), k, weighted)
-
-
-def _pairing(weighted, elements) -> np.ndarray:
-    """K = sum_i p_i rho_i E_i, Hermitian exactly when the measurement is stationary."""
     k = np.zeros_like(weighted[0], dtype=complex)
     for w, e in zip(weighted, elements):
         k += w @ e
-    return k
-
-
-def _certificate(z: np.ndarray, k: np.ndarray, weighted) -> DualCertificate:
-    """Certificate for the candidate dual operator z, with K's hermiticity residual."""
+    if z is None:
+        z = herm(k)
     slacks = np.linalg.eigvalsh(z - np.asarray(weighted))
     return DualCertificate(
         z=z,
@@ -181,10 +181,7 @@ def inverse_map(
             f"inverse map changed the rank signature: {pre_image.rank_signature} "
             f"!= {ensemble.rank_signature}"
         )
-    weighted = pre_image.weighted_states()
-    certificate = _certificate(
-        sigma_sqrt / total, _pairing(weighted, measurement.projectors), weighted
-    )
+    certificate = _certificate(pre_image, measurement.projectors, sigma_sqrt / total)
     artifacts = MapArtifacts(
         x_ops=tuple(x_ops), deltas=tuple(deltas), sigma_sqrt=sigma_sqrt
     )

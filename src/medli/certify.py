@@ -57,7 +57,7 @@ class CertificationReport:
 
 def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
     """What both certifiers report; each sets the verdict by its own conditions."""
-    certificate = dual_operator(ensemble, measurement, tol)
+    certificate = dual_operator(ensemble, measurement)
     return CertificationReport(
         stationarity_residual=stationarity_residual(ensemble, measurement),
         min_slack_eig=min(certificate.slack_min_eigs),
@@ -164,15 +164,3 @@ def fixpoint_check(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Fixpoin
         residual=residual,
     )
 
-
-def detection_profile(ensemble: Ensemble, measurement) -> list[float]:
-    """Per-state detection weights p_i Tr(Pi_i rho_i).
-
-    At a fixed point of the Belavkin transform these are proportional to the
-    state ranks; for rank-one signatures they are all equal.
-    """
-    elements = check_pair(ensemble, measurement)
-    return [
-        float(p * np.trace(e @ rho).real)
-        for p, rho, e in zip(ensemble.priors, ensemble.states, elements)
-    ]

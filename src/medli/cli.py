@@ -69,32 +69,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, *positionals, restarts=True):
+    def command(name, help_text, *positionals, solves=False):
         p = sub.add_parser(name, help=help_text)
         for positional in positionals:
             p.add_argument(positional)
         p.add_argument("--out", help="write the primary output to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
         for flag in _TOL_FLAGS:
             p.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None, dest=flag)
-        if restarts:
+        if solves:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--restarts", type=int, default=16)
         return p
 
-    p = command("solve", "find and certify the optimal measurement", "input")
+    p = command("solve", "find and certify the optimal measurement", "input", solves=True)
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle (dim<=4, m<=3)")
-    command(
-        "certify", "check optimality of a measurement for an ensemble", "input", "povm", restarts=False
-    )
-    p = command("map", "apply the ensemble transform or its inverse", "input")
+    command("certify", "check optimality of a measurement for an ensemble", "input", "povm")
+    p = command("map", "apply the ensemble transform or its inverse", "input", solves=True)
     p.add_argument("--direction", choices=("forward", "inverse"), required=True)
-    command("roundtrip", "deviations of both transform compositions", "input")
-    p = command("gen", "generate a random or fixed-point ensemble file", restarts=False)
+    command("roundtrip", "deviations of both transform compositions", "input", solves=True)
+    p = command("gen", "generate a random or fixed-point ensemble file")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signature", required=True, help='comma-separated ranks, e.g. "2,1,1"')
     p.add_argument("--fixed-point", action="store_true")
-    command("fixpoint", "test whether the PGM is already optimal", "input", restarts=False)
+    command("fixpoint", "test whether the PGM is already optimal", "input")
     return parser
 
 

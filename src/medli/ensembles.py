@@ -261,18 +261,26 @@ def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
     return GeneralPOVM(dim=dim, elements=tuple(_frozen(e) for e in mats))
 
 
+def detection_profile(ensemble: Ensemble, measurement) -> list[float]:
+    """Per-state detection weights p_i Tr(rho_i E_i).
+
+    At a fixed point of the Belavkin transform these are proportional to the
+    state ranks; for rank-one signatures they are all equal.
+    """
+    elements = check_pair(ensemble, measurement)
+    return [
+        float(p * np.trace(rho @ e).real)
+        for p, rho, e in zip(ensemble.priors, ensemble.states, elements)
+    ]
+
+
 def success_probability(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> float:
     """Average probability sum_i p_i Tr(rho_i E_i) of identifying the state.
 
-    Clamped to [0, 1] only when within tol_recon of the boundary.
+    It is the sum of the detection weights (``detection_profile``),
+    clamped to [0, 1] only when within tol_recon of the boundary.
     """
-    elements = check_pair(ensemble, measurement)
-    value = float(
-        sum(
-            p * np.trace(rho @ e).real
-            for p, rho, e in zip(ensemble.priors, ensemble.states, elements)
-        )
-    )
+    value = sum(detection_profile(ensemble, measurement))
     if 1.0 < value <= 1.0 + tol.tol_recon:
         return 1.0
     if -tol.tol_recon <= value < 0.0:

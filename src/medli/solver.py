@@ -148,39 +148,39 @@ class _Horizontal:
         k[self.rows, self.cols] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
         return k + k.conj().T
 
-    def frame(self, stack: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stack tilde of W~_i = U^dag W_i U for W_i = p_i rho_i, then K~ and m.
+    def frame(self, stack: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stack tilde of W~_i = U^dag W_i U for W_i = p_i rho_i, then K~.
 
         K~ = U^dag K U = sum_i W~_i E_i, so column a of K~ is column a of
-        W~_{l(a)}. Row a of m is row a of W~_{l(a)}: K~^dag up to round-off,
-        gathered rather than conjugated so that every iterate keeps its bits.
+        W~_{l(a)}.
         """
         tilde = u.conj().T @ stack @ u
         coords = np.arange(len(self.labels))
-        return tilde, tilde[self.labels, :, coords].T, tilde[self.labels, coords, :]
+        return tilde, tilde[self.labels, :, coords].T
 
-    def value_and_gradient(self, k: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective Re Tr K~ and its gradient in z, from ``frame``'s k and m.
+    def value_and_gradient(self, k: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective Re Tr K~ and its gradient in z, from ``frame``'s K~.
 
         Moving to U exp(iK) changes the objective at first order by Tr(G K), with
-        G = i (m - k) off the diagonal blocks: Hermitian, zero exactly at stationary points.
+        G = i (K~^dag - K~) off the diagonal blocks: Hermitian, zero exactly at
+        stationary points.
         """
-        value = float(m.diagonal().real.sum())
-        g = 1j * (m[self.rows, self.cols] - k[self.rows, self.cols])
+        value = float(k.diagonal().real.sum())
+        g = 1j * (k[self.cols, self.rows].conj() - k[self.rows, self.cols])
         return value, np.sqrt(2.0) * np.concatenate([g.real, g.imag])
 
-    def hessian(self, tilde: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Hessian in z of the objective along U exp(iK), from ``frame``'s tilde and m.
+    def hessian(self, tilde: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Hessian in z of the objective along U exp(iK), from ``frame``'s tilde and K~.
 
         The second-order term is Tr(L(K) K) / 2 with
-        L(K) = -sum_i [[K, E_i], W~_i] = -(K (M - V_a) + (M^dag - V_b) K)
-        at entry (a, b), where V_a = W~_{l(a)} and M = m. Its matrix S on the
+        L(K) = -sum_i [[K, E_i], W~_i] = -(K (K~^dag - V_a) + (K~ - V_b) K)
+        at entry (a, b), where V_a = W~_{l(a)}. Its matrix S on the
         horizontal entries is gathered from two (d, d, d) stacks, then mapped
         to z.
         """
         v = tilde[self.labels]
-        right = m[None, :, :] - v
-        left = m.conj().T[None, :, :] - v
+        right = k.conj().T[None, :, :] - v
+        left = k[None, :, :] - v
         # entries (a, b): the upper ones, then their transposes
         ra = np.concatenate([self.rows, self.cols])
         rb = np.concatenate([self.cols, self.rows])
@@ -217,16 +217,16 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
     """
 
     def frame(mat_u):
-        tilde, k, m = space.frame(stack, mat_u)
-        return (tilde, m, *space.value_and_gradient(k, m))
+        tilde, k = space.frame(stack, mat_u)
+        return (tilde, k, *space.value_and_gradient(k))
 
-    tilde, m, value, grad = frame(u)
+    tilde, k, value, grad = frame(u)
     values = [value]
     for _ in range(NEWTON_ROUNDS):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-13:
             break
-        eigvals, eigvecs = np.linalg.eigh(space.hessian(tilde, m))
+        eigvals, eigvecs = np.linalg.eigh(space.hessian(tilde, k))
         scale = np.maximum(np.abs(eigvals), 1e-12 * float(np.abs(eigvals).max()))
         step = eigvecs @ ((eigvecs.T @ grad) / scale)
         norm = float(np.linalg.norm(step))
@@ -234,12 +234,12 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
             step *= 0.3 / norm
         for _ in range(31):
             candidate = u @ expi_herm(space.generator(step))
-            cand_tilde, cand_m, cand_value, cand_grad = frame(candidate)
+            cand_tilde, cand_k, cand_value, cand_grad = frame(candidate)
             rise = cand_value - value
             if rise >= 1e-4 * float(grad @ step) or (
                 rise >= -1e-15 and float(np.linalg.norm(cand_grad)) < gnorm
             ):
-                u, tilde, m, value, grad = candidate, cand_tilde, cand_m, cand_value, cand_grad
+                u, tilde, k, value, grad = candidate, cand_tilde, cand_k, cand_value, cand_grad
                 values.append(value)
                 break
             step /= 2.0
@@ -265,7 +265,7 @@ def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[
     previous = np.inf
     steps = 0
     while steps < POLAR_STEPS:
-        _, k, _ = space.frame(stack, u)
+        _, k = space.frame(stack, u)
         left, _, right = np.linalg.svd(k)
         rotation = left @ right
         defect = float(np.linalg.norm(rotation - eye))

@@ -71,6 +71,16 @@ class TestForwardMap:
         with pytest.raises(NotOptimalPair):
             forward_map(ens, meas, cert)
 
+    def test_rejects_stationary_pair_with_infeasible_dual(self):
+        # swapped projectors: every Pi_j (p_j rho_j - p_i rho_i) Pi_i vanishes,
+        # but K = 0, so Z = 0 and Z - p_i rho_i has eigenvalue -1/2
+        swapped = validate_projective([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+        assert stationarity_residual(ORTH, swapped) == 0.0
+        cert = dual_operator(ORTH, swapped)
+        assert min(cert.slack_min_eigs) == pytest.approx(-0.5, abs=1e-15)
+        with pytest.raises(NotOptimalPair, match="dual slack"):
+            forward_map(ORTH, swapped, cert)
+
     def test_pi4_symmetry_and_derived_ensemble_properties(self):
         ens = pure_pair(np.pi / 4)
         result = solve(ens)

@@ -83,6 +83,16 @@ class TestExitCodePartition:
         assert out == b""
         assert err.startswith("input error:") and "--restarts" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("certify", ORTH, str(GOLDEN / "solve_orthogonal.json")), ("fixpoint", FIXED)]
+    )
+    def test_seed_only_where_read(self, argv):
+        # certify and fixpoint draw no random numbers, so they take no --seed
+        code, out, err = run_cli(*argv, "--seed", "3")
+        assert code == 2
+        assert out == b""
+        assert "--seed" in err
+
     def test_oracle_outside_its_domain(self, tmp_path):
         ensemble = tmp_path / "d5.json"
         code, _, _ = run_cli(

@@ -5,6 +5,8 @@ from conftest import RANDOM_D4, haar_restart, near_collinear, pure_pair, qubit_a
 from medli import (
     BudgetExceeded,
     InvalidSignature,
+    NoConvergence,
+    NotProjectiveAfterPGM,
     NotTwoState,
     SolveConfig,
     certify_simplified,
@@ -24,6 +26,7 @@ from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
 from medli.pgm import _measurement, _polar
 from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
+    _finish,
     _Horizontal,
     _newton,
     _objective,
@@ -128,6 +131,50 @@ class TestSolve:
         diffs = np.diff(np.array(values))
         assert np.all(diffs >= -1e-12)
 
+    def test_rejected_step_is_halved(self, monkeypatch):
+        # the first trial step is reversed, so Newton must reject it and halve
+        ens = inverse_map(near_collinear(4, (1, 1, 1, 1), 0.03, 1))[0]
+        u0 = haar_unitary(4, np.random.default_rng(0))
+        space = _Horizontal.of(_signature_slices(ens.rank_signature), 4)
+        trials = []
+
+        def reversed_once(h, t=1.0):
+            trials.append(t)
+            return expi_herm(h, -t if len(trials) == 1 else t)
+
+        monkeypatch.setattr("medli.solver.expi_herm", reversed_once)
+        u, values = _newton(np.asarray(ens.weighted_states()), u0, space)
+        assert len(trials) > len(values) - 1
+        assert np.all(np.diff(np.array(values)) >= -1e-15)
+        assert _finish(ens, u, len(values) - 1, DEFAULT_TOL).certified
+
+    def test_failed_restart_is_skipped(self, monkeypatch):
+        ens = random_ensemble(4, (2, 1, 1), seed=18)
+        calls = []
+
+        def fails_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NotProjectiveAfterPGM("first restart failed")
+            return _finish(*args)
+
+        monkeypatch.setattr("medli.solver._finish", fails_first)
+        result = solve(ens)
+        assert result.certified
+        assert len(calls) == 2
+
+    def test_every_restart_failing_raises(self, monkeypatch):
+        calls = []
+
+        def fails(*args):
+            calls.append(args)
+            raise NotProjectiveAfterPGM(f"restart {len(calls)} failed")
+
+        monkeypatch.setattr("medli.solver._finish", fails)
+        with pytest.raises(NoConvergence, match="restart 3 failed$"):
+            solve(random_ensemble(4, (2, 1, 1), seed=18), SolveConfig(restarts=3))
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "sig", [(1, 1, 1, 1), (2, 1, 1), (1, 1, 1, 1, 1), (3, 2), (2, 2, 2), (1, 2, 3)]
     )
@@ -138,9 +185,9 @@ class TestSolve:
         slices = _signature_slices(sig)
         u = haar_unitary(dim, np.random.default_rng(dim))
         space = _Horizontal.of(slices, dim)
-        tilde, k, m = space.frame(np.asarray(weighted), u)
-        value, grad = space.value_and_gradient(k, m)
-        hess = space.hessian(tilde, m)
+        tilde, k = space.frame(np.asarray(weighted), u)
+        value, grad = space.value_and_gradient(k)
+        hess = space.hessian(tilde, k)
         n = dim * dim - sum(r * r for r in sig)
         assert grad.shape == (n,) and hess.shape == (n, n)
 
@@ -221,7 +268,7 @@ class TestSolve:
 class TestFrame:
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_frame_is_the_certifiers_k(self, dim):
-        # K~ = U^dag (sum_i p_i rho_i Pi_i) U, m = K~^dag and ||grad|| = ||K - K^dag||_F
+        # K~ = U^dag (sum_i p_i rho_i Pi_i) U and ||grad|| = ||K - K^dag||_F
         sigs = {(1,) * dim, (2,) * (dim // 2) + (1,) * (dim % 2)}
         for sig in sorted(sig for sig in sigs if len(sig) > 1):
             for seed in range(2):
@@ -230,12 +277,11 @@ class TestFrame:
                 slices = _signature_slices(sig)
                 u = haar_unitary(dim, np.random.default_rng(seed))
                 space = _Horizontal.of(slices, dim)
-                _, k, m = space.frame(np.asarray(weighted), u)
+                _, k = space.frame(np.asarray(weighted), u)
                 projectors = _projectors_from_unitary(u, slices)
                 expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
                 assert np.linalg.norm(k - expected) <= 1e-13 * np.linalg.norm(expected)
-                assert np.abs(m - k.conj().T).max() <= 1e-14
-                _, grad = space.value_and_gradient(k, m)
+                _, grad = space.value_and_gradient(k)
                 report = certify_simplified(ens, _measurement(u, ens, DEFAULT_TOL))
                 assert np.linalg.norm(grad) == pytest.approx(report.hermiticity_residual, rel=1e-12)
 
