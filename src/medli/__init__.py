@@ -56,7 +56,6 @@ from .errors import (
     NotProjector,
     NotPSD,
     NotTwoState,
-    PDConstructionFailed,
     PriorsInvalid,
     RankSignatureMismatch,
     RankSumMismatch,

@@ -21,7 +21,7 @@ from .ensembles import (
     check_pair,
     validate_ensemble,
 )
-from .errors import MEDError, NotOptimalPair, NotPD, SolverFailed
+from .errors import MEDError, NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
 from .pgm import _measurement, _polar, _signature_slices
 
@@ -149,8 +149,9 @@ def inverse_map(
     rotated back by W once, and Delta_i = C - B^dag A^{-1} B is what it leaves
     of G on the kernel coordinates. The product's block-i columns are G's up
     to round-off, so (sigma^{1/2} - X_i) Pi_i is zero to machine precision.
-    The X_i are normalized into an ensemble. Raises NotPD if a range block A
-    is not positive definite.
+    The X_i are normalized into an ensemble. Each A is a principal block of
+    G, so by Cauchy interlacing its smallest eigenvalue is at least G's,
+    s_min >= s_min^2, which ``_polar`` has already held above tol_psd.
 
     Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
     certificate that self-certifies with no solver involved, and the map
@@ -163,11 +164,7 @@ def inverse_map(
     deltas = []
     for block in _signature_slices(ensemble.rank_signature):
         col = frame[:, block]
-        a = col[block]
-        low = float(np.linalg.eigvalsh(a)[0])
-        if low <= tol.tol_psd:
-            raise NotPD(f"A block is singular within tolerance (min eigenvalue {low:.3e})")
-        inner = col @ np.linalg.solve(a, col.conj().T)
+        inner = col @ np.linalg.solve(col[block], col.conj().T)
         x_ops.append(herm(w @ inner @ w.conj().T))
         rest = np.delete(coords, block)
         deltas.append(herm((frame - inner)[np.ix_(rest, rest)]))

@@ -31,7 +31,7 @@ from .serialize import (
     measurement_to_doc,
     povm_from_doc,
 )
-from .solver import SolveConfig, check_oracle_size, generate_fixed_point, solve, solve_oracle
+from .solver import SolveConfig, SolveResult, check_oracle_size, generate_fixed_point, solve, solve_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,8 +131,6 @@ def _digest(data: bytes) -> str:
 def _load(args):
     """Tolerances from the flags, the validated input ensemble and its file digest."""
     tol = _tolerances(args)
-    if getattr(args, "restarts", 1) < 1:
-        raise _BadInput(f"--restarts must be at least 1, got {args.restarts}")
     with _input_phase():
         doc, data = load_json(args.input)
         return tol, ensemble_from_doc(doc, tol), _digest(data)
@@ -181,14 +179,16 @@ def _residuals_block(report) -> dict:
 
 
 def _solve(args, ensemble, tol):
-    return solve(ensemble, SolveConfig(restarts=args.restarts, seed=args.seed), tol=tol)
+    with _input_phase():
+        config = SolveConfig(restarts=args.restarts, seed=args.seed)
+    return solve(ensemble, config, tol=tol)
 
 
 def _result_fields(result) -> dict:
     """Report fields of a SolveResult, all but its measurement."""
     return {
         "success_prob": result.success_prob,
-        "dual_value": result.report.dual_value,
+        "dual_value": result.certificate.dual_value,
         "verdict": result.report.verdict,
         "residuals": _residuals_block(result.report),
         "timings": {"iterations": result.iterations, "certified": result.certified},
@@ -258,30 +258,20 @@ def cmd_map(args):
             _diag(args, "forward map requires a certified optimum; solve was uncertified")
             return _report("map", echo, digest, **_result_fields(result)), EXIT_UNCERTIFIED
         image = forward_map(ensemble, result.measurement, result.certificate, tol)
-        doc = _report(
-            "map",
-            echo,
-            digest,
-            measurement=measurement_to_doc(result.measurement),
-            **_result_fields(result),
-            ensemble=ensemble_to_doc(image),
-        )
-        return doc, EXIT_OK
-    pre_image, measurement, certificate, _ = inverse_map(ensemble, tol)
-    report = certify_simplified(pre_image, measurement, tol)
-    if report.verdict != OPTIMAL:
-        raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
+    else:
+        image, measurement, certificate, _ = inverse_map(ensemble, tol)
+        report = certify_simplified(image, measurement, tol)
+        if report.verdict != OPTIMAL:
+            raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
+        prob = success_probability(image, measurement, tol)
+        result = SolveResult(measurement, certificate, report, prob, iterations=0, certified=True)
     doc = _report(
         "map",
         echo,
         digest,
-        success_prob=success_probability(pre_image, measurement, tol),
-        dual_value=certificate.dual_value,
-        verdict=report.verdict,
-        residuals=_residuals_block(report),
-        measurement=measurement_to_doc(measurement),
-        timings={"iterations": 0, "certified": True},
-        ensemble=ensemble_to_doc(pre_image),
+        measurement=measurement_to_doc(result.measurement),
+        **_result_fields(result),
+        ensemble=ensemble_to_doc(image),
     )
     return doc, EXIT_OK
 

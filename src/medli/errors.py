@@ -95,7 +95,3 @@ class BudgetExceeded(MEDError):
 
 class NoConvergence(MEDError):
     """Every solver restart failed numerically."""
-
-
-class PDConstructionFailed(MEDError):
-    """Could not build a positive definite matrix with the requested structure."""

@@ -2,7 +2,9 @@
 
 Matrices are row-major arrays of [re, im] pairs. Every real is emitted with
 17 significant digits so that parse -> serialize round-trips are exact and
-reports are byte-stable for fixed input and seed.
+reports are byte-stable for fixed input and seed. Dicts put one key per
+line. A list goes on one line unless one of its items is a dict or a list
+that itself holds a list, so a matrix puts each row on a line of its own.
 """
 
 from __future__ import annotations
@@ -32,63 +34,44 @@ def _format_float(value: float) -> str:
     return f"{v:.17g}"
 
 
-def _depth(value) -> int:
-    if isinstance(value, (list, tuple)):
-        return 1 + max((_depth(item) for item in value), default=0)
-    return 0
-
-
-def _emit(value, indent: int, pieces: list) -> None:
-    pad = "  " * indent
+def _emit(value, indent: int) -> str:
+    if isinstance(value, (float, np.floating)):
+        return _format_float(value)
     if value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(_format_float(value))
-    elif isinstance(value, dict):
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    pad = "  " * indent
+    if isinstance(value, dict):
         if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for idx, (key, item) in enumerate(value.items()):
-            pieces.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if idx < len(value) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            pieces.append("[]")
-            return
-        if _depth(items) <= 2 and not any(isinstance(item, dict) for item in items):
-            pieces.append("[")
-            for idx, item in enumerate(items):
-                _emit(item, indent, pieces)
-                if idx < len(items) - 1:
-                    pieces.append(", ")
-            pieces.append("]")
-            return
-        pieces.append("[\n")
-        for idx, item in enumerate(items):
-            pieces.append(pad + "  ")
-            _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if idx < len(items) - 1 else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+            return "{}"
+        body = ",\n".join(
+            f"{pad}  {json.dumps(str(key))}: {_emit(item, indent + 1)}" for key, item in value.items()
+        )
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # one line unless an item is a dict or a list that itself holds a list
+        if not any(
+            isinstance(item, dict)
+            or (isinstance(item, (list, tuple)) and any(isinstance(x, (list, tuple)) for x in item))
+            for item in value
+        ):
+            return "[" + ", ".join(_emit(item, indent) for item in value) + "]"
+        body = ",\n".join(pad + "  " + _emit(item, indent + 1) for item in value)
+        return "[\n" + body + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(doc) -> str:
-    pieces: list = []
-    _emit(doc, 0, pieces)
-    return "".join(pieces) + "\n"
+    return _emit(doc, 0) + "\n"
 
 
 # --- matrices ---
@@ -96,7 +79,7 @@ def dumps(doc) -> str:
 
 def matrix_to_json(mat: np.ndarray) -> list:
     arr = np.asarray(mat, dtype=complex)
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _matrix_from_json(rows, dim: int, where: str) -> np.ndarray:

@@ -36,22 +36,8 @@ from .ensembles import (
     success_probability,
     validate_ensemble,
 )
-from .errors import (
-    BudgetExceeded,
-    MEDError,
-    NoConvergence,
-    NotTwoState,
-    PDConstructionFailed,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    expi_herm,
-    haar_unitary,
-    herm,
-    is_pd,
-    random_hermitian,
-)
+from .errors import BudgetExceeded, MEDError, NoConvergence, NotTwoState
+from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian
 from .pgm import _measurement, _polar, _projectors_from_unitary, _signature_slices
 
 # Each restart takes at most this many polar steps before Newton.
@@ -473,29 +459,25 @@ def generate_fixed_point(dim: int, rank_signature, seed: int, tol: Tolerances = 
     sig = check_signature(dim, rank_signature)
     rng = np.random.default_rng(seed)
     slices = _signature_slices(sig)
-    for scale in (0.5, 0.25, 0.1, 0.05):
-        raw = random_hermitian(dim, rng)
-        off = raw.copy()
-        for s in slices:
-            off[s, s] = 0.0
-        off = herm(off)
-        spectral = float(np.abs(np.linalg.eigvalsh(off)).max()) if np.any(off) else 0.0
-        base = np.eye(dim, dtype=complex)
-        if spectral > 0.0:
-            base = base + (scale / spectral) * off
-        if not is_pd(base, tol):
-            continue
-        root = base / np.sqrt(float(np.trace(base @ base).real))
-        w = haar_unitary(dim, rng)
-        weighted = []
-        for s in slices:
-            proj = np.zeros((dim, dim), dtype=complex)
-            proj[s, s] = np.eye(s.stop - s.start)
-            weighted.append(herm(w @ (root @ proj @ root) @ w.conj().T))
-        priors = [float(np.trace(x).real) for x in weighted]
-        states = [x / p for x, p in zip(weighted, priors)]
-        return validate_ensemble(priors, states, tol)
-    raise PDConstructionFailed(f"no PD construction found for signature {sig}")
+    off = random_hermitian(dim, rng)
+    for s in slices:
+        off[s, s] = 0.0
+    spectral = float(np.abs(np.linalg.eigvalsh(off)).max()) if np.any(off) else 0.0
+    # the off-diagonal part has spectral norm 0.5, so by Weyl's inequality
+    # base has its eigenvalues in [0.5, 1.5] and is PD
+    base = np.eye(dim, dtype=complex)
+    if spectral > 0.0:
+        base = base + (0.5 / spectral) * off
+    root = base / np.sqrt(float(np.trace(base @ base).real))
+    w = haar_unitary(dim, rng)
+    weighted = []
+    for s in slices:
+        proj = np.zeros((dim, dim), dtype=complex)
+        proj[s, s] = np.eye(s.stop - s.start)
+        weighted.append(herm(w @ (root @ proj @ root) @ w.conj().T))
+    priors = [float(np.trace(x).real) for x in weighted]
+    states = [x / p for x, p in zip(weighted, priors)]
+    return validate_ensemble(priors, states, tol)
 
 
 def helstrom_comparator(ensemble: Ensemble) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import angle_measurement, pure_pair, qubit_angle_oracle
+from conftest import angle_measurement, near_collinear, pure_pair, qubit_angle_oracle
 from medli import (
     DimensionMismatch,
     NotOptimalPair,
@@ -17,7 +17,8 @@ from medli import (
     validate_ensemble,
     validate_projective,
 )
-from medli.linalg import haar_unitary, herm, rank_eps
+from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
+from medli.pgm import _polar, _signature_slices
 from reference import is_psd
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -134,6 +135,26 @@ class TestInverseMap:
         np.testing.assert_allclose(cert.z, arts.sigma_sqrt / total, atol=1e-14)
         combined = sum(pre.weighted_states())
         assert np.trace(combined).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "near-collinear"])
+    def test_range_blocks_interlace(self, kind):
+        # each A = G[i, i] is a principal block of G, so Cauchy interlacing
+        # keeps it above the smallest eigenvalue of G, which _polar gates
+        if kind == "random":
+            cases = [
+                random_ensemble(d, sig, seed=d)
+                for d in range(2, 17)
+                for sig in ((1,) * d, (2,) * (d // 2 - 1) + (1,) * (2 + d % 2))
+            ]
+        else:
+            # down to the noise at which the sigma gate starts to refuse
+            stiff = [(d, noise) for d in (4, 6, 8) for noise in (3e-2, 3e-3)] + [(4, 3e-4), (6, 1e-3)]
+            cases = [near_collinear(d, (1,) * d, noise, seed=d) for d, noise in stiff]
+        for ens in cases:
+            _, g, _ = _polar(ens, DEFAULT_TOL)
+            low = np.linalg.eigvalsh(g)[0]
+            for block in _signature_slices(ens.rank_signature):
+                assert np.linalg.eigvalsh(g[block, block])[0] >= low - 1e-15
 
 
 class TestRoundtrip:

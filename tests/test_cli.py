@@ -76,12 +76,28 @@ class TestExitCodePartition:
         assert out == b""
         assert err.startswith("input error:") and "tol_psd" in err
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_restarts_below_one(self, value):
-        code, out, err = run_cli("solve", RANDOM_D4, "--restarts", value)
+    @pytest.mark.parametrize(
+        "command, value",
+        [("solve", "0"), ("solve", "-3"), ("map", "0"), ("roundtrip", "0")],
+        ids=["0", "-3", "map-forward", "roundtrip"],
+    )
+    def test_restarts_below_one(self, command, value):
+        extra = ("--direction", "forward") if command == "map" else ()
+        code, out, err = run_cli(command, RANDOM_D4, *extra, "--restarts", value)
         assert code == 2
         assert out == b""
-        assert err.startswith("input error:") and "--restarts" in err
+        assert err.startswith("input error:") and "restarts must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("map", RANDOM_D4, "--direction", "inverse"), ("solve", PI6, "--oracle")],
+        ids=["map-inverse", "solve-oracle"],
+    )
+    def test_restarts_unread_without_solve(self, argv):
+        # neither the inverse map nor the oracle reads --restarts
+        code, out, err = run_cli(*argv, "--restarts", "0", "--quiet")
+        assert code == 0, err
+        assert json.loads(out)["verdict"] == "Optimal"
 
     @pytest.mark.parametrize(
         "argv", [("certify", ORTH, str(GOLDEN / "solve_orthogonal.json")), ("fixpoint", FIXED)]
