@@ -30,7 +30,6 @@ from .ensembles import (
     Ensemble,
     GeneralPOVM,
     ProjectiveMeasurement,
-    average_state,
     detection_profile,
     measurement_elements,
     random_ensemble,
@@ -50,7 +49,6 @@ from .errors import (
     NotLinearlyIndependent,
     NotOptimalPair,
     NotOrthogonal,
-    NotPD,
     NotProjective,
     NotProjectiveAfterPGM,
     NotProjector,
@@ -63,7 +61,7 @@ from .errors import (
     SolverFailed,
     StateNotDensity,
 )
-from .linalg import DEFAULT_TOL, Tolerances, is_pd, rank_eps
+from .linalg import DEFAULT_TOL, Tolerances, rank_eps
 from .pgm import pgm
 from .solver import (
     SolveConfig,

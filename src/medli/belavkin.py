@@ -7,11 +7,20 @@ whose optimal measurement is the pretty good measurement of Q. It reads the
 blocks of the square root of Q's average state around each PGM projector
 from one matrix, sigma^{1/2} in the PGM's frame, which comes with the PGM
 from one SVD (see :mod:`medli.pgm`); in that frame each X_i is one product.
+
+The dual operator and the stationarity residual both read
+K = sum_i p_i rho_i Pi_i, formed once per pairing of a measurement with the
+states. For projectors each pairwise stationarity block
+Pi_j (p_j rho_j - p_i rho_i) Pi_i equals Pi_j (K^dag - K) Pi_i, so for a
+measurement medli built from a unitary U the residual is read from
+U^dag (K^dag - K) U in O(d^3); a general POVM, or projectors from outside,
+take the m^2 pairwise products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,17 +57,53 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class MapArtifacts:
-    """Intermediates of the inverse map: the X_i, their Schur complements, sigma^{1/2}."""
+    """Intermediates of the inverse map: the X_i and sigma^{1/2}."""
 
     x_ops: tuple[np.ndarray, ...]
-    deltas: tuple[np.ndarray, ...]
     sigma_sqrt: np.ndarray
 
 
-def stationarity_residual(ensemble: Ensemble, measurement) -> float:
-    """max over i != j of || Pi_j (p_j rho_j - p_i rho_i) Pi_i ||_F."""
+class _Pairing(NamedTuple):
+    """The (m, d, d) stacks of p_i rho_i and of E_i, and K = sum_i p_i rho_i E_i."""
+
+    weighted: np.ndarray
+    elements: np.ndarray
+    k: np.ndarray
+
+
+def _pair(ensemble: Ensemble, measurement) -> _Pairing:
+    """The checked elements paired with the states, and K from one batched product.
+
+    The (m, d, d) products p_i rho_i E_i are summed over the outcome axis in
+    outcome order, so K has the bits of the running sum of the m products.
+    """
     elements = np.asarray(check_pair(ensemble, measurement))
     weighted = np.asarray(ensemble.weighted_states())
+    return _Pairing(weighted, elements, (weighted @ elements).sum(axis=0))
+
+
+def stationarity_residual(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> float:
+    """max over i != j of || Pi_j (p_j rho_j - p_i rho_i) Pi_i ||_F.
+
+    For projectors K Pi_i = p_i rho_i Pi_i and Pi_j K^dag = Pi_j p_j rho_j,
+    so block (j, i) is Pi_j (K^dag - K) Pi_i. A measurement medli built
+    keeps its unitary U (``ProjectiveMeasurement.unitary``), and the residual
+    is the largest off-diagonal block Frobenius norm of U^dag (K^dag - K) U:
+    O(d^3) once K is formed. Elements without a kept unitary, a GeneralPOVM
+    or projectors from ``validate_projective``, take the m^2 pairwise
+    products. ``pairing`` is ``_pair(ensemble, measurement)`` when the caller
+    has formed it.
+    """
+    pairing = pairing if pairing is not None else _pair(ensemble, measurement)
+    if isinstance(measurement, ProjectiveMeasurement) and measurement.unitary is not None:
+        u = measurement.unitary
+        x = u.conj().T @ (pairing.k.conj().T - pairing.k) @ u
+        starts = [block.start for block in _signature_slices(measurement.rank_signature)]
+        squares = x.real**2 + x.imag**2
+        blocks = np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts, axis=1)
+        np.fill_diagonal(blocks, 0.0)
+        return float(np.sqrt(blocks.max()))
+    weighted, elements = pairing.weighted, pairing.elements
     worst = 0.0
     for j in range(ensemble.m):
         # row j of the pairs: one batched product over the (m, d, d) stacks
@@ -68,28 +113,27 @@ def stationarity_residual(ensemble: Ensemble, measurement) -> float:
     return worst
 
 
-def dual_operator(ensemble: Ensemble, measurement) -> DualCertificate:
+def dual_operator(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> DualCertificate:
     """Candidate dual operator Z = sym(sum_i p_i rho_i Pi_i) with slack spectra.
 
     Z equals the true dual operator only when the measurement is stationary;
     callers gate on the certificate validity, not on this construction.
+    ``pairing`` is ``_pair(ensemble, measurement)`` when the caller has
+    formed it.
     """
-    return _certificate(ensemble, check_pair(ensemble, measurement))
+    return _certificate(pairing if pairing is not None else _pair(ensemble, measurement))
 
 
-def _certificate(ensemble: Ensemble, elements, z: np.ndarray | None = None) -> DualCertificate:
+def _certificate(pairing: _Pairing, z: np.ndarray | None = None) -> DualCertificate:
     """Certificate for the dual operator z, by default sym(K), K = sum_i p_i rho_i E_i.
 
     K is Hermitian exactly when the measurement is stationary; its
     hermiticity residual ||K - K^dag||_F is recorded either way.
     """
-    weighted = ensemble.weighted_states()
-    k = np.zeros_like(weighted[0], dtype=complex)
-    for w, e in zip(weighted, elements):
-        k += w @ e
+    k = pairing.k
     if z is None:
         z = herm(k)
-    slacks = np.linalg.eigvalsh(z - np.asarray(weighted))
+    slacks = np.linalg.eigvalsh(z - pairing.weighted)
     return DualCertificate(
         z=z,
         dual_value=float(np.trace(z).real),
@@ -110,8 +154,9 @@ def forward_map(
     Refuses to run unless the pair actually certifies: the map is only
     defined at optimal dual pairs, and solving is the caller's job.
     """
-    elements = check_pair(ensemble, measurement)
-    residual = stationarity_residual(ensemble, measurement)
+    pairing = _pair(ensemble, measurement)
+    elements = pairing.elements
+    residual = stationarity_residual(ensemble, measurement, pairing)
     if residual > tol.tol_recon:
         raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
     if not certificate.is_valid(tol):
@@ -159,15 +204,11 @@ def inverse_map(
     """
     w, frame, sigma_sqrt = _polar(ensemble, tol)
     measurement = _measurement(w, ensemble, tol)
-    coords = np.arange(ensemble.dim)
     x_ops = []
-    deltas = []
     for block in _signature_slices(ensemble.rank_signature):
         col = frame[:, block]
         inner = col @ np.linalg.solve(col[block], col.conj().T)
         x_ops.append(herm(w @ inner @ w.conj().T))
-        rest = np.delete(coords, block)
-        deltas.append(herm((frame - inner)[np.ix_(rest, rest)]))
     traces = [float(np.trace(x).real) for x in x_ops]
     total = sum(traces)
     priors = [t / total for t in traces]
@@ -178,10 +219,8 @@ def inverse_map(
             f"inverse map changed the rank signature: {pre_image.rank_signature} "
             f"!= {ensemble.rank_signature}"
         )
-    certificate = _certificate(pre_image, measurement.projectors, sigma_sqrt / total)
-    artifacts = MapArtifacts(
-        x_ops=tuple(x_ops), deltas=tuple(deltas), sigma_sqrt=sigma_sqrt
-    )
+    certificate = _certificate(_pair(pre_image, measurement), sigma_sqrt / total)
+    artifacts = MapArtifacts(x_ops=tuple(x_ops), sigma_sqrt=sigma_sqrt)
     return pre_image, measurement, certificate, artifacts
 
 

@@ -1,11 +1,15 @@
 """Optimality certification and the fixed-point test.
 
 Two certifiers are provided. The full one checks the general optimality
-conditions: pairwise stationarity residuals plus PSD slacks of the candidate
-dual operator. The simplified one is specific to LI ensembles with
-rank-matched projective measurements, where optimality is equivalent to
-sum_i p_i rho_i Pi_i being Hermitian and positive definite; it checks exactly
-that, rather than smuggling the full condition back in.
+conditions: the pairwise stationarity residual plus PSD slacks of the
+candidate dual operator. The residual is read in the measurement's own frame,
+from U^dag (K^dag - K) U, when medli built the measurement from a unitary U,
+and from the m^2 pairwise products otherwise
+(:func:`medli.belavkin.stationarity_residual`). The simplified one is
+specific to LI ensembles with rank-matched projective measurements, where
+optimality is equivalent to sum_i p_i rho_i Pi_i being Hermitian and positive
+definite; it checks exactly that, rather than smuggling the full condition
+back in.
 
 Verdicts are three-tier: a check that fails by less than a factor of ten of
 its tolerance yields Inconclusive instead of flipping to NotOptimal, so
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belavkin import DualCertificate, dual_operator, stationarity_residual
+from .belavkin import DualCertificate, _pair, dual_operator, stationarity_residual
 from .ensembles import (
     Ensemble,
     GeneralPOVM,
@@ -56,10 +60,16 @@ class CertificationReport:
 
 
 def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
-    """What both certifiers report; each sets the verdict by its own conditions."""
-    certificate = dual_operator(ensemble, measurement)
+    """What both certifiers report; each sets the verdict by its own conditions.
+
+    The measurement is paired with the states once (``_pair``: one
+    ``check_pair``, one ``weighted_states`` and one K), and both the dual
+    operator and the stationarity residual read that pairing.
+    """
+    pairing = _pair(ensemble, measurement)
+    certificate = dual_operator(ensemble, measurement, pairing)
     return CertificationReport(
-        stationarity_residual=stationarity_residual(ensemble, measurement),
+        stationarity_residual=stationarity_residual(ensemble, measurement, pairing),
         min_slack_eig=min(certificate.slack_min_eigs),
         positivity_min_eig=float(np.linalg.eigvalsh(certificate.z)[0]),
         hermiticity_residual=certificate.herm_residual,

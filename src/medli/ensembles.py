@@ -79,11 +79,18 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """Mutually orthogonal projectors summing to the identity."""
+    """Mutually orthogonal projectors summing to the identity.
+
+    ``unitary`` is the read-only unitary whose column blocks (in
+    ``rank_signature`` order) span the projectors, kept when medli built the
+    measurement from one (``pgm._measurement``); it is None for projectors
+    that came from outside (``validate_projective``).
+    """
 
     dim: int
     projectors: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
+    unitary: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -286,14 +293,6 @@ def success_probability(ensemble: Ensemble, measurement, tol: Tolerances = DEFAU
     if -tol.tol_recon <= value < 0.0:
         return 0.0
     return value
-
-
-def average_state(ensemble: Ensemble) -> np.ndarray:
-    """The prior-weighted average sum_i p_i rho_i; PD for LI ensembles."""
-    acc = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
-    for p, rho in zip(ensemble.priors, ensemble.states):
-        acc += p * rho
-    return herm(acc)
 
 
 def random_ensemble(dim: int, rank_signature, seed: int, tol: Tolerances = DEFAULT_TOL) -> Ensemble:

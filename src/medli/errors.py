@@ -11,10 +11,6 @@ class NotPSD(MEDError):
     """Matrix has an eigenvalue below the positive-semidefinite tolerance."""
 
 
-class NotPD(MEDError):
-    """Matrix is singular or indefinite where positive definiteness is required."""
-
-
 class NotProjector(MEDError):
     """Matrix is not an orthogonal projector within tolerance."""
 

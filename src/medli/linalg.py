@@ -1,9 +1,9 @@
 """Tolerance-aware linear algebra for dense complex Hermitian matrices.
 
 The helpers here are Hermitian parts and defects, the hermiticity check,
-positive-definiteness and rank tests on Hermitian eigenvalues, seeded random
-unitaries and unitary exponentials. The PGM, sigma^{1/2} and the blocks of
-sigma^{1/2} in the PGM's frame come from one SVD in :mod:`medli.pgm`.
+rank tests on Hermitian eigenvalues, seeded random unitaries and unitary
+exponentials. The PGM, sigma^{1/2} and the blocks of sigma^{1/2} in the
+PGM's frame come from one SVD in :mod:`medli.pgm`.
 Matrices are plain complex numpy arrays; domain-level structure is validated
 by the callers in :mod:`medli.ensembles`.
 """
@@ -80,16 +80,6 @@ def check_hermitian(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if defect > tol.tol_herm * scale:
         raise ValueError(f"matrix is not Hermitian: max entry defect {defect:.3e}")
     return arr
-
-
-def min_eig(mat) -> float:
-    """Smallest eigenvalue of the Hermitian part."""
-    return float(np.linalg.eigvalsh(herm(mat))[0])
-
-
-def is_pd(mat, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue exceeds tol_psd."""
-    return min_eig(mat) > tol.tol_psd
 
 
 def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -83,8 +83,9 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
     W is a unitary medli built: the PGM's or a solver restart's. Once
     ||W^dag W - Id||_F <= tol_recon, the projectors W_i W_i^dag are
     idempotent, mutually orthogonal, complete and of the states' ranks by
-    construction, so no validation pass follows. Raises
-    NotProjectiveAfterPGM otherwise.
+    construction, so no validation pass follows, and W is kept on the
+    measurement as its frame (``unitary``). Raises NotProjectiveAfterPGM
+    otherwise.
     """
     defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
     if defect > tol.tol_recon:
@@ -94,4 +95,5 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
         dim=ensemble.dim,
         projectors=tuple(_frozen(p) for p in projectors),
         rank_signature=ensemble.rank_signature,
+        unitary=_frozen(w),
     )

@@ -6,6 +6,9 @@ objects in the ambient basis: sigma^{1/2} and sigma^{-1/2} by
 eigendecomposition, the PGM as sigma^{-1/2} (p_i rho_i) sigma^{-1/2}, and the
 blocks of sigma^{1/2} in a basis adapted to each projector with the Schur
 complement of the range block. Tests check the frame path against them.
+The package never calls the small helpers here either (the average state,
+positivity tests and the NotPD error they raise); tests use them as
+independent references.
 """
 
 from __future__ import annotations
@@ -14,18 +17,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from medli.ensembles import Ensemble, GeneralPOVM, average_state
-from medli.errors import NotPD, NotProjector, NotPSD, SigmaSingular
+from medli.ensembles import Ensemble, GeneralPOVM
+from medli.errors import MEDError, NotProjector, NotPSD, SigmaSingular
 from medli.linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_square,
     check_hermitian,
     herm,
-    min_eig,
     projector_defect,
 )
 from medli.pgm import COND_LIMIT
+
+
+class NotPD(MEDError):
+    """Matrix is singular or indefinite where positive definiteness is required."""
+
+
+def average_state(ensemble: Ensemble) -> np.ndarray:
+    """The prior-weighted average sum_i p_i rho_i; PD for LI ensembles."""
+    acc = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
+    for p, rho in zip(ensemble.priors, ensemble.states):
+        acc += p * rho
+    return herm(acc)
+
+
+def min_eig(mat) -> float:
+    """Smallest eigenvalue of the Hermitian part."""
+    return float(np.linalg.eigvalsh(herm(mat))[0])
+
+
+def is_pd(mat, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff the smallest eigenvalue exceeds tol_psd."""
+    return min_eig(mat) > tol.tol_psd
 
 
 def is_psd(mat, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -128,6 +152,17 @@ def schur_complement(bd: BlockDecomposition, tol: Tolerances = DEFAULT_TOL) -> n
     if bd.c_block.shape[0] == 0:
         return bd.c_block.copy()
     return herm(bd.c_block - bd.b_block.conj().T @ np.linalg.solve(a, bd.b_block))
+
+
+def pairwise_stationarity(ensemble: Ensemble, elements) -> float:
+    """max over i != j of ||E_j (p_j rho_j - p_i rho_i) E_i||_F, one pair at a time."""
+    weighted = ensemble.weighted_states()
+    return max(
+        float(np.linalg.norm(elements[j] @ (weighted[j] - weighted[i]) @ elements[i]))
+        for j in range(ensemble.m)
+        for i in range(ensemble.m)
+        if i != j
+    )
 
 
 def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:

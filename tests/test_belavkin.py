@@ -6,6 +6,8 @@ from medli import (
     DimensionMismatch,
     NotOptimalPair,
     SolverFailed,
+    certify_full,
+    certify_simplified,
     dual_operator,
     forward_map,
     inverse_map,
@@ -15,11 +17,12 @@ from medli import (
     solve,
     stationarity_residual,
     validate_ensemble,
+    validate_povm,
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
-from medli.pgm import _polar, _signature_slices
-from reference import is_psd
+from medli.pgm import _measurement, _polar, _signature_slices
+from reference import block_decompose, is_psd, pairwise_stationarity
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -56,6 +59,32 @@ class TestDualOperator:
         cert = dual_operator(ens, angle_measurement(phi))
         assert cert.dual_value == pytest.approx(0.75, abs=1e-6)
         assert min(cert.slack_min_eigs) >= -1e-9
+
+
+class TestStationarityResidual:
+    def test_general_povm_is_read_pairwise(self):
+        # a non-projective POVM carries no frame: certify_full takes the pairwise products
+        ens = random_ensemble(4, (2, 1, 1), seed=31)
+        povm = validate_povm([0.9 * p + 0.1 / 3 * np.eye(4) for p in pgm(ens).projectors])
+        want = pairwise_stationarity(ens, povm.elements)
+        assert want > 1e-3
+        assert certify_full(ens, povm).stationarity_residual == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("sig", [(1,) * 6, (2, 2, 1, 1)])
+    def test_outside_projectors_match_the_built_measurement(self, sig):
+        # validate_projective keeps no unitary, so the same projectors are read
+        # pairwise there and from the frame when medli built them
+        ens = random_ensemble(sum(sig), sig, seed=41)
+        haar = haar_unitary(ens.dim, np.random.default_rng(41))
+        for built in (pgm(ens), _measurement(haar, ens, DEFAULT_TOL)):
+            outside = validate_projective(built.projectors)
+            assert outside.unitary is None and built.unitary is not None
+            frame = stationarity_residual(ens, built)
+            assert abs(stationarity_residual(ens, outside) - frame) <= 1e-14
+            for certify in (certify_full, certify_simplified):
+                outside_report = certify(ens, outside)
+                assert abs(outside_report.stationarity_residual - frame) <= 1e-14
+                assert outside_report.verdict == certify(ens, built).verdict
 
 
 class TestForwardMap:
@@ -127,10 +156,12 @@ class TestInverseMap:
         ens = random_ensemble(5, (2, 2, 1), seed=4)
         pre, meas, cert, arts = inverse_map(ens)
         total = sum(float(np.trace(x).real) for x in arts.x_ops)
-        for x, delta, r in zip(arts.x_ops, arts.deltas, ens.rank_signature):
+        for x, proj, r in zip(arts.x_ops, meas.projectors, ens.rank_signature):
             assert rank_eps(x) == r
             assert is_psd(x)
             assert is_psd(arts.sigma_sqrt - x)
+            # the Schur complement Delta_i, on the kernel of Pi_i, is PD
+            delta = block_decompose(arts.sigma_sqrt - x, proj).c_block
             assert np.linalg.eigvalsh(delta)[0] > 0
         np.testing.assert_allclose(cert.z, arts.sigma_sqrt / total, atol=1e-14)
         combined = sum(pre.weighted_states())

@@ -13,14 +13,14 @@ from medli import (
     PriorsInvalid,
     RankSumMismatch,
     StateNotDensity,
-    average_state,
     random_ensemble,
     success_probability,
     validate_ensemble,
     validate_povm,
     validate_projective,
 )
-from medli.linalg import haar_unitary, herm, is_pd
+from medli.linalg import haar_unitary, herm
+from reference import average_state, is_pd
 
 ORTH_STATES = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 

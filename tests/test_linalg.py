@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from medli.errors import NotPD, NotProjector, NotPSD
-from medli.linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, is_pd, rank_eps
+from medli.errors import NotProjector, NotPSD
+from medli.linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, rank_eps
 from reference import (
     BlockDecomposition,
+    NotPD,
     block_decompose,
+    is_pd,
     is_psd,
     psd_inv_sqrt,
     psd_sqrt,

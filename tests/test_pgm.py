@@ -8,7 +8,6 @@ from medli import (
     NotProjectiveAfterPGM,
     SigmaSingular,
     SolveConfig,
-    average_state,
     dual_operator,
     fixpoint_check,
     inverse_map,
@@ -21,7 +20,14 @@ from medli import (
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
 from medli.pgm import _measurement
-from reference import block_decompose, pgm_general, psd_sqrt, schur_complement
+from reference import (
+    average_state,
+    block_decompose,
+    pairwise_stationarity,
+    pgm_general,
+    psd_sqrt,
+    schur_complement,
+)
 
 
 def test_orthogonal_pair_gives_support_projectors():
@@ -124,22 +130,16 @@ def _ambient_reference(ensemble, projectors):
     return root, x_ops, delta_spectra, residual
 
 
-def _pairwise_stationarity(ensemble, elements):
-    weighted = ensemble.weighted_states()
-    return max(
-        float(np.linalg.norm(elements[j] @ (weighted[j] - weighted[i]) @ elements[i]))
-        for j in range(ensemble.m)
-        for i in range(ensemble.m)
-        if i != j
-    )
+SWEEP_SIGNATURES = [(1,) * d for d in range(2, 17)] + [
+    (2,) * (d // 2) + (1,) * (d % 2) for d in range(3, 17)
+]
 
 
-SWEEP = pytest.mark.parametrize(
-    "sig",
-    [(1,) * d for d in range(2, 17)]
-    + [(2,) * (d // 2) + (1,) * (d % 2) for d in range(3, 17)],
-    ids=lambda sig: f"d{sum(sig)}-{'mixed' if max(sig) > 1 else 'pure'}",
-)
+def _signature_id(sig):
+    return f"d{sum(sig)}-{'mixed' if max(sig) > 1 else 'pure'}"
+
+
+SWEEP = pytest.mark.parametrize("sig", SWEEP_SIGNATURES, ids=_signature_id)
 
 
 @SWEEP
@@ -152,15 +152,31 @@ def test_polar_path_matches_ambient_construction(sig):
     root, x_ref, delta_ref, residual_ref = _ambient_reference(ens, meas.projectors)
     _, _, _, arts = inverse_map(ens)
     assert np.abs(arts.sigma_sqrt - root).max() <= 1e-12
-    for x, want, proj, rank in zip(arts.x_ops, x_ref, meas.projectors, ens.rank_signature):
+    for x, want, proj, rank, spectrum in zip(
+        arts.x_ops, x_ref, meas.projectors, ens.rank_signature, delta_ref
+    ):
         assert np.abs(x - want).max() <= 1e-12
         assert np.linalg.norm((arts.sigma_sqrt - x) @ proj) <= 1e-13
         assert rank_eps(x) == rank
-    for delta, want in zip(arts.deltas, delta_ref):
-        np.testing.assert_allclose(np.linalg.eigvalsh(delta), want, rtol=0, atol=1e-12)
+        # Delta_i, the Schur complement: what X_i leaves of sigma^{1/2} on the kernel of Pi_i
+        delta = block_decompose(arts.sigma_sqrt - x, proj).c_block
+        np.testing.assert_allclose(np.linalg.eigvalsh(delta), spectrum, rtol=0, atol=1e-12)
     assert fixpoint_check(ens).residual == pytest.approx(residual_ref, rel=0, abs=1e-14)
-    reference = _pairwise_stationarity(ens, meas.projectors)
-    assert stationarity_residual(ens, meas) == pytest.approx(reference, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("sig", SWEEP_SIGNATURES + [(1,) * 32], ids=_signature_id)
+def test_frame_stationarity_matches_pairwise(sig):
+    # the residual read from U^dag (K^dag - K) U against the m^2 pairwise
+    # products, on the PGM, the stationary pre-image pair of the inverse map,
+    # and the non-stationary measurement of a Haar unitary
+    ens = random_ensemble(sum(sig), sig, seed=500 + sum(sig))
+    pre_image, stationary, _, _ = inverse_map(ens)
+    haar = _measurement(haar_unitary(ens.dim, np.random.default_rng(sum(sig))), ens, DEFAULT_TOL)
+    for ensemble, meas in ((ens, pgm(ens)), (pre_image, stationary), (ens, haar)):
+        assert meas.unitary is not None
+        reference = pairwise_stationarity(ensemble, meas.projectors)
+        assert abs(stationarity_residual(ensemble, meas) - reference) <= 1e-14
+    assert pairwise_stationarity(ens, haar.projectors) > 1e-3
 
 
 @SWEEP
@@ -227,6 +243,8 @@ def test_measurement_checks_that_the_unitary_is_unitary():
     w = haar_unitary(4, np.random.default_rng(21))
     meas = _measurement(w, ens, DEFAULT_TOL)
     assert meas.rank_signature == ens.rank_signature
+    np.testing.assert_array_equal(meas.unitary, w)
+    assert not meas.unitary.flags.writeable
     assert validate_projective(meas.projectors).rank_signature == ens.rank_signature
     np.testing.assert_array_equal(meas.projectors[0], herm(w[:, :2] @ w[:, :2].conj().T))
     scaled = w.copy()
