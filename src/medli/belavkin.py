@@ -51,9 +51,6 @@ class DualCertificate:
     slack_min_eigs: tuple[float, ...]
     herm_residual: float
 
-    def is_valid(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return min(self.slack_min_eigs) >= -tol.tol_psd
-
 
 @dataclass(frozen=True)
 class MapArtifacts:
@@ -159,10 +156,9 @@ def forward_map(
     residual = stationarity_residual(ensemble, measurement, pairing)
     if residual > tol.tol_recon:
         raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
-    if not certificate.is_valid(tol):
-        raise NotOptimalPair(
-            f"dual slack eigenvalue {min(certificate.slack_min_eigs):.3e} below -tol_psd"
-        )
+    slack = min(certificate.slack_min_eigs)
+    if slack < -tol.tol_psd:
+        raise NotOptimalPair(f"dual slack eigenvalue {slack:.3e} below -tol_psd")
     z = certificate.z
     z2 = z @ z
     tr_z2 = float(np.trace(z2).real)

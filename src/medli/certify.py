@@ -9,7 +9,9 @@ and from the m^2 pairwise products otherwise
 specific to LI ensembles with rank-matched projective measurements, where
 optimality is equivalent to sum_i p_i rho_i Pi_i being Hermitian and positive
 definite; it checks exactly that, rather than smuggling the full condition
-back in.
+back in. Both numbers are in the full certifier's report, so the simplified
+verdict is a second rule read off one report: ``medli certify`` builds one
+report and reads both verdicts from it.
 
 Verdicts are three-tier: a check that fails by less than a factor of ten of
 its tolerance yields Inconclusive instead of flipping to NotOptimal, so
@@ -59,8 +61,8 @@ class CertificationReport:
     certificate: DualCertificate = field(repr=False, compare=False)
 
 
-def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
-    """What both certifiers report; each sets the verdict by its own conditions.
+def _residuals(ensemble: Ensemble, measurement) -> CertificationReport:
+    """What both certifiers report; each sets the verdict by its own rule.
 
     The measurement is paired with the states once (``_pair``: one
     ``check_pair``, one ``weighted_states`` and one K), and both the dual
@@ -90,7 +92,7 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
     Optimal iff all pairwise stationarity residuals stay within tol_recon and
     every slack eigenvalue of Z - p_i rho_i is above -tol_psd.
     """
-    report = _residuals(ensemble, measurement, tol)
+    report = _residuals(ensemble, measurement)
     stationarity, slack = report.stationarity_residual, report.min_slack_eig
     ok = stationarity <= tol.tol_recon and slack >= -tol.tol_psd
     borderline = (
@@ -103,12 +105,13 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
 def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
     """The measurement as projectors paired with the states and of their ranks.
 
-    A GeneralPOVM comes from outside (a file, or user arrays) and is the one
-    kind that is validated here, by ``validate_projective``. Raises
-    NotProjective if it is not projective, DimensionMismatch if it does not
-    pair with the states, RankSignatureMismatch if its ranks differ from
-    theirs.
+    The pairing is checked first: DimensionMismatch if it does not pair with
+    the states, projective or not. A GeneralPOVM comes from outside (a file,
+    or user arrays) and is the one kind validated here, by
+    ``validate_projective``: NotProjective if it is not projective. Then
+    RankSignatureMismatch if its ranks differ from the states'.
     """
+    check_pair(ensemble, measurement)
     if isinstance(measurement, GeneralPOVM):
         try:
             measurement = validate_projective(measurement.elements, tol)
@@ -116,13 +119,23 @@ def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
             raise NotProjective(f"measurement is not projective: {exc}") from exc
     if not isinstance(measurement, ProjectiveMeasurement):
         raise NotProjective(f"expected projectors, got {type(measurement).__name__}")
-    check_pair(ensemble, measurement)
     if measurement.rank_signature != ensemble.rank_signature:
         raise RankSignatureMismatch(
             f"projector ranks {measurement.rank_signature} != state ranks "
             f"{ensemble.rank_signature}"
         )
     return measurement
+
+
+def _simplified_rule(report: CertificationReport, tol: Tolerances) -> CertificationReport:
+    """The simplified verdict, read off a report of a rank-matched projective pair."""
+    hermiticity, positivity = report.hermiticity_residual, report.positivity_min_eig
+    ok = hermiticity <= tol.tol_recon and positivity > tol.tol_psd
+    borderline = (
+        hermiticity <= _VERDICT_BAND * tol.tol_recon
+        and positivity > -_VERDICT_BAND * tol.tol_psd
+    )
+    return _three_tier(report, ok, borderline)
 
 
 def certify_simplified(
@@ -135,14 +148,7 @@ def certify_simplified(
     still computed for the report, but only hermiticity and positivity drive
     the verdict. The measurement goes through ``rank_matched`` first.
     """
-    report = _residuals(ensemble, rank_matched(ensemble, measurement, tol), tol)
-    hermiticity, positivity = report.hermiticity_residual, report.positivity_min_eig
-    ok = hermiticity <= tol.tol_recon and positivity > tol.tol_psd
-    borderline = (
-        hermiticity <= _VERDICT_BAND * tol.tol_recon
-        and positivity > -_VERDICT_BAND * tol.tol_psd
-    )
-    return _three_tier(report, ok, borderline)
+    return _simplified_rule(_residuals(ensemble, rank_matched(ensemble, measurement, tol)), tol)
 
 
 @dataclass(frozen=True)

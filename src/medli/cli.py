@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from .belavkin import forward_map, inverse_map, roundtrip_check
-from .certify import OPTIMAL, certify_full, certify_simplified, fixpoint_check, rank_matched
-from .ensembles import ProjectiveMeasurement, check_pair, random_ensemble, success_probability
+from .certify import OPTIMAL, _simplified_rule, certify_full, certify_simplified, fixpoint_check, rank_matched
+from .ensembles import ProjectiveMeasurement, random_ensemble, success_probability
 from .errors import MEDError, NotProjective, SolverFailed
 from .linalg import DEFAULT_TOL
 from .serialize import (
@@ -200,18 +200,16 @@ def _result_fields(result) -> dict:
 
 def cmd_solve(args):
     tol, ensemble, digest = _load(args)
+    echo = _echo(args, "seed", "restarts", "oracle")
+    started = time.perf_counter()
     if args.oracle:
         with _input_phase():
             check_oracle_size(ensemble)
-    started = time.perf_counter()
-    if args.oracle:
         result = solve_oracle(ensemble, seed=args.seed, tol=tol)
+        echo["restarts"] = None
     else:
         result = _solve(args, ensemble, tol)
     _diag(args, f"solve finished in {time.perf_counter() - started:.3f}s")
-    echo = _echo(args, "seed", "restarts", "oracle")
-    if args.oracle:
-        echo["restarts"] = None
     doc = _report(
         "solve",
         echo,
@@ -226,25 +224,23 @@ def cmd_certify(args):
     tol, ensemble, digest_in = _load(args)
     with _input_phase():
         povm_doc, povm_data = load_json(args.povm)
-        povm = povm_from_doc(povm_doc, tol)
-        check_pair(ensemble, povm)
-        projective: ProjectiveMeasurement | None
-        try:
-            projective = rank_matched(ensemble, povm, tol)
-        except NotProjective:
-            projective = None
-    full = certify_full(ensemble, povm, tol)
-    simplified = certify_simplified(ensemble, projective, tol) if projective is not None else None
+        measurement = povm_from_doc(povm_doc, tol)
+        with contextlib.suppress(NotProjective):
+            measurement = rank_matched(ensemble, measurement, tol)
+    full = certify_full(ensemble, measurement, tol)
+    simplified = (
+        _simplified_rule(full, tol).verdict if isinstance(measurement, ProjectiveMeasurement) else None
+    )
     doc = _report(
         "certify",
         _echo(args),
         {"ensemble": digest_in, "measurement": _digest(povm_data)},
-        success_prob=success_probability(ensemble, povm, tol),
+        success_prob=success_probability(ensemble, measurement, tol),
         dual_value=full.dual_value,
         verdict=full.verdict,
         residuals=_residuals_block(full),
-        simplified_verdict=None if simplified is None else simplified.verdict,
-        verdicts_agree=None if simplified is None else simplified.verdict == full.verdict,
+        simplified_verdict=simplified,
+        verdicts_agree=None if simplified is None else simplified == full.verdict,
     )
     return doc, EXIT_OK if full.verdict == OPTIMAL else EXIT_UNCERTIFIED
 

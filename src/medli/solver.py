@@ -49,6 +49,9 @@ NEWTON_ROUNDS = 60
 # The oracle's sampled-quadratic endgame takes this many Newton steps.
 REFINE_ROUNDS = 3
 
+# The oracle raises BudgetExceeded after this many objective evaluations.
+ORACLE_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -342,10 +345,7 @@ def check_oracle_size(ensemble: Ensemble) -> None:
 
 
 def solve_oracle(
-    ensemble: Ensemble,
-    budget: int = 200_000,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
+    ensemble: Ensemble, *, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> SolveResult:
     """Brute-force search for tiny instances (dim <= 4, m <= 3).
 
@@ -364,12 +364,12 @@ def solve_oracle(
 
     def value_of(u: np.ndarray) -> float:
         nonlocal evals
-        if evals >= budget:
-            raise BudgetExceeded(f"oracle budget of {budget} evaluations exhausted")
+        if evals >= ORACLE_BUDGET:
+            raise BudgetExceeded(f"oracle budget of {ORACLE_BUDGET} evaluations exhausted")
         evals += 1
         return _objective(weighted, _projectors_from_unitary(u, slices))
 
-    grid_size = min(max(64, 40 * ensemble.dim * ensemble.dim), budget // 8)
+    grid_size = max(64, 40 * ensemble.dim * ensemble.dim)
     grid = [np.eye(ensemble.dim, dtype=complex)]
     grid += [haar_unitary(ensemble.dim, rng) for _ in range(grid_size - 1)]
     scored = sorted(((value_of(u), idx) for idx, u in enumerate(grid)), reverse=True)

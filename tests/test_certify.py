@@ -6,6 +6,7 @@ from medli import (
     INCONCLUSIVE,
     NOT_OPTIMAL,
     OPTIMAL,
+    DimensionMismatch,
     GeneralPOVM,
     NotProjective,
     RankSignatureMismatch,
@@ -102,6 +103,12 @@ class TestCertifySimplified:
             elements=(np.eye(2) * 0.5, np.eye(2) * 0.5),
         )
         with pytest.raises(NotProjective):
+            certify_simplified(ORTH, povm)
+
+    def test_pairing_checked_before_projectivity(self):
+        # a non-projective POVM of the wrong dimension fails on the pairing
+        povm = GeneralPOVM(dim=3, elements=(np.eye(3) * 0.5, np.eye(3) * 0.5))
+        with pytest.raises(DimensionMismatch):
             certify_simplified(ORTH, povm)
 
     def test_inconclusive_band(self):

@@ -6,9 +6,20 @@ import sys
 import numpy as np
 import pytest
 
+import medli.certify
 from conftest import FIXED, FIXTURES, GOLDEN, GOLDEN_CASES, MALFORMED, ORTH, PI6, RANDOM_D4, SRC
+from medli import certify_full, certify_simplified, random_ensemble, solve
 from medli.cli import main
-from medli.serialize import dumps, ensemble_from_doc, ensemble_to_doc, load_json
+from medli.linalg import DEFAULT_TOL, haar_unitary
+from medli.pgm import _measurement
+from medli.serialize import (
+    dumps,
+    ensemble_from_doc,
+    ensemble_to_doc,
+    load_json,
+    measurement_to_doc,
+    povm_from_doc,
+)
 
 
 def run_cli(*argv):
@@ -240,6 +251,73 @@ class TestCertifyCommand:
         code, _, err = run_cli("certify", FIXED, str(path))
         assert code == 2
         assert "ranks" in err
+
+    def test_pairs_the_measurement_once(self, monkeypatch, capsys):
+        calls = []
+        pair = medli.certify._pair
+
+        def counting_pair(*args):
+            calls.append(args)
+            return pair(*args)
+
+        monkeypatch.setattr(medli.certify, "_pair", counting_pair)
+        code = main(["certify", ORTH, str(GOLDEN / "solve_orthogonal.json"), "--quiet"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["orth", "orth_swapped", "solve_random_d4", "haar_d6"])
+    def test_report_reads_the_library_certifiers(self, case, tmp_path, capsys):
+        # one certify_full report carries both verdicts, bit for bit what the
+        # two public certifiers give on the parsed file
+        if case == "haar_d6":
+            ensemble = random_ensemble(6, (2, 2, 1, 1), seed=6)
+            states = tmp_path / "states.json"
+            states.write_text(dumps(ensemble_to_doc(ensemble)))
+            haar = haar_unitary(6, np.random.default_rng(6))
+            meas_doc = measurement_to_doc(_measurement(haar, ensemble, DEFAULT_TOL))
+        elif case == "solve_random_d4":
+            states = RANDOM_D4
+            ensemble = ensemble_from_doc(load_json(RANDOM_D4)[0])
+            meas_doc = measurement_to_doc(solve(ensemble).measurement)
+        else:
+            states = ORTH
+            ensemble = ensemble_from_doc(load_json(ORTH)[0])
+            meas_doc = load_json(GOLDEN / "solve_orthogonal.json")[0]["measurement"]
+            if case == "orth_swapped":
+                meas_doc["elements"] = meas_doc["elements"][::-1]
+        meas = tmp_path / "meas.json"
+        meas.write_text(dumps(meas_doc))
+        povm = povm_from_doc(load_json(meas)[0])
+        full, simplified = certify_full(ensemble, povm), certify_simplified(ensemble, povm)
+
+        main(["certify", str(states), str(meas), "--quiet"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residuals"] == {
+            "stationarity": full.stationarity_residual,
+            "min_slack_eig": full.min_slack_eig,
+            "positivity_min_eig": full.positivity_min_eig,
+            "hermiticity": full.hermiticity_residual,
+        }
+        assert doc["dual_value"] == full.dual_value
+        assert doc["verdict"] == full.verdict
+        assert doc["simplified_verdict"] == simplified.verdict
+
+    @pytest.mark.parametrize("projective", [True, False])
+    def test_mismatched_measurement_is_input_error(self, projective, tmp_path):
+        # a qubit measurement against the d=3 states, projective or not
+        if projective:
+            elements = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                        [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+        else:
+            half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+            elements = [half, half]
+        path = tmp_path / "qubit_meas.json"
+        path.write_text(json.dumps({"schema_version": "med-li/1", "dim": 2, "elements": elements}))
+        code, out, err = run_cli("certify", FIXED, str(path))
+        assert code == 2
+        assert out == b""
+        assert "input error" in err and "does not match ensemble" in err
 
 
 class TestMapCommand:

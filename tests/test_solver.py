@@ -58,10 +58,11 @@ class TestSolveOracle:
         result = solve_oracle(ens)
         assert result.success_prob == pytest.approx(oracle_value, abs=1e-6)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr("medli.solver.ORACLE_BUDGET", 50)
         ens = random_ensemble(3, (1, 1, 1), seed=1)
-        with pytest.raises(BudgetExceeded):
-            solve_oracle(ens, budget=50)
+        with pytest.raises(BudgetExceeded, match="budget of 50 evaluations"):
+            solve_oracle(ens)
 
     def test_rejects_large_instances(self):
         ens = random_ensemble(5, (2, 2, 1), seed=1)
