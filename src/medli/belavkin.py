@@ -75,7 +75,7 @@ def _pair(ensemble: Ensemble, measurement) -> _Pairing:
     outcome order, so K has the bits of the running sum of the m products.
     """
     elements = np.asarray(check_pair(ensemble, measurement))
-    weighted = np.asarray(ensemble.weighted_states())
+    weighted = ensemble.weighted_states()
     return _Pairing(weighted, elements, (weighted @ elements).sum(axis=0))
 
 
@@ -233,10 +233,7 @@ class RoundtripReport:
 
 
 def _max_weighted_deviation(first: Ensemble, second: Ensemble) -> float:
-    worst = 0.0
-    for a, b in zip(first.weighted_states(), second.weighted_states()):
-        worst = max(worst, float(np.abs(a - b).max()))
-    return worst
+    return float(np.abs(first.weighted_states() - second.weighted_states()).max())
 
 
 def roundtrip_check(ensemble: Ensemble, solver, tol: Tolerances = DEFAULT_TOL) -> RoundtripReport:

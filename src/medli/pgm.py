@@ -5,9 +5,9 @@ columns are sqrt(p_i lambda_ik) v_ik over the range eigenpairs of every state,
 so that sigma = Psi Psi^dag (Hausladen-Wootters 1994; Eldar-Forney, IEEE TIT
 47, 858 (2001)). One SVD Psi = U S V^dag gives the PGM unitary W = U V^dag,
 whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
-frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. The
-range eigenpairs come from ``Ensemble.range_pairs``, kept by validation, so no
-state is eigendecomposed here.
+frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. Psi
+is ``Ensemble.psi``, formed by validation from the range eigenpairs its LI
+test counted, so no state is eigendecomposed here.
 Every measurement medli builds, the PGM and each solver restart's, comes
 from a unitary through ``_measurement``; outside input is validated by
 ``certify.rank_matched``.
@@ -44,19 +44,15 @@ def _projectors_from_unitary(u: np.ndarray, slices) -> list[np.ndarray]:
 def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, G, sigma^{1/2}) from one SVD of Psi, with G = W^dag sigma^{1/2} W.
 
-    Psi stacks the range eigenpairs validation kept (``range_pairs``), the
-    same ones that fixed the rank signature. Column block i of the unitary W
+    Psi is ``Ensemble.psi``, built by validation from the range eigenpairs
+    that fixed the rank signature. Column block i of the unitary W
     (``_signature_slices``) spans PGM projector i, so G is sigma^{1/2} in the
     PGM's block frame. Raises SigmaSingular if sigma's smallest eigenvalue
     is at most tol_psd, then if its condition number exceeds COND_LIMIT.
     W is not checked here: ``_measurement`` checks it when a measurement is
     built from it, and the fixed-point test reads only G.
     """
-    cols = [
-        vecs * np.sqrt(p * np.clip(lam, 0.0, None))
-        for p, (lam, vecs) in zip(ensemble.priors, ensemble.range_pairs)
-    ]
-    u, s, vh = np.linalg.svd(np.hstack(cols))
+    u, s, vh = np.linalg.svd(ensemble.psi)
     smallest, largest = float(s[-1]) ** 2, float(s[0]) ** 2
     if smallest <= tol.tol_psd:
         raise SigmaSingular(f"average state has smallest eigenvalue {smallest:.3e}")

@@ -313,7 +313,7 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
     is returned when no restart certifies.
     """
     cfg = config or SolveConfig()
-    stack = np.asarray(ensemble.weighted_states())
+    stack = ensemble.weighted_states()
     space = _Horizontal.of(_signature_slices(ensemble.rank_signature), ensemble.dim)
 
     best: SolveResult | None = None
@@ -490,8 +490,7 @@ def helstrom_comparator(ensemble: Ensemble) -> float:
     """
     if ensemble.m != 2:
         raise NotTwoState(f"comparator needs exactly 2 states, got {ensemble.m}")
-    gap = herm(
-        ensemble.priors[0] * ensemble.states[0] - ensemble.priors[1] * ensemble.states[1]
-    )
+    weighted = ensemble.weighted_states()
+    gap = herm(weighted[0] - weighted[1])
     eigvals = np.linalg.eigvalsh(gap)
     return float(ensemble.priors[1] + eigvals[eigvals > 0.0].sum())

@@ -74,6 +74,46 @@ def near_collinear(dim, signature, noise, seed):
     return validate_ensemble(rng.dirichlet(np.ones(len(signature))), states)
 
 
+def range_projectors(ensemble):
+    """Projectors onto the top r_i eigenvectors of each state."""
+    tops = [
+        np.linalg.eigh(rho)[1][:, -r:] for rho, r in zip(ensemble.states, ensemble.rank_signature)
+    ]
+    return [top @ top.conj().T for top in tops]
+
+
+def gu_pure(dim, seed):
+    """Pure geometrically uniform ensemble and its seed vector psi_0.
+
+    psi_k = U^k psi_0 for k < dim, with U = diag(omega^j), omega = e^{2 pi i / dim},
+    a seeded normalized psi_0 and equal priors. Every amplitude of psi_0 is
+    nonzero, so the ensemble is LI, and its PGM is optimal with success
+    probability (sum_j |psi_0j|)^2 / dim (Ban, Kurokawa, Momose, Hirota,
+    IJTP 36, 1269 (1997)).
+    """
+    rng = np.random.default_rng(seed)
+    psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi0 /= np.linalg.norm(psi0)
+    j = np.arange(dim)
+    vecs = [np.exp(2j * np.pi * (j * k % dim) / dim) * psi0 for k in range(dim)]
+    return validate_ensemble(np.full(dim, 1.0 / dim), [np.outer(v, v.conj()) for v in vecs]), psi0
+
+
+def gu_mixed(dim, m, rank, seed):
+    """Mixed geometrically uniform ensemble rho_k = U^k rho_0 U^{-k}, k < m, and U.
+
+    U = diag(e^{2 pi i (j mod m) / m}) has order m, rho_0 is a seeded
+    rank-``rank`` density matrix (m * rank == dim) and the priors are equal.
+    """
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho0 = vecs @ vecs.conj().T
+    rho0 = (rho0 + rho0.conj().T) / (2 * np.trace(rho0).real)
+    u = np.diag(np.exp(2j * np.pi * (np.arange(dim) % m) / m))
+    states = [np.linalg.matrix_power(u, k) @ rho0 @ np.linalg.matrix_power(u, -k) for k in range(m)]
+    return validate_ensemble(np.full(m, 1.0 / m), [(s + s.conj().T) / 2 for s in states]), u
+
+
 def haar_restart(ensemble, seed):
     """One ``solve`` restart from the first Haar unitary of ``default_rng(seed)``."""
     space = _Horizontal.of(_signature_slices(ensemble.rank_signature), ensemble.dim)

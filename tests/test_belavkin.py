@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import angle_measurement, near_collinear, pure_pair, qubit_angle_oracle
+from conftest import (
+    angle_measurement,
+    near_collinear,
+    pure_pair,
+    qubit_angle_oracle,
+    range_projectors,
+)
 from medli import (
     DimensionMismatch,
     NotOptimalPair,
@@ -224,3 +230,27 @@ def test_optimal_measurement_equals_pgm_of_image(seed):
     image_pgm = pgm(derived)
     for a, b in zip(image_pgm.projectors, result.measurement.projectors):
         assert np.abs(a - b).max() <= 1e-8
+
+
+SUPPORT_CASES = [
+    *(("random", 12, (3, 2, 4, 1, 2), seed) for seed in range(3)),
+    ("random", 16, (2,) * 8, 0),
+    ("near_collinear", 8, (2, 2, 2, 2), 1),
+]
+
+
+@pytest.mark.parametrize("kind,dim,sig,seed", SUPPORT_CASES)
+def test_both_maps_keep_each_state_support(kind, dim, sig, seed):
+    # at an optimum Z Pi_i = p_i rho_i Pi_i, so sigma_i ~ Z Pi_i Z has range(rho_i)
+    if kind == "random":
+        ens = random_ensemble(dim, sig, seed=seed)
+    else:
+        ens = near_collinear(dim, sig, 0.05, seed)
+    result = solve(ens)
+    assert result.certified
+    derived = forward_map(ens, result.measurement, result.certificate)
+    pre_image, _, _, _ = inverse_map(ens)
+    want = range_projectors(ens)
+    for image in (derived, pre_image):
+        for a, b in zip(range_projectors(image), want):
+            assert np.linalg.norm(a - b) <= 1e-9

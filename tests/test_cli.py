@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -56,7 +57,7 @@ class TestExitCodePartition:
         assert "line" in err
 
     def test_field_error_names_field(self, tmp_path):
-        doc = json.loads(open(ORTH).read())
+        doc = json.loads(pathlib.Path(ORTH).read_text())
         doc["states"][1][0][1] = [0.0]
         bad = tmp_path / "bad_field.json"
         bad.write_text(json.dumps(doc))
@@ -148,7 +149,7 @@ class TestExitCodePartition:
 
     def test_nan_prior_is_input_error(self, tmp_path):
         # json accepts the NaN literal; the validator must reject the value
-        doc = json.loads(open(ORTH).read())
+        doc = json.loads(pathlib.Path(ORTH).read_text())
         doc["priors"][0] = float("nan")
         bad = tmp_path / "nan_prior.json"
         bad.write_text(json.dumps(doc))
@@ -236,7 +237,7 @@ class TestCertifyCommand:
     def test_rank_mismatched_measurement_rejected(self, tmp_path):
         # fixed_point_d3 has signature (2,1); feed it projectors of ranks (1,2)
         meas = self._measurement_file(tmp_path, FIXED)
-        doc = json.loads(open(meas).read())
+        doc = json.loads(pathlib.Path(meas).read_text())
         rng = np.random.default_rng(0)
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q, _ = np.linalg.qr(z)

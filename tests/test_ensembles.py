@@ -19,6 +19,7 @@ from medli import (
     validate_povm,
     validate_projective,
 )
+from medli.ensembles import PERTURBATION
 from medli.linalg import haar_unitary, herm
 from reference import average_state, is_pd
 
@@ -186,3 +187,20 @@ class TestRandomEnsemble:
     def test_invalid_signature(self):
         with pytest.raises(InvalidSignature):
             random_ensemble(3, (2, 2), seed=0)
+
+    def test_stacked_range_vectors_meet_the_weyl_bound(self):
+        # each exp(i PERTURBATION H) moves one state's range basis by at most
+        # PERTURBATION from Haar columns, so s_min / s_max of the stacked
+        # range vectors is at least (1 - 0.1 sqrt(m)) / (1 + 0.1 sqrt(m))
+        for dim in range(2, 33):
+            pairs = (2,) * (dim // 2) + (1,) * (dim % 2)
+            for sig in ((1,) * dim, pairs, (3,) + (1,) * (dim - 3)):
+                if len(sig) < 2 or sum(sig) != dim:
+                    continue
+                ens = random_ensemble(dim, sig, seed=dim)
+                stacked = np.hstack(
+                    [np.linalg.eigh(rho)[1][:, -r:] for rho, r in zip(ens.states, sig)]
+                )
+                svals = np.linalg.svd(stacked, compute_uv=False)
+                spread = PERTURBATION * np.sqrt(len(sig))
+                assert svals[-1] / svals[0] >= (1 - spread) / (1 + spread)

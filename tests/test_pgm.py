@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import pure_pair
+from conftest import pure_pair, range_projectors
 from medli import (
     NotProjectiveAfterPGM,
     SigmaSingular,
@@ -19,7 +19,7 @@ from medli import (
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
-from medli.pgm import _measurement
+from medli.pgm import _measurement, _signature_slices
 from reference import (
     average_state,
     block_decompose,
@@ -181,12 +181,22 @@ def test_frame_stationarity_matches_pairwise(sig):
 
 @SWEEP
 def test_stored_range_pairs_and_stacked_slacks(sig):
+    # Psi and the p_i rho_i stack stored by validation, then the stacked slacks
     ens = random_ensemble(sum(sig), sig, seed=700 + sum(sig))
-    assert len(ens.range_pairs) == ens.m
-    for rho, r, (lam, vecs) in zip(ens.states, ens.rank_signature, ens.range_pairs):
-        assert vecs.shape == (ens.dim, r) and lam.shape == (r,)
-        assert not lam.flags.writeable and not vecs.flags.writeable
-        assert np.abs((vecs * lam) @ vecs.conj().T - rho).max() <= 1e-12
+    psi, weighted = ens.psi, ens.weighted_states()
+    assert psi.shape == (ens.dim, ens.dim) and weighted.shape == (ens.m, ens.dim, ens.dim)
+    assert not psi.flags.writeable and not weighted.flags.writeable
+    assert np.abs(psi @ psi.conj().T - average_state(ens)).max() <= 1e-12
+    blocks = _signature_slices(ens.rank_signature)
+    for i, (block, rho, r, support) in enumerate(
+        zip(blocks, ens.states, ens.rank_signature, range_projectors(ens))
+    ):
+        cols = psi[:, block]
+        assert cols.shape == (ens.dim, r)
+        assert np.abs(cols @ cols.conj().T - weighted[i]).max() <= 1e-12
+        basis = np.linalg.qr(cols)[0]
+        assert np.linalg.norm(basis @ basis.conj().T - support) <= 1e-9
+        assert np.array_equal(weighted[i], ens.priors[i] * rho)
     pre_image, _, image_certificate, _ = inverse_map(ens)
     for certificate, weighted in (
         (dual_operator(ens, pgm(ens)), ens.weighted_states()),
