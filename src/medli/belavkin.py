@@ -35,7 +35,7 @@ from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
 from .pgm import _measurement, _polar, _signature_slices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
     """The dual operator Z, its trace, and per-state slack spectra.
 
@@ -52,7 +52,7 @@ class DualCertificate:
     herm_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapArtifacts:
     """Intermediates of the inverse map: the X_i and sigma^{1/2}."""
 
@@ -191,14 +191,14 @@ def inverse_map(
     of G on the kernel coordinates. The product's block-i columns are G's up
     to round-off, so (sigma^{1/2} - X_i) Pi_i is zero to machine precision.
     The X_i are normalized into an ensemble. Each A is a principal block of
-    G, so by Cauchy interlacing its smallest eigenvalue is at least G's,
-    s_min >= s_min^2, which ``_polar`` has already held above tol_psd.
+    G, so by Cauchy interlacing lambda_min(A) >= s_min >= s_max 10^-6 > 0,
+    by ``_polar``'s gate on cond(sigma) = (s_max / s_min)^2.
 
     Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
     certificate that self-certifies with no solver involved, and the map
     intermediates.
     """
-    w, frame, sigma_sqrt = _polar(ensemble, tol)
+    w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
     x_ops = []
     for block in _signature_slices(ensemble.rank_signature):

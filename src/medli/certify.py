@@ -168,7 +168,7 @@ def fixpoint_check(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Fixpoin
     pinching keeps the diagonal blocks G_ii, and the Frobenius residual is
     unchanged by the unitary change of frame.
     """
-    _, frame, _ = _polar(ensemble, tol)
+    _, frame, _ = _polar(ensemble)
     pinched = np.zeros_like(frame)
     for block in _signature_slices(ensemble.rank_signature):
         pinched[block, block] = frame[block, block]

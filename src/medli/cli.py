@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in _TOL_FLAGS:
             p.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None, dest=flag)
         if solves:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--restarts", type=int, default=16)
+            p.add_argument("--seed", type=int, default=SolveConfig.seed)
+            p.add_argument("--restarts", type=int, default=SolveConfig.restarts)
         return p
 
     p = command("solve", "find and certify the optimal measurement", "input", solves=True)

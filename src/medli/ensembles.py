@@ -53,7 +53,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Prior-weighted list of density matrices with its rank signature.
 
@@ -67,8 +67,8 @@ class Ensemble:
     priors: np.ndarray
     states: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
-    psi: np.ndarray = field(repr=False, compare=False)
-    _weighted: np.ndarray = field(repr=False, compare=False)
+    psi: np.ndarray = field(repr=False)
+    _weighted: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -79,7 +79,7 @@ class Ensemble:
         return self._weighted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
     """Mutually orthogonal projectors summing to the identity.
 
@@ -92,14 +92,14 @@ class ProjectiveMeasurement:
     dim: int
     projectors: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
-    unitary: np.ndarray | None = field(default=None, repr=False, compare=False)
+    unitary: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.projectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralPOVM:
     """PSD elements summing to the identity; pre-validation input type."""
 

@@ -64,7 +64,7 @@ class FileFormatError(MEDError):
 # --- maps and measurements ---
 
 class SigmaSingular(MEDError):
-    """The ensemble average state is singular or too ill-conditioned to invert."""
+    """The ensemble average state's condition number exceeds COND_LIMIT (or it is singular)."""
 
 
 class NotProjectiveAfterPGM(MEDError):

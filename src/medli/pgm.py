@@ -7,7 +7,8 @@ so that sigma = Psi Psi^dag (Hausladen-Wootters 1994; Eldar-Forney, IEEE TIT
 whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
 frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. Psi
 is ``Ensemble.psi``, formed by validation from the range eigenpairs its LI
-test counted, so no state is eigendecomposed here.
+test counted, so no state is eigendecomposed here. The one test on sigma is
+cond(sigma) <= COND_LIMIT, read off the same SVD, not a verdict tolerance.
 Every measurement medli builds, the PGM and each solver restart's, comes
 from a unitary through ``_measurement``; outside input is validated by
 ``certify.rank_matched``.
@@ -22,7 +23,7 @@ from .errors import NotProjectiveAfterPGM, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, herm
 
 # Beyond this condition number of the average state, near-dependent ensembles
-# are outside the stable regime.
+# are outside the stable regime: the one gate on sigma.
 COND_LIMIT = 1e12
 
 
@@ -41,23 +42,22 @@ def _projectors_from_unitary(u: np.ndarray, slices) -> list[np.ndarray]:
     return [herm(u[:, s] @ u[:, s].conj().T) for s in slices]
 
 
-def _polar(ensemble: Ensemble, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, G, sigma^{1/2}) from one SVD of Psi, with G = W^dag sigma^{1/2} W.
 
     Psi is ``Ensemble.psi``, built by validation from the range eigenpairs
     that fixed the rank signature. Column block i of the unitary W
     (``_signature_slices``) spans PGM projector i, so G is sigma^{1/2} in the
-    PGM's block frame. Raises SigmaSingular if sigma's smallest eigenvalue
-    is at most tol_psd, then if its condition number exceeds COND_LIMIT.
+    PGM's block frame. Raises SigmaSingular when s_max^2 > COND_LIMIT s_min^2,
+    a test with no division, so an exactly zero s_min is refused too.
     W is not checked here: ``_measurement`` checks it when a measurement is
     built from it, and the fixed-point test reads only G.
     """
     u, s, vh = np.linalg.svd(ensemble.psi)
     smallest, largest = float(s[-1]) ** 2, float(s[0]) ** 2
-    if smallest <= tol.tol_psd:
-        raise SigmaSingular(f"average state has smallest eigenvalue {smallest:.3e}")
-    if largest / smallest > COND_LIMIT:
-        raise SigmaSingular(f"average state condition number {largest / smallest:.3e} too large")
+    if largest > COND_LIMIT * smallest:
+        eigs = f"eigenvalues {largest:.3e} and {smallest:.3e}"
+        raise SigmaSingular(f"average state condition number above {COND_LIMIT:.0e}: {eigs}")
     g = herm((vh.conj().T * s) @ vh)
     sigma_sqrt = herm((u * s) @ u.conj().T)
     return u @ vh, g, sigma_sqrt
@@ -69,7 +69,7 @@ def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurem
     Projector i is W_i W_i^dag for column block i of the polar factor W of
     Psi, built by ``_measurement``.
     """
-    w, _, _ = _polar(ensemble, tol)
+    w, _, _ = _polar(ensemble)
     return _measurement(w, ensemble, tol)
 
 

@@ -63,7 +63,7 @@ class SolveConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """A candidate optimum with its certificate.
 
@@ -108,7 +108,7 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
     return gens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Horizontal:
     """Coordinates of the horizontal directions for one rank signature.
 
@@ -287,13 +287,14 @@ def _restart(ensemble: Ensemble, stack, space: _Horizontal, u0, tol: Tolerances)
     return _finish(ensemble, u, steps + len(values) - 1, tol)
 
 
-def _starts(ensemble: Ensemble, cfg: SolveConfig, tol: Tolerances):
-    """The PGM start unless ``_polar`` fails, then seeded Haar unitaries.
+def _starts(ensemble: Ensemble, cfg: SolveConfig):
+    """The PGM start, then seeded Haar unitaries.
 
-    Yields cfg.restarts starts, each built only when a restart uses it.
+    Yields cfg.restarts starts, each built only when a restart uses it. Past
+    COND_LIMIT ``_polar`` refuses sigma, so every start is a Haar unitary.
     """
     try:
-        starts = [_polar(ensemble, tol)[0]]
+        starts = [_polar(ensemble)[0]]
     except MEDError:
         starts = []
     yield from starts
@@ -318,7 +319,7 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
 
     best: SolveResult | None = None
     failure = ""
-    for u0 in _starts(ensemble, cfg, tol):
+    for u0 in _starts(ensemble, cfg):
         try:
             result = _restart(ensemble, stack, space, u0, tol)
         except MEDError as exc:
@@ -462,12 +463,9 @@ def generate_fixed_point(dim: int, rank_signature, seed: int, tol: Tolerances = 
     off = random_hermitian(dim, rng)
     for s in slices:
         off[s, s] = 0.0
-    spectral = float(np.abs(np.linalg.eigvalsh(off)).max()) if np.any(off) else 0.0
-    # the off-diagonal part has spectral norm 0.5, so by Weyl's inequality
-    # base has its eigenvalues in [0.5, 1.5] and is PD
-    base = np.eye(dim, dtype=complex)
-    if spectral > 0.0:
-        base = base + (0.5 / spectral) * off
+    # off != 0 (two or more blocks); scaled to norm 0.5, base's eigenvalues lie in [0.5, 1.5]
+    spectral = float(np.abs(np.linalg.eigvalsh(off)).max())
+    base = np.eye(dim, dtype=complex) + (0.5 / spectral) * off
     root = base / np.sqrt(float(np.trace(base @ base).real))
     w = haar_unitary(dim, rng)
     weighted = []

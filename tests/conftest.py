@@ -20,6 +20,8 @@ PI6 = str(FIXTURES / "theta_pi6_pair.json")
 FIXED = str(FIXTURES / "fixed_point_d3.json")
 RANDOM_D4 = str(FIXTURES / "random_d4.json")
 MALFORMED = str(FIXTURES / "malformed.json")
+# pure_pair(1e-6): cond(sigma) 4.0e12, beyond COND_LIMIT
+NEAR_SINGULAR = str(FIXTURES / "near_singular_pair.json")
 
 # Golden report name -> (expected exit code, CLI argv). Each report is the
 # command's byte-exact stdout; UPDATE_GOLDEN=1 pytest tests/test_cli.py

@@ -28,6 +28,15 @@ def write(name, text):
     print(f"wrote {path}")
 
 
+def pure_pair(theta):
+    """Equal-prior real qubit pair |0> and cos(theta)|0> + sin(theta)|1>."""
+    psi1 = np.array([1.0, 0.0])
+    psi2 = np.array([np.cos(theta), np.sin(theta)])
+    return validate_ensemble(
+        [0.5, 0.5], [np.outer(psi1, psi1), np.outer(psi2, psi2)]
+    )
+
+
 def main():
     FIXTURES.mkdir(exist_ok=True)
 
@@ -36,13 +45,12 @@ def main():
     )
     write("orthogonal_pair.json", dumps(ensemble_to_doc(orth, label="orthogonal pair")))
 
-    theta = np.pi / 6
-    psi1 = np.array([1.0, 0.0])
-    psi2 = np.array([np.cos(theta), np.sin(theta)])
-    pair = validate_ensemble(
-        [0.5, 0.5], [np.outer(psi1, psi1), np.outer(psi2, psi2)]
-    )
+    pair = pure_pair(np.pi / 6)
     write("theta_pi6_pair.json", dumps(ensemble_to_doc(pair, label="equal-prior pure pair, overlap cos(pi/6)")))
+
+    # cond(sigma) 4.0e12, beyond the average state's COND_LIMIT
+    near = pure_pair(1e-6)
+    write("near_singular_pair.json", dumps(ensemble_to_doc(near, label="equal-prior pure pair, overlap cos(1e-6)")))
 
     fixed = generate_fixed_point(3, (2, 1), seed=5)
     write("fixed_point_d3.json", dumps(ensemble_to_doc(fixed, label="fixed-point d=3 signature (2,1) seed 5")))

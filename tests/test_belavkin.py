@@ -184,11 +184,12 @@ class TestInverseMap:
                 for sig in ((1,) * d, (2,) * (d // 2 - 1) + (1,) * (2 + d % 2))
             ]
         else:
-            # down to the noise at which the sigma gate starts to refuse
+            # the last five have cond(sigma) 2.3e10 to 5.2e11, inside COND_LIMIT
             stiff = [(d, noise) for d in (4, 6, 8) for noise in (3e-2, 3e-3)] + [(4, 3e-4), (6, 1e-3)]
+            stiff += [(4, 1e-5), (6, 3e-5), (8, 1e-4), (12, 3e-4), (16, 3e-4)]
             cases = [near_collinear(d, (1,) * d, noise, seed=d) for d, noise in stiff]
         for ens in cases:
-            _, g, _ = _polar(ens, DEFAULT_TOL)
+            _, g, _ = _polar(ens)
             low = np.linalg.eigvalsh(g)[0]
             for block in _signature_slices(ens.rank_signature):
                 assert np.linalg.eigvalsh(g[block, block])[0] >= low - 1e-15

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import medli.certify
-from conftest import FIXED, FIXTURES, GOLDEN, GOLDEN_CASES, MALFORMED, ORTH, PI6, RANDOM_D4, SRC
+from conftest import FIXED, FIXTURES, GOLDEN, GOLDEN_CASES, MALFORMED, NEAR_SINGULAR, ORTH, PI6, RANDOM_D4, SRC
 from medli import certify_full, certify_simplified, random_ensemble, solve
 from medli.cli import main
 from medli.linalg import DEFAULT_TOL, haar_unitary
@@ -72,8 +72,8 @@ class TestExitCodePartition:
         assert json.loads(out)["verdict"] != "Optimal"
 
     def test_numerical_failure(self):
-        # same bar makes the average state fail its PD check inside the PGM
-        code, out, err = run_cli("fixpoint", RANDOM_D4, "--tol-psd", "0.6")
+        # the average state's condition number is beyond COND_LIMIT, so the PGM is refused
+        code, out, err = run_cli("fixpoint", NEAR_SINGULAR)
         assert code == 4
         assert "numerical failure" in err
 

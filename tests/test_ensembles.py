@@ -13,7 +13,9 @@ from medli import (
     PriorsInvalid,
     RankSumMismatch,
     StateNotDensity,
+    inverse_map,
     random_ensemble,
+    solve,
     success_probability,
     validate_ensemble,
     validate_povm,
@@ -21,6 +23,8 @@ from medli import (
 )
 from medli.ensembles import PERTURBATION
 from medli.linalg import haar_unitary, herm
+from medli.pgm import _signature_slices
+from medli.solver import _Horizontal
 from reference import average_state, is_pd
 
 ORTH_STATES = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
@@ -204,3 +208,21 @@ class TestRandomEnsemble:
                 svals = np.linalg.svd(stacked, compute_uv=False)
                 spread = PERTURBATION * np.sqrt(len(sig))
                 assert svals[-1] / svals[0] >= (1 - spread) / (1 + spread)
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # records holding arrays have identity equality: comparing, hashing and
+    # set membership never reach an ndarray's elementwise ==
+    ens = random_ensemble(4, (2, 1, 1), seed=1)
+    twin = random_ensemble(4, (2, 1, 1), seed=1)
+    result = solve(ens)
+    _, _, _, artifacts = inverse_map(ens)
+    povm = GeneralPOVM(dim=4, elements=result.measurement.projectors)
+    space = _Horizontal.of(_signature_slices(ens.rank_signature), ens.dim)
+    records = [ens, twin, result, result.measurement, result.certificate, povm, artifacts, space]
+    for record in records:
+        assert record == record
+        assert hash(record) == hash(record)
+    assert ens != twin
+    assert len(set(records)) == len(records)
+    assert ens in {ens} and twin not in {ens}

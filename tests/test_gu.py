@@ -14,7 +14,7 @@ from conftest import gu_mixed, gu_pure
 from medli import fixpoint_check, inverse_map, pgm, solve, success_probability
 
 
-@pytest.mark.parametrize("dim", [4, 8, 16, 32])
+@pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
 def test_pure_gu_is_a_fixed_point_with_the_closed_form_optimum(dim):
     ens, psi0 = gu_pure(dim, seed=dim)
     closed_form = float(np.abs(psi0).sum() ** 2 / dim)
@@ -28,7 +28,7 @@ def test_pure_gu_is_a_fixed_point_with_the_closed_form_optimum(dim):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("dim,m,rank", [(6, 3, 2), (12, 4, 3), (12, 3, 4)])
+@pytest.mark.parametrize("dim,m,rank", [(6, 3, 2), (12, 4, 3), (12, 3, 4), (64, 8, 8)])
 def test_mixed_gu_optimum_is_covariant(dim, m, rank, seed):
     ens, u = gu_mixed(dim, m, rank, seed)
     assert ens.rank_signature == (rank,) * m

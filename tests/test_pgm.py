@@ -107,8 +107,21 @@ def test_sigma_conditioning_guard():
     # condition limit of the average state
     theta = 1e-6
     ens = pure_pair(theta)
-    with pytest.raises(SigmaSingular):
+    with pytest.raises(SigmaSingular, match="condition number"):
         pgm(ens)
+
+
+def test_exactly_singular_psi_is_refused_without_division():
+    # p_2 * 2e-8 underflows to 0, so Psi has an exactly zero singular value
+    # although the ensemble passes validation
+    ens = validate_ensemble(
+        [1.0, 5e-324], [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0 - 2e-8, 2e-8])]
+    )
+    assert ens.rank_signature == (1, 2)
+    assert np.linalg.svd(ens.psi, compute_uv=False)[-1] == 0.0
+    for build in (pgm, fixpoint_check, inverse_map):
+        with pytest.raises(SigmaSingular, match="condition number"):
+            build(ens)
 
 
 def _ambient_reference(ensemble, projectors):

@@ -8,6 +8,7 @@ from medli import (
     NoConvergence,
     NotProjectiveAfterPGM,
     NotTwoState,
+    SigmaSingular,
     SolveConfig,
     certify_simplified,
     fixpoint_check,
@@ -23,7 +24,7 @@ from medli import (
 )
 from medli.certify import OPTIMAL
 from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
-from medli.pgm import _measurement, _polar
+from medli.pgm import COND_LIMIT, _measurement, _polar
 from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
     _finish,
@@ -230,6 +231,38 @@ class TestSolve:
         known = success_probability(pre_image, measurement)
         assert result.success_prob == pytest.approx(known, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [4, 6, 8, 12, 16])
+    def test_certifies_known_answers_up_to_the_condition_limit(self, dim):
+        # P = inverse_map(Q) has the known optimum PGM(Q) wherever cond(sigma_Q)
+        # is within COND_LIMIT; beyond it the map refuses Q
+        stiffest = 0.0
+        for noise in (1e-3, 3e-4, 1e-4):
+            for seed in (1, 2):
+                image = near_collinear(dim, (1,) * dim, noise, seed)
+                s = np.linalg.svd(image.psi, compute_uv=False)
+                cond = float(s[0] / s[-1]) ** 2
+                if cond > COND_LIMIT:
+                    with pytest.raises(SigmaSingular):
+                        inverse_map(image)
+                    continue
+                pre_image, measurement, _, _ = inverse_map(image)
+                result = solve(pre_image)
+                assert result.certified
+                known = success_probability(pre_image, measurement)
+                assert abs(result.success_prob - known) <= 1e-12
+                stiffest = max(stiffest, cond)
+        # past cond 1e9, where an absolute tol_psd test on sigma would refuse Q
+        assert stiffest > 1e9
+
+    def test_haar_starts_certify_beyond_the_condition_limit(self):
+        # cond(sigma) 4.0e12: no PGM start, yet a Haar start certifies
+        ens = pure_pair(1e-6)
+        with pytest.raises(SigmaSingular):
+            pgm(ens)
+        result = solve(ens)
+        assert result.certified
+        assert result.success_prob == pytest.approx(helstrom_comparator(ens), abs=1e-12)
+
     def test_uncertified_best_effort_returned(self):
         ens = random_ensemble(3, (1, 1, 1), seed=15)
         # an impossible positivity bar makes certification fail but the
@@ -306,7 +339,7 @@ class TestPolarSteps:
         for sig in sorted(sig for sig in sigs if len(sig) > 1):
             for seed in range(2):
                 ens = generate_fixed_point(dim, sig, seed=seed)
-                u, _, _ = _polar(ens, DEFAULT_TOL)
+                u, _, _ = _polar(ens)
                 space = _Horizontal.of(_signature_slices(sig), dim)
                 moved, steps = _polar_steps(np.asarray(ens.weighted_states()), u, space)
                 assert steps == 0
