@@ -147,9 +147,10 @@ def forward_map(
 ) -> Ensemble:
     """Derived ensemble {q_i, sigma_i} of an optimal dual pair.
 
-    q_i = Tr(Z^2 Pi_i) / Tr(Z^2) and sigma_i = Z Pi_i Z / Tr(Z^2 Pi_i).
-    Refuses to run unless the pair actually certifies: the map is only
-    defined at optimal dual pairs, and solving is the caller's job.
+    q_i = Tr(Z^2 Pi_i) / Tr(Z^2) and sigma_i = Z Pi_i Z / Tr(Z^2 Pi_i), each
+    formed for all i at once on the (m, d, d) stack of projectors. Refuses
+    to run unless the pair actually certifies: the map is only defined at
+    optimal dual pairs, and solving is the caller's job.
     """
     pairing = _pair(ensemble, measurement)
     elements = pairing.elements
@@ -162,15 +163,14 @@ def forward_map(
     z = certificate.z
     z2 = z @ z
     tr_z2 = float(np.trace(z2).real)
-    weights = [float(np.trace(z2 @ e).real) for e in elements]
-    if min(weights) < tol.tol_psd:
+    weights = np.trace(z2 @ elements, axis1=1, axis2=2).real
+    if weights.min() < tol.tol_psd:
         raise NotOptimalPair(
-            f"outcome weight Tr(Z^2 Pi_i) = {min(weights):.3e} vanishes; "
+            f"outcome weight Tr(Z^2 Pi_i) = {weights.min():.3e} vanishes; "
             "not an optimal dual pair of an LI ensemble"
         )
-    priors = [w / tr_z2 for w in weights]
-    states = [herm(z @ e @ z) / w for w, e in zip(weights, elements)]
-    derived = validate_ensemble(priors, states, tol)
+    states = herm(z @ elements @ z) / weights[:, None, None]
+    derived = validate_ensemble(weights / tr_z2, states, tol)
     if derived.rank_signature != ensemble.rank_signature:
         raise NotOptimalPair(
             f"derived signature {derived.rank_signature} != {ensemble.rank_signature}"
@@ -187,10 +187,11 @@ def inverse_map(
     coordinates of block i span projector i's range and the others its
     kernel, so the blocks A, B, C of sigma^{1/2} are slices of G. The paper's
     X_i = [[A, B], [B^dag, B^dag A^{-1} B]] is then G[:, i] A^{-1} G[i, :],
-    rotated back by W once, and Delta_i = C - B^dag A^{-1} B is what it leaves
+    one solve per block, and Delta_i = C - B^dag A^{-1} B is what it leaves
     of G on the kernel coordinates. The product's block-i columns are G's up
     to round-off, so (sigma^{1/2} - X_i) Pi_i is zero to machine precision.
-    The X_i are normalized into an ensemble. Each A is a principal block of
+    The X_i are rotated back by W and normalized into an ensemble as one
+    (m, d, d) stack. Each A is a principal block of
     G, so by Cauchy interlacing lambda_min(A) >= s_min >= s_max 10^-6 > 0,
     by ``_polar``'s gate on cond(sigma) = (s_max / s_min)^2.
 
@@ -200,16 +201,14 @@ def inverse_map(
     """
     w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
-    x_ops = []
-    for block in _signature_slices(ensemble.rank_signature):
+    inner = np.empty((ensemble.m, ensemble.dim, ensemble.dim), dtype=complex)
+    for out, block in zip(inner, _signature_slices(ensemble.rank_signature)):
         col = frame[:, block]
-        inner = col @ np.linalg.solve(col[block], col.conj().T)
-        x_ops.append(herm(w @ inner @ w.conj().T))
-    traces = [float(np.trace(x).real) for x in x_ops]
-    total = sum(traces)
-    priors = [t / total for t in traces]
-    states = [x / t for x, t in zip(x_ops, traces)]
-    pre_image = validate_ensemble(priors, states, tol)
+        np.matmul(col, np.linalg.solve(col[block], col.conj().T), out=out)
+    x_ops = herm(w @ inner @ w.conj().T)
+    traces = np.trace(x_ops, axis1=1, axis2=2).real
+    total = sum(traces.tolist())
+    pre_image = validate_ensemble(traces / total, x_ops / traces[:, None, None], tol)
     if pre_image.rank_signature != ensemble.rank_signature:
         raise MEDError(
             f"inverse map changed the rank signature: {pre_image.rank_signature} "

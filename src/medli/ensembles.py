@@ -4,8 +4,8 @@ An ensemble is linearly independent (LI) when the union of all states'
 eigenvectors (above the rank cutoff) is a linearly independent set spanning
 the space; this forces the state ranks to sum to the dimension. Validators
 always recompute the rank signature rather than trusting the input, since
-everything downstream keys on exact ranks. ``validate_ensemble``
-eigendecomposes all states in one stacked call and forms, once, Psi from
+everything downstream keys on exact ranks. The validators check all
+matrices as one (m, d, d) stack; ``validate_ensemble`` forms, once, Psi from
 the very range eigenpairs the LI test counted (its polar factor is the PGM,
 :mod:`medli.pgm`) and the stack of weighted states p_i rho_i.
 """
@@ -32,14 +32,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_square,
-    check_hermitian,
     expi_herm,
     haar_unitary,
     herm,
     projector_defect,
     random_hermitian,
     rank_cutoff_mask,
-    rank_eps,
 )
 
 
@@ -48,9 +46,9 @@ PERTURBATION = 0.1
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.setflags(write=False)
-    return out
+    """The array itself, made read-only; callers pass only arrays they alone hold."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,63 +138,73 @@ def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
 
 def _li_ranks(
     w: np.ndarray, v: np.ndarray, dim: int, tol: Tolerances
-) -> tuple[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]]:
-    """State ranks and range eigenpairs, if the range eigenvectors form a basis.
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """State ranks, range mask and range eigenvectors, if those vectors form a basis.
 
     ``w`` and ``v`` are the stacked eigenvalues (m, d) and eigenvectors
-    (m, d, d) of the states' Hermitian parts. Raises RankSumMismatch or
+    (m, d, d) of the states' Hermitian parts. One row-wise
+    ``rank_cutoff_mask`` marks every state's range eigenpairs, and one
+    boolean gather lays their eigenvectors side by side, state by state, as
+    the d x d matrix the LI test reads. Raises RankSumMismatch or
     NotLinearlyIndependent otherwise.
     """
-    pairs = []
-    for lam, vecs in zip(w, v):
-        keep = rank_cutoff_mask(lam, tol)
-        pairs.append((lam[keep], vecs[:, keep]))
-    ranks = tuple(vecs.shape[1] for _, vecs in pairs)
+    keep = rank_cutoff_mask(w, tol)
+    ranks = tuple(keep.sum(axis=1).tolist())
     if sum(ranks) != dim:
         raise RankSumMismatch(f"state ranks {ranks} sum to {sum(ranks)}, dim is {dim}")
-    svals = np.linalg.svd(np.hstack([vecs for _, vecs in pairs]), compute_uv=False)
+    basis = v.transpose(1, 0, 2)[:, keep]
+    svals = np.linalg.svd(basis, compute_uv=False)
     if not svals[-1] > tol.tol_rank * svals[0]:
         raise NotLinearlyIndependent(
             f"stacked eigenvectors have singular value ratio {svals[-1] / svals[0]:.3e}"
         )
-    return ranks, pairs
+    return ranks, keep, basis
 
 
-def _square_family(items, what: str, nonfinite) -> tuple[list[np.ndarray], int]:
-    """Same-shape square matrices and their dimension (0 for none).
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True entry, None if there is none."""
+    return int(np.argmax(bad)) if bad.any() else None
 
-    A non-finite entry raises ``nonfinite``, the caller's invariant class.
+
+def _square_stack(items, what: str, nonfinite) -> np.ndarray:
+    """A fresh (m, d, d) complex stack of same-shape square matrices.
+
+    The first matrix of another shape raises DimensionMismatch, unless an
+    earlier one has a non-finite entry: that raises ``nonfinite``, the
+    caller's invariant class.
     """
     mats = [as_square(x) for x in items]
     dim = mats[0].shape[0] if mats else 0
-    for idx, mat in enumerate(mats):
-        if mat.shape != (dim, dim):
-            raise DimensionMismatch(f"{what} {idx} has shape {mat.shape}, expected {(dim, dim)}")
-        if not np.all(np.isfinite(mat)):
-            raise nonfinite(f"{what} {idx} has non-finite entries")
-    return mats, dim
+    n = next((idx for idx, mat in enumerate(mats) if mat.shape != (dim, dim)), len(mats))
+    stack = np.array(mats[:n], dtype=complex).reshape(n, dim, dim)
+    if (idx := _first(~np.isfinite(stack).all(axis=(1, 2)))) is not None:
+        raise nonfinite(f"{what} {idx} has non-finite entries")
+    if n < len(mats):
+        raise DimensionMismatch(f"{what} {n} has shape {mats[n].shape}, expected {(dim, dim)}")
+    return stack
 
 
-def _hermitian_stack(mats, what: str, error, tol: Tolerances) -> np.ndarray:
-    """The (m, d, d) stack of Hermitian parts; ``error`` unless each is Hermitian within tol."""
-    for idx, mat in enumerate(mats):
-        try:
-            check_hermitian(mat, tol)
-        except ValueError as exc:
-            raise error(f"{what} {idx}: {exc}") from exc
-    stack = np.asarray(mats)
-    return (stack + stack.conj().swapaxes(-2, -1)) / 2.0
+def _hermitian_part(stack: np.ndarray, what: str, error, tol: Tolerances) -> np.ndarray:
+    """``herm`` of each matrix in the stack, after the package's one hermiticity rule.
+
+    Matrix M is Hermitian when max|M - M^dag| <= tol_herm * max(1, max|M|),
+    entrywise; ``error`` names the first matrix that is not.
+    """
+    defect = np.abs(stack - stack.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(stack).max(axis=(-2, -1), initial=1.0)
+    if (idx := _first(defect > tol.tol_herm * scale)) is not None:
+        raise error(f"{what} {idx}: matrix is not Hermitian: max entry defect {defect[idx]:.3e}")
+    return herm(stack)
 
 
 def _check_psd(eigvals: np.ndarray, what: str, error, tol: Tolerances) -> None:
     """Raise ``error`` unless every row of stacked ascending eigenvalues is >= -tol_psd."""
-    for idx, low in enumerate(eigvals[:, 0]):
-        if low < -tol.tol_psd:
-            raise error(f"{what} {idx} has eigenvalue {low:.3e}")
+    if (idx := _first(eigvals[:, 0] < -tol.tol_psd)) is not None:
+        raise error(f"{what} {idx} has eigenvalue {eigvals[idx, 0]:.3e}")
 
 
-def _check_complete(mats, dim: int, tol: Tolerances) -> None:
-    defect = float(np.linalg.norm(sum(mats) - np.eye(dim)))
+def _check_complete(stack: np.ndarray, tol: Tolerances) -> None:
+    defect = float(np.linalg.norm(sum(stack) - np.eye(stack.shape[-1])))
     if defect > tol.tol_recon:
         raise NotComplete(f"elements sum to identity only within {defect:.3e}")
 
@@ -204,15 +212,17 @@ def _check_complete(mats, dim: int, tol: Tolerances) -> None:
 def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Check membership in the LI ensemble class and build the Ensemble.
 
-    All states are eigendecomposed in one stacked call; its eigenvalues feed
-    the PSD gate and the LI test, and the range eigenpairs the LI test
-    counted build ``psi``, next to the stack of p_i rho_i. Raises
-    PriorsInvalid, StateNotDensity, RankSumMismatch, or
-    NotLinearlyIndependent naming the first violated invariant.
+    The states are copied into one (m, d, d) stack, and each check runs once
+    over it: finiteness, hermiticity, one stacked eigendecomposition whose
+    eigenvalues feed the PSD gate and the LI test, and the traces. The range
+    eigenpairs the LI test counted build ``psi`` with one gather, next to the
+    stack of p_i rho_i; ``states`` are read-only views of the frozen stack.
+    Raises PriorsInvalid, StateNotDensity, RankSumMismatch, or
+    NotLinearlyIndependent naming the first violated invariant and state.
     """
-    pr = np.asarray(priors, dtype=float).reshape(-1)
-    mats, dim = _square_family(states, "state", StateNotDensity)
-    m = len(mats)
+    pr = np.asarray(priors, dtype=float).flatten()
+    stack = _square_stack(states, "state", StateNotDensity)
+    m, dim = stack.shape[0], stack.shape[-1]
     if m < 2:
         raise DimensionMismatch(f"an ensemble needs at least 2 states, got {m}")
     if pr.shape[0] != m:
@@ -221,69 +231,64 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
         raise PriorsInvalid(f"priors must be finite and strictly positive, got {pr.tolist()}")
     if abs(pr.sum() - 1.0) > tol.tol_recon:
         raise PriorsInvalid(f"priors sum to {pr.sum()!r}, not 1")
-    w, v = np.linalg.eigh(_hermitian_stack(mats, "state", StateNotDensity, tol))
+    w, v = np.linalg.eigh(_hermitian_part(stack, "state", StateNotDensity, tol))
     _check_psd(w, "state", StateNotDensity, tol)
-    for idx, mat in enumerate(mats):
-        trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > tol.tol_recon:
-            raise StateNotDensity(f"state {idx} has trace {trace!r}, not 1")
-    ranks, pairs = _li_ranks(w, v, dim, tol)
-    pr, mats = _frozen(pr), [_frozen(mat) for mat in mats]
-    psi = [vecs * np.sqrt(p * np.clip(lam, 0.0, None)) for p, (lam, vecs) in zip(pr, pairs)]
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    if (idx := _first(np.abs(traces - 1.0) > tol.tol_recon)) is not None:
+        raise StateNotDensity(f"state {idx} has trace {float(traces[idx])!r}, not 1")
+    ranks, keep, basis = _li_ranks(w, v, dim, tol)
+    psi = basis * np.sqrt(pr[:, None] * np.clip(w, 0.0, None))[keep]
     return Ensemble(
         dim=dim,
-        priors=pr,
-        states=tuple(mats),
+        priors=_frozen(pr),
+        states=tuple(_frozen(stack)),
         rank_signature=ranks,
-        psi=_frozen(np.hstack(psi)),
-        _weighted=_frozen([p * rho for p, rho in zip(pr, mats)]),
+        psi=_frozen(psi),
+        _weighted=_frozen(pr[:, None, None] * stack),
     )
 
 
 def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
-    """Check mutual orthogonality and completeness of a projector family."""
-    mats, dim = _square_family(projectors, "element", NotProjector)
-    if not mats:
+    """Check projector defects, completeness and orthogonality, by rows of P_i P_{j > i}."""
+    stack = _square_stack(projectors, "element", NotProjector)
+    if not len(stack):
         raise DimensionMismatch("a measurement needs at least one element")
-    for idx, p in enumerate(mats):
+    for idx, p in enumerate(stack):
         defect = projector_defect(p)
         if defect > tol.tol_recon:
             raise NotProjector(f"element {idx} has projector defect {defect:.3e}")
-    _check_complete(mats, dim, tol)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            cross = float(np.linalg.norm(mats[i] @ mats[j]))
-            if cross > tol.tol_recon:
-                raise NotOrthogonal(f"elements {i} and {j} overlap by {cross:.3e}")
+    _check_complete(stack, tol)
+    for i in range(len(stack) - 1):
+        cross = np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(-2, -1))
+        if (j := _first(cross > tol.tol_recon)) is not None:
+            raise NotOrthogonal(f"elements {i} and {i + 1 + j} overlap by {cross[j]:.3e}")
+    ranks = rank_cutoff_mask(np.linalg.eigvalsh(herm(stack)), tol).sum(axis=1)
     return ProjectiveMeasurement(
-        dim=dim,
-        projectors=tuple(_frozen(p) for p in mats),
-        rank_signature=tuple(rank_eps(p, tol) for p in mats),
+        dim=stack.shape[-1],
+        projectors=tuple(_frozen(stack)),
+        rank_signature=tuple(ranks.tolist()),
     )
 
 
 def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
     """Check PSD-ness and completeness of general POVM elements."""
-    mats, dim = _square_family(elements, "element", NotPSD)
-    if not mats:
+    stack = _square_stack(elements, "element", NotPSD)
+    if not len(stack):
         raise DimensionMismatch("a POVM needs at least one element")
-    eigvals = np.linalg.eigvalsh(_hermitian_stack(mats, "element", NotPSD, tol))
+    eigvals = np.linalg.eigvalsh(_hermitian_part(stack, "element", NotPSD, tol))
     _check_psd(eigvals, "element", NotPSD, tol)
-    _check_complete(mats, dim, tol)
-    return GeneralPOVM(dim=dim, elements=tuple(_frozen(e) for e in mats))
+    _check_complete(stack, tol)
+    return GeneralPOVM(dim=stack.shape[-1], elements=tuple(_frozen(stack)))
 
 
 def detection_profile(ensemble: Ensemble, measurement) -> list[float]:
-    """Per-state detection weights p_i Tr(rho_i E_i).
+    """Per-state detection weights p_i Tr(rho_i E_i), from one batched trace.
 
     At a fixed point of the Belavkin transform these are proportional to the
     state ranks; for rank-one signatures they are all equal.
     """
-    elements = check_pair(ensemble, measurement)
-    return [
-        float(p * np.trace(rho @ e).real)
-        for p, rho, e in zip(ensemble.priors, ensemble.states, elements)
-    ]
+    products = np.asarray(ensemble.states) @ np.asarray(check_pair(ensemble, measurement))
+    return (ensemble.priors * np.trace(products, axis1=1, axis2=2).real).tolist()
 
 
 def success_probability(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -1,9 +1,9 @@
 """Tolerance-aware linear algebra for dense complex Hermitian matrices.
 
-The helpers here are Hermitian parts and defects, the hermiticity check,
-rank tests on Hermitian eigenvalues, seeded random unitaries and unitary
-exponentials. The PGM, sigma^{1/2} and the blocks of sigma^{1/2} in the
-PGM's frame come from one SVD in :mod:`medli.pgm`.
+The helpers here are Hermitian parts and defects, rank tests on Hermitian
+eigenvalues (of one matrix or, row by row, of a stack), seeded random
+unitaries and unitary exponentials. The PGM, sigma^{1/2} and the blocks of
+sigma^{1/2} in the PGM's frame come from one SVD in :mod:`medli.pgm`.
 Matrices are plain complex numpy arrays; domain-level structure is validated
 by the callers in :mod:`medli.ensembles`.
 """
@@ -55,9 +55,9 @@ def as_square(mat) -> np.ndarray:
 
 
 def herm(mat) -> np.ndarray:
-    """Hermitian part (M + M^dag) / 2."""
-    arr = as_square(mat)
-    return (arr + arr.conj().T) / 2.0
+    """Hermitian part (M + M^dag) / 2 of a matrix, or of each matrix in a stack."""
+    arr = np.asarray(mat, dtype=complex)
+    return (arr + arr.conj().swapaxes(-2, -1)) / 2.0
 
 
 def hermiticity_defect(mat) -> float:
@@ -72,29 +72,18 @@ def projector_defect(mat) -> float:
     return float(np.linalg.norm(arr @ arr - arr)) + hermiticity_defect(arr)
 
 
-def check_hermitian(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Return the matrix, raising ValueError if it is not Hermitian within tol_herm."""
-    arr = as_square(mat)
-    scale = max(1.0, float(np.abs(arr).max()) if arr.size else 1.0)
-    defect = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-    if defect > tol.tol_herm * scale:
-        raise ValueError(f"matrix is not Hermitian: max entry defect {defect:.3e}")
-    return arr
-
-
 def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of eigenvalues above the relative cutoff tol_rank * max|eigenvalue|.
 
     The cutoff scale falls back to 1 for the zero matrix, so rank_eps(0) = 0.
     """
-    return int(np.sum(rank_cutoff_mask(np.linalg.eigvalsh(herm(mat)), tol)))
+    return int(np.sum(rank_cutoff_mask(np.linalg.eigvalsh(herm(as_square(mat))), tol)))
 
 
 def rank_cutoff_mask(eigvals: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Which eigenvalues lie above tol_rank * max|eigenvalue| (scale 1 if all are 0)."""
-    amax = float(np.abs(eigvals).max()) if eigvals.size else 0.0
-    scale = amax if amax > 0.0 else 1.0
-    return np.abs(eigvals) > tol.tol_rank * scale
+    """Which eigenvalues lie above tol_rank * max|eigenvalue| (scale 1 if all are 0), row-wise."""
+    amax = np.abs(eigvals).max(axis=-1, keepdims=True, initial=0.0)
+    return np.abs(eigvals) > tol.tol_rank * np.where(amax > 0.0, amax, 1.0)
 
 
 # --- seeded random material and unitary exponentials ---

@@ -37,9 +37,12 @@ def _signature_slices(signature) -> list[slice]:
     return slices
 
 
-def _projectors_from_unitary(u: np.ndarray, slices) -> list[np.ndarray]:
-    """Projectors U_i U_i^dag onto the column blocks of a unitary."""
-    return [herm(u[:, s] @ u[:, s].conj().T) for s in slices]
+def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
+    """The (m, d, d) stack of projectors U_i U_i^dag onto a unitary's column blocks."""
+    stack = np.empty((len(slices), *u.shape), dtype=complex)
+    for out, s in zip(stack, slices):
+        np.matmul(u[:, s], u[:, s].conj().T, out=out)
+    return herm(stack)
 
 
 def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,8 +82,9 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
     W is a unitary medli built: the PGM's or a solver restart's. Once
     ||W^dag W - Id||_F <= tol_recon, the projectors W_i W_i^dag are
     idempotent, mutually orthogonal, complete and of the states' ranks by
-    construction, so no validation pass follows, and W is kept on the
-    measurement as its frame (``unitary``). Raises NotProjectiveAfterPGM
+    construction, so no validation pass follows, and a copy of W is kept on
+    the measurement as its frame (``unitary``). The projectors are read-only
+    views of one frozen (m, d, d) stack. Raises NotProjectiveAfterPGM
     otherwise.
     """
     defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
@@ -89,7 +93,7 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
     projectors = _projectors_from_unitary(w, _signature_slices(ensemble.rank_signature))
     return ProjectiveMeasurement(
         dim=ensemble.dim,
-        projectors=tuple(_frozen(p) for p in projectors),
+        projectors=tuple(_frozen(projectors)),
         rank_signature=ensemble.rank_signature,
-        unitary=_frozen(w),
+        unitary=_frozen(np.array(w)),
     )

@@ -7,8 +7,8 @@ eigendecomposition, the PGM as sigma^{-1/2} (p_i rho_i) sigma^{-1/2}, and the
 blocks of sigma^{1/2} in a basis adapted to each projector with the Schur
 complement of the range block. Tests check the frame path against them.
 The package never calls the small helpers here either (the average state,
-positivity tests and the NotPD error they raise); tests use them as
-independent references.
+the one-matrix hermiticity check, positivity tests and the NotPD error they
+raise); tests use them as independent references.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from medli.linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_square,
-    check_hermitian,
     herm,
     projector_defect,
 )
@@ -40,6 +39,16 @@ def average_state(ensemble: Ensemble) -> np.ndarray:
     for p, rho in zip(ensemble.priors, ensemble.states):
         acc += p * rho
     return herm(acc)
+
+
+def check_hermitian(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Return the matrix, raising ValueError if it is not Hermitian within tol_herm."""
+    arr = as_square(mat)
+    scale = max(1.0, float(np.abs(arr).max()) if arr.size else 1.0)
+    defect = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+    if defect > tol.tol_herm * scale:
+        raise ValueError(f"matrix is not Hermitian: max entry defect {defect:.3e}")
+    return arr
 
 
 def min_eig(mat) -> float:

@@ -14,6 +14,7 @@ from medli import (
     SolverFailed,
     certify_full,
     certify_simplified,
+    detection_profile,
     dual_operator,
     forward_map,
     inverse_map,
@@ -255,3 +256,37 @@ def test_both_maps_keep_each_state_support(kind, dim, sig, seed):
     for image in (derived, pre_image):
         for a, b in zip(range_projectors(image), want):
             assert np.linalg.norm(a - b) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "dim, sig", [(2, (1, 1)), (5, (2, 2, 1)), (8, (1,) * 8), (9, (3, 2, 2, 1, 1))]
+)
+def test_stacked_maps_match_per_state_loops(dim, sig):
+    # both maps, the measurement builder and the detection weights work on
+    # (m, d, d) stacks; the per-state loops here do the same arithmetic, so
+    # every number agrees to the bit
+    q = random_ensemble(dim, sig, seed=dim)
+    w, frame, _ = _polar(q)
+    slices = _signature_slices(sig)
+    x_ops = []
+    for s in slices:
+        col = frame[:, s]
+        x_ops.append(herm(w @ (col @ np.linalg.solve(col[s], col.conj().T)) @ w.conj().T))
+    traces = [float(np.trace(x).real) for x in x_ops]
+    pre_image, measurement, certificate, artifacts = inverse_map(q)
+    projectors = [herm(w[:, s] @ w[:, s].conj().T) for s in slices]
+    assert np.array_equal(measurement.projectors, projectors)
+    assert np.array_equal(artifacts.x_ops, x_ops)
+    assert pre_image.priors.tolist() == [t / sum(traces) for t in traces]
+    assert np.array_equal(pre_image.states, [x / t for x, t in zip(x_ops, traces)])
+
+    z = certificate.z
+    weights = [float(np.trace(z @ z @ e).real) for e in measurement.projectors]
+    derived = forward_map(pre_image, measurement, certificate)
+    assert derived.priors.tolist() == [v / float(np.trace(z @ z).real) for v in weights]
+    expected = [herm(z @ e @ z) / v for v, e in zip(weights, measurement.projectors)]
+    assert np.array_equal(derived.states, expected)
+
+    elements = pgm(q).projectors
+    profile = [float(p * np.trace(rho @ e).real) for p, rho, e in zip(q.priors, q.states, elements)]
+    assert detection_profile(q, pgm(q)) == profile

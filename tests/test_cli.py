@@ -412,3 +412,32 @@ def test_golden_reports(name):
         path.write_bytes(out)
     assert path.exists(), f"golden file {name} missing; run with UPDATE_GOLDEN=1"
     assert out == path.read_bytes()
+
+
+# Runs the closed-form path, solve and the CLI in a fresh interpreter, so no
+# other test's imports reach sys.modules. numpy.ma (pulled in by np.unique,
+# among others) costs about 1 MB of resident memory on every medli process.
+NO_MASKED_ARRAYS = """
+import sys
+import medli
+from medli.cli import main
+from medli.serialize import ensemble_from_doc, load_json
+
+ens = ensemble_from_doc(load_json(sys.argv[1])[0])
+pre_image, measurement, certificate, _ = medli.inverse_map(ens)
+medli.certify_simplified(pre_image, measurement)
+medli.certify_full(pre_image, measurement)
+medli.forward_map(pre_image, measurement, certificate)
+medli.fixpoint_check(ens)
+assert medli.solve(ens).certified
+assert main(["fixpoint", sys.argv[2], "--quiet"]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_library_and_cli_do_not_import_numpy_ma():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, RANDOM_D4, FIXED], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

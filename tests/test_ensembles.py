@@ -8,12 +8,14 @@ from medli import (
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
+    NotOrthogonal,
     NotProjector,
     NotPSD,
     PriorsInvalid,
     RankSumMismatch,
     StateNotDensity,
     inverse_map,
+    pgm,
     random_ensemble,
     solve,
     success_probability,
@@ -21,11 +23,11 @@ from medli import (
     validate_povm,
     validate_projective,
 )
-from medli.ensembles import PERTURBATION
-from medli.linalg import haar_unitary, herm
+from medli.ensembles import PERTURBATION, _hermitian_part
+from medli.linalg import DEFAULT_TOL, Tolerances, haar_unitary, herm, rank_cutoff_mask
 from medli.pgm import _signature_slices
 from medli.solver import _Horizontal
-from reference import average_state, is_pd
+from reference import average_state, check_hermitian, is_pd
 
 ORTH_STATES = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
@@ -92,6 +94,113 @@ class TestValidateEnsemble:
             ens.states[0][0, 0] = 5.0
 
 
+def _orth_d3():
+    return [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
+
+
+def _with_bad(bad_states):
+    states = _orth_d3()
+    states[1], states[2] = bad_states
+    return states
+
+
+FIRST_OFFENDER = {
+    "non-finite": (
+        (np.diag([0.0, np.nan, 1.0]), np.diag([np.inf, 0.0, 1.0])),
+        r"state 1 has non-finite entries",
+    ),
+    "non-hermitian": (
+        (
+            np.diag([0.0, 1.0, 0.0]) + 0.1 * np.eye(3, k=1),
+            np.diag([0.0, 0.0, 1.0]) + 0.1j * np.eye(3, k=-1),
+        ),
+        r"state 1: matrix is not Hermitian",
+    ),
+    "negative eigenvalue": (
+        (np.diag([-0.1, 1.1, 0.0]), np.diag([0.0, -0.1, 1.1])),
+        r"state 1 has eigenvalue -1\.000e-01",
+    ),
+    "trace": (
+        (np.diag([0.0, 2.0, 0.0]), np.diag([0.0, 0.0, 2.0])),
+        r"state 1 has trace 2\.0, not 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_OFFENDER))
+def test_first_offending_state_is_named(case):
+    # states 1 and 2 both fail the same check; the message names state 1
+    bad_states, message = FIRST_OFFENDER[case]
+    with pytest.raises(StateNotDensity, match=message) as info:
+        validate_ensemble([0.2, 0.3, 0.5], _with_bad(bad_states))
+    assert "state 2" not in str(info.value)
+
+
+def test_non_finite_state_named_before_a_later_bad_shape():
+    states = _orth_d3()
+    states[0] = np.diag([1.0, np.nan, 0.0])
+    states[1] = np.eye(2)
+    with pytest.raises(StateNotDensity, match=r"state 0 has non-finite entries"):
+        validate_ensemble([0.2, 0.3, 0.5], states)
+
+
+def test_validated_arrays_are_private_and_read_only():
+    # validating from an (m, d, d) ndarray copies it: mutating the input
+    # afterwards changes nothing, and every array the records hold is read-only
+    source = random_ensemble(4, (2, 1, 1), seed=3)
+    stack, priors = np.array(source.states), np.array(source.priors)
+    ens = validate_ensemble(priors, stack)
+    def held():
+        return (ens.priors, np.asarray(ens.states), ens.weighted_states(), ens.psi)
+
+    before = [arr.copy() for arr in held()]
+    stack[:] = 0.0
+    priors[:] = 0.0
+    for arr, kept in zip(held(), before):
+        assert np.array_equal(arr, kept)
+    for arr in (ens.priors, *ens.states, ens.weighted_states(), ens.psi, *pgm(ens).projectors):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize(
+    "dim, sig", [(2, (1, 1)), (5, (2, 2, 1)), (8, (1,) * 8), (9, (3, 2, 2, 1, 1))]
+)
+def test_stacked_validation_matches_per_state_loops(dim, sig):
+    # validation builds psi and the weighted states from (m, d, d) stacks; the
+    # per-state loops here do the same arithmetic, so they agree to the bit
+    ens = random_ensemble(dim, sig, seed=dim)
+    psi = []
+    for p, rho in zip(ens.priors, ens.states):
+        lam, vecs = np.linalg.eigh(herm(rho))
+        keep = rank_cutoff_mask(lam)
+        psi.append(vecs[:, keep] * np.sqrt(p * np.clip(lam[keep], 0.0, None)))
+    assert np.array_equal(ens.psi, np.hstack(psi))
+    weighted = [p * rho for p, rho in zip(ens.priors, ens.states)]
+    assert np.array_equal(ens.weighted_states(), weighted)
+
+
+def test_stacked_hermiticity_rule_matches_the_one_matrix_check():
+    # defects straddle tol_herm * max(1, max|M|), with entries below and above 1
+    rng = np.random.default_rng(5)
+    stack = []
+    for scale in (0.5, 1.0, 30.0):
+        for defect in (0.5, 0.99, 1.01, 2.0):
+            mat = scale * herm(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            mat[0, 3] += defect * DEFAULT_TOL.tol_herm * max(1.0, float(np.abs(mat).max()))
+            stack.append(mat)
+    stack = np.array(stack)
+    for idx, mat in enumerate(stack):
+        try:
+            check_hermitian(mat)
+        except ValueError as exc:
+            with pytest.raises(NotPSD, match=f"^element 0: {exc}$"):
+                _hermitian_part(stack[idx:], "element", NotPSD, DEFAULT_TOL)
+        else:
+            part = _hermitian_part(stack[idx : idx + 1], "element", NotPSD, DEFAULT_TOL)
+            assert np.array_equal(part[0], herm(mat))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 class TestNonFiniteRejected:
     """NaN compares False against every bound, so each validator tests finiteness first."""
@@ -128,6 +237,16 @@ class TestValidateProjective:
         proj = herm(u[:, :2] @ u[:, :2].conj().T)
         meas = validate_projective([proj, np.eye(5) - proj])
         assert meas.rank_signature == (2, 3)
+
+    def test_first_overlapping_pair_in_row_order(self):
+        # diagonal near-projectors, each within tol_recon = 0.35 of idempotent,
+        # summing to the identity; pairs (0, 3) and (1, 2) both overlap by 0.36,
+        # and the scan by rows meets (0, 3) first
+        x = [0.6, -0.2, 0.0, 0.6]
+        y = [0.0, 0.6, 0.6, -0.2]
+        elements = [np.diag([a, b]) for a, b in zip(x, y)]
+        with pytest.raises(NotOrthogonal, match=r"^elements 0 and 3 overlap by 3\.600e-01$"):
+            validate_projective(elements, Tolerances(tol_recon=0.35))
 
 
 class TestSuccessProbability:
