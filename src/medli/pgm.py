@@ -45,22 +45,37 @@ def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
     return herm(stack)
 
 
-def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, G, sigma^{1/2}) from one SVD of Psi, with G = W^dag sigma^{1/2} W.
+def _psi_svd(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD Psi = U S V^dag, behind the one gate on sigma.
 
     Psi is ``Ensemble.psi``, built by validation from the range eigenpairs
-    that fixed the rank signature. Column block i of the unitary W
-    (``_signature_slices``) spans PGM projector i, so G is sigma^{1/2} in the
-    PGM's block frame. Raises SigmaSingular when s_max^2 > COND_LIMIT s_min^2,
-    a test with no division, so an exactly zero s_min is refused too.
-    W is not checked here: ``_measurement`` checks it when a measurement is
-    built from it, and the fixed-point test reads only G.
+    that fixed the rank signature. Raises SigmaSingular when
+    s_max^2 > COND_LIMIT s_min^2, a test with no division, so an exactly
+    zero s_min is refused too.
     """
     u, s, vh = np.linalg.svd(ensemble.psi)
     smallest, largest = float(s[-1]) ** 2, float(s[0]) ** 2
     if largest > COND_LIMIT * smallest:
         eigs = f"eigenvalues {largest:.3e} and {smallest:.3e}"
         raise SigmaSingular(f"average state condition number above {COND_LIMIT:.0e}: {eigs}")
+    return u, s, vh
+
+
+def _pgm_unitary(ensemble: Ensemble) -> np.ndarray:
+    """The PGM unitary W = U V^dag alone, for callers that read nothing else."""
+    u, _, vh = _psi_svd(ensemble)
+    return u @ vh
+
+
+def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, G, sigma^{1/2}) from one SVD of Psi (``_psi_svd``), with G = W^dag sigma^{1/2} W.
+
+    Column block i of the unitary W (``_signature_slices``) spans PGM
+    projector i, so G is sigma^{1/2} in the PGM's block frame. W is not
+    checked here: ``_measurement`` checks it when a measurement is built from
+    it, and the fixed-point test reads only G.
+    """
+    u, s, vh = _psi_svd(ensemble)
     g = herm((vh.conj().T * s) @ vh)
     sigma_sqrt = herm((u * s) @ u.conj().T)
     return u @ vh, g, sigma_sqrt
@@ -70,10 +85,9 @@ def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurem
     """Pretty good measurement of an LI ensemble, as projectors.
 
     Projector i is W_i W_i^dag for column block i of the polar factor W of
-    Psi, built by ``_measurement``.
+    Psi (``_pgm_unitary``), built by ``_measurement``.
     """
-    w, _, _ = _polar(ensemble)
-    return _measurement(w, ensemble, tol)
+    return _measurement(_pgm_unitary(ensemble), ensemble, tol)
 
 
 def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> ProjectiveMeasurement:

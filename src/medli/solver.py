@@ -2,12 +2,15 @@
 
 ``solve`` searches the manifold of rank-compatible projective measurements
 (parameterized as column-block partitions of a unitary). Each restart, from
-the PGM and then from seeded Haar unitaries, reads K~ = U^dag K U with
-K = sum_i p_i rho_i Pi_i from one frame of the current U. Polar steps
-U <- U polar(K~), one d x d SVD each, drive K towards Hermitian PSD, the
-paper's simplified optimality condition. A saddle-free Riemannian Newton
-ascent on Re Tr K~ finishes, building its Hessian only where the polar steps
-stall; its gradient norm is the certificate's hermiticity residual.
+the PGM and then from seeded Haar unitaries, reads M = K U with
+K = sum_i p_i rho_i Pi_i from one batched mat-vec: column a of M is
+W_{l(a)} u_a, W_i = p_i rho_i and l(a) the block of coordinate a, so no
+frame U^dag W_i U of every state is formed. Polar steps U <- polar(K U), one
+d x d SVD each and O(d^3) in all, drive K towards Hermitian PSD, the paper's
+simplified optimality condition. A saddle-free Riemannian Newton ascent on
+Re Tr K~, K~ = U^dag K U, finishes, building its Hessian only where the
+polar steps stall; its gradient norm is the certificate's hermiticity
+residual.
 It accepts a result only when the simplified certificate says Optimal: the
 certificate is the acceptance authority, not the optimizer's convergence
 flag, because the simplified condition is an iff for this problem class.
@@ -23,6 +26,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +36,14 @@ from .certify import OPTIMAL, CertificationReport, certify_simplified
 from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
+    _frozen,
     check_signature,
     success_probability,
     validate_ensemble,
 )
 from .errors import BudgetExceeded, MEDError, NoConvergence, NotTwoState
 from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian
-from .pgm import _measurement, _polar, _projectors_from_unitary, _signature_slices
+from .pgm import _measurement, _pgm_unitary, _projectors_from_unitary, _signature_slices
 
 # Each restart takes at most this many polar steps before Newton.
 POLAR_STEPS = 30
@@ -108,6 +113,16 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
     return gens
 
 
+def _k_times(per_coord: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """M = K U for K = sum_i W_i U_i U_i^dag, U_i the column blocks of u.
+
+    ``per_coord[a]`` is W_{l(a)}, the weighted state of coordinate a's block,
+    and U_i U_i^dag u_a = u_a exactly when a lies in block i, so column a of M
+    is W_{l(a)} u_a: one batched mat-vec, O(d^3). K~ = U^dag K U is U^dag M.
+    """
+    return (per_coord @ u.T[..., None])[..., 0].T
+
+
 @dataclass(frozen=True, eq=False)
 class _Horizontal:
     """Coordinates of the horizontal directions for one rank signature.
@@ -115,7 +130,8 @@ class _Horizontal:
     ``labels[a]`` is the block of coordinate a. The horizontal generators are
     the Hermitian K with K_ab != 0 only where labels[a] != labels[b]; for each
     such pair a < b (``rows``, ``cols``) K_ab = (x + i y) / sqrt(2), so the real
-    vector z = [x; y] is orthonormal under the trace inner product.
+    vector z = [x; y] is orthonormal under the trace inner product. One
+    read-only space is built per signature and shared by every solve.
     """
 
     labels: np.ndarray
@@ -124,10 +140,8 @@ class _Horizontal:
 
     @classmethod
     def of(cls, slices, dim: int) -> "_Horizontal":
-        labels = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
-        rows, cols = np.triu_indices(dim, 1)
-        keep = labels[rows] != labels[cols]
-        return cls(labels, rows[keep], cols[keep])
+        """The shared space of the signature whose d = dim coordinates ``slices`` partition."""
+        return _horizontal(tuple(s.stop - s.start for s in slices))
 
     def generator(self, z: np.ndarray) -> np.ndarray:
         """The Hermitian K with coordinates z."""
@@ -137,18 +151,8 @@ class _Horizontal:
         k[self.rows, self.cols] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
         return k + k.conj().T
 
-    def frame(self, stack: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The stack tilde of W~_i = U^dag W_i U for W_i = p_i rho_i, then K~.
-
-        K~ = U^dag K U = sum_i W~_i E_i, so column a of K~ is column a of
-        W~_{l(a)}.
-        """
-        tilde = u.conj().T @ stack @ u
-        coords = np.arange(len(self.labels))
-        return tilde, tilde[self.labels, :, coords].T
-
     def value_and_gradient(self, k: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective Re Tr K~ and its gradient in z, from ``frame``'s K~.
+        """Objective Re Tr K~ and its gradient in z, from K~ = U^dag K U.
 
         Moving to U exp(iK) changes the objective at first order by Tr(G K), with
         G = i (K~^dag - K~) off the diagonal blocks: Hermitian, zero exactly at
@@ -159,8 +163,9 @@ class _Horizontal:
         return value, np.sqrt(2.0) * np.concatenate([g.real, g.imag])
 
     def hessian(self, tilde: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Hessian in z of the objective along U exp(iK), from ``frame``'s tilde and K~.
+        """Hessian in z of the objective along U exp(iK), from the frame and K~.
 
+        ``tilde`` is the frame stack W~_i = U^dag W_i U of the weighted states.
         The second-order term is Tr(L(K) K) / 2 with
         L(K) = -sum_i [[K, E_i], W~_i] = -(K (K~^dag - V_a) + (K~ - V_b) K)
         at entry (a, b), where V_a = W~_{l(a)}. Its matrix S on the
@@ -188,6 +193,15 @@ class _Horizontal:
         return (hess + hess.T) / 2.0
 
 
+@functools.lru_cache(maxsize=None)
+def _horizontal(signature: tuple[int, ...]) -> _Horizontal:
+    """The coordinate space of one rank signature, built once and shared read-only."""
+    labels = np.repeat(np.arange(len(signature)), signature)
+    rows, cols = np.triu_indices(len(labels), 1)
+    keep = labels[rows] != labels[cols]
+    return _Horizontal(_frozen(labels), _frozen(rows[keep]), _frozen(cols[keep]))
+
+
 def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, list[float]]:
     """Saddle-free Riemannian Newton ascent over rank-compatible measurements.
 
@@ -195,27 +209,31 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
     U E_i U^dag with E_i the coordinate projectors of the signature, and each
     step moves U to U exp(iK) along a horizontal generator K (stabilizer
     directions leave every projector fixed and are never parameterized).
-    The step divides the gradient by the absolute Hessian eigenvalues, so it
-    ascends at saddles too, and is clamped to norm 0.3. A step is accepted
-    on an Armijo increase, or, once objective increments sink below float
+    Value, gradient and every line-search trial read only K~ = U^dag (K U),
+    O(d^3) through ``_k_times``; the frame stack U^dag W_i U of the weighted
+    states is formed only when a Hessian is built, once per round. The step
+    divides the gradient by the absolute Hessian eigenvalues, so it ascends
+    at saddles too, and is clamped to norm 0.3. A step is accepted on an
+    Armijo increase, or, once objective increments sink below float
     resolution, when the objective holds within 1e-15 and the gradient norm
     falls; otherwise it is halved, at most 30 times.
 
     Returns the final unitary and the objective after each accepted step,
     starting with the initial value.
     """
+    per_coord = stack[space.labels]
 
-    def frame(mat_u):
-        tilde, k = space.frame(stack, mat_u)
-        return (tilde, k, *space.value_and_gradient(k))
+    def read(mat_u):
+        k = mat_u.conj().T @ _k_times(per_coord, mat_u)
+        return (k, *space.value_and_gradient(k))
 
-    tilde, k, value, grad = frame(u)
+    k, value, grad = read(u)
     values = [value]
     for _ in range(NEWTON_ROUNDS):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-13:
             break
-        eigvals, eigvecs = np.linalg.eigh(space.hessian(tilde, k))
+        eigvals, eigvecs = np.linalg.eigh(space.hessian(u.conj().T @ stack @ u, k))
         scale = np.maximum(np.abs(eigvals), 1e-12 * float(np.abs(eigvals).max()))
         step = eigvecs @ ((eigvecs.T @ grad) / scale)
         norm = float(np.linalg.norm(step))
@@ -223,12 +241,12 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
             step *= 0.3 / norm
         for _ in range(31):
             candidate = u @ expi_herm(space.generator(step))
-            cand_tilde, cand_k, cand_value, cand_grad = frame(candidate)
+            cand_k, cand_value, cand_grad = read(candidate)
             rise = cand_value - value
             if rise >= 1e-4 * float(grad @ step) or (
                 rise >= -1e-15 and float(np.linalg.norm(cand_grad)) < gnorm
             ):
-                u, tilde, k, value, grad = candidate, cand_tilde, cand_k, cand_value, cand_grad
+                u, k, value, grad = candidate, cand_k, cand_value, cand_grad
                 values.append(value)
                 break
             step /= 2.0
@@ -238,29 +256,32 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
 
 
 def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, int]:
-    """Move U to U polar(K~) until K = sum_i p_i rho_i Pi_i is Hermitian PSD.
+    """Move U to polar(K U) until K = sum_i p_i rho_i Pi_i is Hermitian PSD.
 
-    K~ = U^dag K U comes from ``space.frame``. With the SVD K~ = A S B^dag the
-    step is U <- U R, R = A B^dag; the fixed points, R = I, are the
-    measurements the simplified optimality condition accepts. Each new Pi_j is the PGM of
-    {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek iteration).
+    M = K U comes from ``_k_times`` in O(d^3), reading the per-coordinate
+    stack ``stack[space.labels]`` formed once per call. With the SVD
+    M = A S B^dag the step is U <- A B^dag, which equals U polar(K~) for
+    K~ = U^dag M, since polar(U Y) = U polar(Y) for unitary U; its defect
+    ||polar(M) - U||_F = ||polar(K~) - I||_F vanishes exactly at the
+    measurements the simplified optimality condition accepts. Each new Pi_j
+    is the PGM of {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek
+    iteration).
 
-    Stops before a step once ||R - I||_F < 1e-13, once the defect exceeds
+    Stops before a step once the defect is below 1e-13, once it exceeds
     half the previous one (the iteration has slowed to a crawl and Newton
     takes over), or after POLAR_STEPS steps; an optimal start is never
     moved. Returns the unitary and the number of steps taken.
     """
-    eye = np.eye(u.shape[0])
+    per_coord = stack[space.labels]
     previous = np.inf
     steps = 0
     while steps < POLAR_STEPS:
-        _, k = space.frame(stack, u)
-        left, _, right = np.linalg.svd(k)
-        rotation = left @ right
-        defect = float(np.linalg.norm(rotation - eye))
+        left, _, right = np.linalg.svd(_k_times(per_coord, u))
+        moved = left @ right
+        defect = float(np.linalg.norm(moved - u))
         if defect < 1e-13 or defect > previous / 2.0:
             break
-        u = u @ rotation
+        u = moved
         previous = defect
         steps += 1
     return u, steps
@@ -291,10 +312,10 @@ def _starts(ensemble: Ensemble, cfg: SolveConfig):
     """The PGM start, then seeded Haar unitaries.
 
     Yields cfg.restarts starts, each built only when a restart uses it. Past
-    COND_LIMIT ``_polar`` refuses sigma, so every start is a Haar unitary.
+    COND_LIMIT ``_pgm_unitary`` refuses sigma, so every start is a Haar unitary.
     """
     try:
-        starts = [_polar(ensemble)[0]]
+        starts = [_pgm_unitary(ensemble)]
     except MEDError:
         starts = []
     yield from starts

@@ -29,6 +29,7 @@ from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
     _finish,
     _Horizontal,
+    _k_times,
     _newton,
     _objective,
     _polar_steps,
@@ -187,9 +188,9 @@ class TestSolve:
         slices = _signature_slices(sig)
         u = haar_unitary(dim, np.random.default_rng(dim))
         space = _Horizontal.of(slices, dim)
-        tilde, k = space.frame(np.asarray(weighted), u)
+        k = u.conj().T @ _k_times(weighted[space.labels], u)
         value, grad = space.value_and_gradient(k)
-        hess = space.hessian(tilde, k)
+        hess = space.hessian(u.conj().T @ weighted @ u, k)
         n = dim * dim - sum(r * r for r in sig)
         assert grad.shape == (n,) and hess.shape == (n, n)
 
@@ -311,13 +312,23 @@ class TestFrame:
                 slices = _signature_slices(sig)
                 u = haar_unitary(dim, np.random.default_rng(seed))
                 space = _Horizontal.of(slices, dim)
-                _, k = space.frame(np.asarray(weighted), u)
+                k = u.conj().T @ _k_times(weighted[space.labels], u)
                 projectors = _projectors_from_unitary(u, slices)
                 expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
                 assert np.linalg.norm(k - expected) <= 1e-13 * np.linalg.norm(expected)
                 _, grad = space.value_and_gradient(k)
                 report = certify_simplified(ens, _measurement(u, ens, DEFAULT_TOL))
                 assert np.linalg.norm(grad) == pytest.approx(report.hermiticity_residual, rel=1e-12)
+
+    def test_one_shared_read_only_space_per_signature(self):
+        space = _Horizontal.of(_signature_slices((2, 1, 1)), 4)
+        assert _Horizontal.of(_signature_slices((2, 1, 1)), 4) is space
+        assert _Horizontal.of(_signature_slices((1, 2, 1)), 4) is not space
+        np.testing.assert_array_equal(space.labels, [0, 0, 1, 2])
+        for arr in (space.labels, space.rows, space.cols):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 class TestPolarSteps:
@@ -332,6 +343,23 @@ class TestPolarSteps:
         assert warm.certified and cold.certified
         for a, b in zip(warm.measurement.projectors, cold.measurement.projectors):
             assert np.abs(a - b).max() <= 1e-7
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_step_is_u_times_the_polar_factor_of_k_tilde(self, dim, monkeypatch):
+        # polar(K U) = U polar(U^dag K U), with K formed from the projectors
+        monkeypatch.setattr("medli.solver.POLAR_STEPS", 1)
+        sigs = {(1,) * dim, (2,) * (dim // 2) + (1,) * (dim % 2)}
+        for sig in sorted(sig for sig in sigs if len(sig) > 1):
+            ens = random_ensemble(dim, sig, seed=dim)
+            weighted = ens.weighted_states()
+            slices = _signature_slices(sig)
+            u = haar_unitary(dim, np.random.default_rng(dim))
+            moved, steps = _polar_steps(weighted, u, _Horizontal.of(slices, dim))
+            assert steps == 1
+            projectors = _projectors_from_unitary(u, slices)
+            left, _, right = np.linalg.svd(u.conj().T @ (weighted @ projectors).sum(axis=0) @ u)
+            expected = u @ left @ right
+            assert np.linalg.norm(moved - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_fixed_point_pgm_is_not_moved(self, dim):
@@ -446,3 +474,48 @@ class TestHelstromComparator:
         ens = random_ensemble(3, (1, 1, 1), seed=0)
         with pytest.raises(NotTwoState):
             helstrom_comparator(ens)
+
+
+def _qubit_pair(k):
+    """Pair k of the benchmark's qubit-pairs workload at seed 1."""
+    seed = int(np.random.SeedSequence([1, k]).generate_state(1)[0])
+    return random_ensemble(2, (1, 1), seed=seed)
+
+
+class TestWork:
+    @pytest.mark.parametrize("dim", [32, 64])
+    def test_certifies_random_pure_known_answers_at_scale(self, dim):
+        pre_image, measurement, _, _ = inverse_map(random_ensemble(dim, (1,) * dim, seed=dim))
+        result = solve(pre_image)
+        assert result.certified
+        assert result.iterations > 0
+        known = success_probability(pre_image, measurement)
+        assert abs(result.success_prob - known) <= 1e-12
+
+    def test_qubit_pair_iterations_do_not_rise(self):
+        # 1131 summed iterations before polar steps read K U instead of every frame
+        results = [solve(_qubit_pair(k)) for k in range(300)]
+        assert all(result.certified for result in results)
+        assert sum(result.iterations for result in results) <= 1131
+
+    def test_near_collinear_known_answer_iterations_do_not_rise(self):
+        # 48 of the 60 Q's are inside COND_LIMIT; their solves summed 495
+        # iterations before polar steps read K U instead of every frame
+        total = built = 0
+        for dim in (4, 6, 8, 12, 16):
+            for noise in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5):
+                for seed in (1, 2):
+                    try:
+                        pre_image, measurement, _, _ = inverse_map(
+                            near_collinear(dim, (1,) * dim, noise, seed)
+                        )
+                    except SigmaSingular:
+                        continue
+                    built += 1
+                    result = solve(pre_image, SolveConfig(restarts=2))
+                    assert result.certified
+                    known = success_probability(pre_image, measurement)
+                    assert abs(result.success_prob - known) <= 1e-12
+                    total += result.iterations
+        assert built == 48
+        assert total <= 495
