@@ -9,12 +9,12 @@ from one matrix, sigma^{1/2} in the PGM's frame, which comes with the PGM
 from one SVD (see :mod:`medli.pgm`); in that frame each X_i is one product.
 
 The dual operator and the stationarity residual both read
-K = sum_i p_i rho_i Pi_i, formed once per pairing of a measurement with the
-states. For projectors each pairwise stationarity block
-Pi_j (p_j rho_j - p_i rho_i) Pi_i equals Pi_j (K^dag - K) Pi_i, so for a
-measurement medli built from a unitary U the residual is read from
-U^dag (K^dag - K) U in O(d^3); a general POVM, or projectors from outside,
-take the m^2 pairwise products.
+K = sum_i p_i rho_i E_i, formed once per pairing of a measurement with the
+states. Summed over j, the pairwise stationarity conditions
+E_j (p_j rho_j - p_i rho_i) E_i = 0 are exactly (K^dag - p_i rho_i) E_i = 0
+for every i, so one batched product over the pairing's stacks reads the
+residual of any POVM, projective or not, built by medli or loaded from a
+file, in O(m d^3).
 """
 
 from __future__ import annotations
@@ -61,10 +61,11 @@ class MapArtifacts:
 
 
 class _Pairing(NamedTuple):
-    """The (m, d, d) stacks of p_i rho_i and of E_i, and K = sum_i p_i rho_i E_i."""
+    """The (m, d, d) stacks of p_i rho_i, E_i and p_i rho_i E_i, and K = sum_i p_i rho_i E_i."""
 
     weighted: np.ndarray
     elements: np.ndarray
+    products: np.ndarray
     k: np.ndarray
 
 
@@ -76,38 +77,25 @@ def _pair(ensemble: Ensemble, measurement) -> _Pairing:
     """
     elements = np.asarray(check_pair(ensemble, measurement))
     weighted = ensemble.weighted_states()
-    return _Pairing(weighted, elements, (weighted @ elements).sum(axis=0))
+    products = weighted @ elements
+    return _Pairing(weighted, elements, products, products.sum(axis=0))
 
 
 def stationarity_residual(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> float:
-    """max over i != j of || Pi_j (p_j rho_j - p_i rho_i) Pi_i ||_F.
+    """max over i of || (K^dag - p_i rho_i) E_i ||_F, with K = sum_j p_j rho_j E_j.
 
-    For projectors K Pi_i = p_i rho_i Pi_i and Pi_j K^dag = Pi_j p_j rho_j,
-    so block (j, i) is Pi_j (K^dag - K) Pi_i. A measurement medli built
-    keeps its unitary U (``ProjectiveMeasurement.unitary``), and the residual
-    is the largest off-diagonal block Frobenius norm of U^dag (K^dag - K) U:
-    O(d^3) once K is formed. Elements without a kept unitary, a GeneralPOVM
-    or projectors from ``validate_projective``, take the m^2 pairwise
-    products. ``pairing`` is ``_pair(ensemble, measurement)`` when the caller
-    has formed it.
+    Column i is sum_j E_j (p_j rho_j - p_i rho_i) E_i, since the E_j sum to
+    the identity, so it vanishes for every i exactly when every pairwise
+    stationarity condition does. For projectors the terms have orthogonal
+    ranges and E_i (K^dag - p_i rho_i) E_i = 0, so the value squared is the
+    max over i of sum_{j != i} || E_j (p_j rho_j - p_i rho_i) E_i ||_F^2: it
+    lies between the largest pairwise block norm and sqrt(m - 1) times it.
+    One batched product, O(m d^3), for any POVM. ``pairing`` is
+    ``_pair(ensemble, measurement)`` when the caller has formed it.
     """
     pairing = pairing if pairing is not None else _pair(ensemble, measurement)
-    if isinstance(measurement, ProjectiveMeasurement) and measurement.unitary is not None:
-        u = measurement.unitary
-        x = u.conj().T @ (pairing.k.conj().T - pairing.k) @ u
-        starts = [block.start for block in _signature_slices(measurement.rank_signature)]
-        squares = x.real**2 + x.imag**2
-        blocks = np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts, axis=1)
-        np.fill_diagonal(blocks, 0.0)
-        return float(np.sqrt(blocks.max()))
-    weighted, elements = pairing.weighted, pairing.elements
-    worst = 0.0
-    for j in range(ensemble.m):
-        # row j of the pairs: one batched product over the (m, d, d) stacks
-        residuals = np.linalg.norm(elements[j] @ (weighted[j] - weighted) @ elements, axis=(-2, -1))
-        residuals[j] = 0.0
-        worst = max(worst, float(residuals.max()))
-    return worst
+    columns = pairing.k.conj().T @ pairing.elements - pairing.products
+    return float(np.linalg.norm(columns, axis=(-2, -1)).max())
 
 
 def dual_operator(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> DualCertificate:

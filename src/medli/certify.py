@@ -1,11 +1,10 @@
 """Optimality certification and the fixed-point test.
 
 Two certifiers are provided. The full one checks the general optimality
-conditions: the pairwise stationarity residual plus PSD slacks of the
-candidate dual operator. The residual is read in the measurement's own frame,
-from U^dag (K^dag - K) U, when medli built the measurement from a unitary U,
-and from the m^2 pairwise products otherwise
-(:func:`medli.belavkin.stationarity_residual`). The simplified one is
+conditions: the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F,
+K = sum_j p_j rho_j E_j (:func:`medli.belavkin.stationarity_residual`; for
+projectors it lies between the largest pairwise block norm and sqrt(m - 1)
+times it), plus PSD slacks of the candidate dual operator. The simplified one is
 specific to LI ensembles with rank-matched projective measurements, where
 optimality is equivalent to sum_i p_i rho_i Pi_i being Hermitian and positive
 definite; it checks exactly that, rather than smuggling the full condition
@@ -35,7 +34,7 @@ from .ensembles import (
 )
 from .errors import MEDError, NotProjective, RankSignatureMismatch
 from .linalg import DEFAULT_TOL, Tolerances
-from .pgm import _polar, _signature_slices
+from .pgm import _frame, _psi_svd, _signature_slices
 
 OPTIMAL = "Optimal"
 NOT_OPTIMAL = "NotOptimal"
@@ -48,8 +47,10 @@ _VERDICT_BAND = 10.0
 class CertificationReport:
     """Residuals and verdict of one certifier run.
 
-    ``certificate`` is the candidate dual operator the residuals were read
-    from, so a caller that needs it does not build it again.
+    ``stationarity_residual`` is max_i ||(K^dag - p_i rho_i) E_i||_F; for
+    projectors it lies between the largest pairwise block norm and sqrt(m - 1)
+    times it. ``certificate`` is the candidate dual operator the residuals
+    were read from, so a caller that needs it does not build it again.
     """
 
     stationarity_residual: float
@@ -89,8 +90,9 @@ def _three_tier(report: CertificationReport, ok: bool, borderline: bool) -> Cert
 def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> CertificationReport:
     """General optimality conditions for any POVM candidate.
 
-    Optimal iff all pairwise stationarity residuals stay within tol_recon and
-    every slack eigenvalue of Z - p_i rho_i is above -tol_psd.
+    Optimal iff the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F
+    stays within tol_recon and every slack eigenvalue of Z - p_i rho_i is
+    above -tol_psd.
     """
     report = _residuals(ensemble, measurement)
     stationarity, slack = report.stationarity_residual, report.min_slack_eig
@@ -166,9 +168,11 @@ def fixpoint_check(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Fixpoin
     Frobenius residual and makes the test sharpest. The test is read in the
     PGM's block frame, G = W^dag rho^{1/2} W with W the PGM unitary: there the
     pinching keeps the diagonal blocks G_ii, and the Frobenius residual is
-    unchanged by the unitary change of frame.
+    unchanged by the unitary change of frame. G comes alone from the gated
+    SVD of Psi (``pgm._frame``); neither W nor rho^{1/2} is formed.
     """
-    _, frame, _ = _polar(ensemble)
+    _, s, vh = _psi_svd(ensemble)
+    frame = _frame(s, vh)
     pinched = np.zeros_like(frame)
     for block in _signature_slices(ensemble.rank_signature):
         pinched[block, block] = frame[block, block]

@@ -81,16 +81,14 @@ class Ensemble:
 class ProjectiveMeasurement:
     """Mutually orthogonal projectors summing to the identity.
 
-    ``unitary`` is the read-only unitary whose column blocks (in
-    ``rank_signature`` order) span the projectors, kept when medli built the
-    measurement from one (``pgm._measurement``); it is None for projectors
-    that came from outside (``validate_projective``).
+    Built by medli from a unitary (``pgm._measurement``) or checked from
+    outside input (``validate_projective``), a measurement holds only its
+    projectors, so every reader runs the same code on either.
     """
 
     dim: int
     projectors: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
-    unitary: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:

@@ -67,18 +67,20 @@ def _pgm_unitary(ensemble: Ensemble) -> np.ndarray:
     return u @ vh
 
 
-def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, G, sigma^{1/2}) from one SVD of Psi (``_psi_svd``), with G = W^dag sigma^{1/2} W.
+def _frame(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """G = W^dag sigma^{1/2} W = V S V^dag, from the factors S and V^dag of ``_psi_svd``.
 
-    Column block i of the unitary W (``_signature_slices``) spans PGM
-    projector i, so G is sigma^{1/2} in the PGM's block frame. W is not
-    checked here: ``_measurement`` checks it when a measurement is built from
-    it, and the fixed-point test reads only G.
+    Column block i of the PGM unitary W (``_signature_slices``) spans PGM
+    projector i, so G is sigma^{1/2} in the PGM's block frame.
     """
+    return herm((vh.conj().T * s) @ vh)
+
+
+def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, G, sigma^{1/2}) from one SVD of Psi; ``_measurement`` checks W when it builds from it."""
     u, s, vh = _psi_svd(ensemble)
-    g = herm((vh.conj().T * s) @ vh)
     sigma_sqrt = herm((u * s) @ u.conj().T)
-    return u @ vh, g, sigma_sqrt
+    return u @ vh, _frame(s, vh), sigma_sqrt
 
 
 def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
@@ -96,10 +98,9 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
     W is a unitary medli built: the PGM's or a solver restart's. Once
     ||W^dag W - Id||_F <= tol_recon, the projectors W_i W_i^dag are
     idempotent, mutually orthogonal, complete and of the states' ranks by
-    construction, so no validation pass follows, and a copy of W is kept on
-    the measurement as its frame (``unitary``). The projectors are read-only
-    views of one frozen (m, d, d) stack. Raises NotProjectiveAfterPGM
-    otherwise.
+    construction, so no validation pass follows. The projectors are
+    read-only views of one frozen (m, d, d) stack, as ``validate_projective``
+    returns them. Raises NotProjectiveAfterPGM otherwise.
     """
     defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
     if defect > tol.tol_recon:
@@ -109,5 +110,4 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
         dim=ensemble.dim,
         projectors=tuple(_frozen(projectors)),
         rank_signature=ensemble.rank_signature,
-        unitary=_frozen(np.array(w)),
     )

@@ -174,6 +174,28 @@ def pairwise_stationarity(ensemble: Ensemble, elements) -> float:
     )
 
 
+def pairwise_column_squares(ensemble: Ensemble, elements) -> float:
+    """max over i of sum_{j != i} ||E_j (p_j rho_j - p_i rho_i) E_i||_F^2, one pair at a time."""
+    weighted = ensemble.weighted_states()
+    return max(
+        sum(
+            float(np.linalg.norm(elements[j] @ (weighted[j] - weighted[i]) @ elements[i])) ** 2
+            for j in range(ensemble.m)
+            if j != i
+        )
+        for i in range(ensemble.m)
+    )
+
+
+def column_stationarity(ensemble: Ensemble, elements) -> float:
+    """max over i of ||(K^dag - p_i rho_i) E_i||_F, K = sum_j p_j rho_j E_j, one outcome at a time."""
+    weighted = ensemble.weighted_states()
+    k = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
+    for w, e in zip(weighted, elements):
+        k += w @ e
+    return max(float(np.linalg.norm((k.conj().T - w) @ e)) for w, e in zip(weighted, elements))
+
+
 def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
     """POVM with elements sigma^{-1/2} (p_i rho_i) sigma^{-1/2}.
 
