@@ -9,8 +9,9 @@ from one matrix, sigma^{1/2} in the PGM's frame, which comes with the PGM
 from one SVD (see :mod:`medli.pgm`); in that frame each X_i is one product.
 
 The dual operator and the stationarity residual both read
-K = sum_i p_i rho_i E_i, formed once per pairing of a measurement with the
-states. Summed over j, the pairwise stationarity conditions
+K = sum_i p_i rho_i E_i from the one pairing of a measurement with the
+states, ``ensembles._pair``, which the success probability reads too. Summed
+over j, the pairwise stationarity conditions
 E_j (p_j rho_j - p_i rho_i) E_i = 0 are exactly (K^dag - p_i rho_i) E_i = 0
 for every i, so one batched product over the pairing's stacks reads the
 residual of any POVM, projective or not, built by medli or loaded from a
@@ -20,19 +21,13 @@ file, in O(m d^3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .ensembles import (
-    Ensemble,
-    ProjectiveMeasurement,
-    check_pair,
-    validate_ensemble,
-)
+from .ensembles import Ensemble, ProjectiveMeasurement, _pair, _Pairing, _signature_slices, validate_ensemble
 from .errors import MEDError, NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
-from .pgm import _measurement, _polar, _signature_slices
+from .pgm import _measurement, _polar
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,27 +53,6 @@ class MapArtifacts:
 
     x_ops: tuple[np.ndarray, ...]
     sigma_sqrt: np.ndarray
-
-
-class _Pairing(NamedTuple):
-    """The (m, d, d) stacks of p_i rho_i, E_i and p_i rho_i E_i, and K = sum_i p_i rho_i E_i."""
-
-    weighted: np.ndarray
-    elements: np.ndarray
-    products: np.ndarray
-    k: np.ndarray
-
-
-def _pair(ensemble: Ensemble, measurement) -> _Pairing:
-    """The checked elements paired with the states, and K from one batched product.
-
-    The (m, d, d) products p_i rho_i E_i are summed over the outcome axis in
-    outcome order, so K has the bits of the running sum of the m products.
-    """
-    elements = np.asarray(check_pair(ensemble, measurement))
-    weighted = ensemble.weighted_states()
-    products = weighted @ elements
-    return _Pairing(weighted, elements, products, products.sum(axis=0))
 
 
 def stationarity_residual(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> float:
@@ -141,7 +115,6 @@ def forward_map(
     optimal dual pairs, and solving is the caller's job.
     """
     pairing = _pair(ensemble, measurement)
-    elements = pairing.elements
     residual = stationarity_residual(ensemble, measurement, pairing)
     if residual > tol.tol_recon:
         raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
@@ -151,13 +124,13 @@ def forward_map(
     z = certificate.z
     z2 = z @ z
     tr_z2 = float(np.trace(z2).real)
-    weights = np.trace(z2 @ elements, axis1=1, axis2=2).real
+    weights = np.trace(z2 @ pairing.elements, axis1=1, axis2=2).real
     if weights.min() < tol.tol_psd:
         raise NotOptimalPair(
             f"outcome weight Tr(Z^2 Pi_i) = {weights.min():.3e} vanishes; "
             "not an optimal dual pair of an LI ensemble"
         )
-    states = herm(z @ elements @ z) / weights[:, None, None]
+    states = herm(z @ pairing.elements @ z) / weights[:, None, None]
     derived = validate_ensemble(weights / tr_z2, states, tol)
     if derived.rank_signature != ensemble.rank_signature:
         raise NotOptimalPair(

@@ -10,7 +10,8 @@ optimality is equivalent to sum_i p_i rho_i Pi_i being Hermitian and positive
 definite; it checks exactly that, rather than smuggling the full condition
 back in. Both numbers are in the full certifier's report, so the simplified
 verdict is a second rule read off one report: ``medli certify`` builds one
-report and reads both verdicts from it.
+report and reads both verdicts and the success probability from it. A report
+reads all its numbers off one pairing of the measurement with the states.
 
 Verdicts are three-tier: a check that fails by less than a factor of ten of
 its tolerance yields Inconclusive instead of flipping to NotOptimal, so
@@ -24,17 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belavkin import DualCertificate, _pair, dual_operator, stationarity_residual
+from .belavkin import DualCertificate, dual_operator, stationarity_residual
 from .ensembles import (
     Ensemble,
     GeneralPOVM,
     ProjectiveMeasurement,
+    _pair,
+    _signature_slices,
     check_pair,
     validate_projective,
 )
 from .errors import MEDError, NotProjective, RankSignatureMismatch
 from .linalg import DEFAULT_TOL, Tolerances
-from .pgm import _frame, _psi_svd, _signature_slices
+from .pgm import _frame, _psi_svd
 
 OPTIMAL = "Optimal"
 NOT_OPTIMAL = "NotOptimal"
@@ -49,8 +52,9 @@ class CertificationReport:
 
     ``stationarity_residual`` is max_i ||(K^dag - p_i rho_i) E_i||_F; for
     projectors it lies between the largest pairwise block norm and sqrt(m - 1)
-    times it. ``certificate`` is the candidate dual operator the residuals
-    were read from, so a caller that needs it does not build it again.
+    times it. ``success_prob`` is ``success_probability`` of the pair, bit for
+    bit. ``certificate`` is the candidate dual operator the residuals were
+    read from, so a caller that needs it does not build it again.
     """
 
     stationarity_residual: float
@@ -59,15 +63,17 @@ class CertificationReport:
     hermiticity_residual: float
     verdict: str
     dual_value: float
+    success_prob: float
     certificate: DualCertificate = field(repr=False, compare=False)
 
 
-def _residuals(ensemble: Ensemble, measurement) -> CertificationReport:
+def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
     """What both certifiers report; each sets the verdict by its own rule.
 
     The measurement is paired with the states once (``_pair``: one
-    ``check_pair``, one ``weighted_states`` and one K), and both the dual
-    operator and the stationarity residual read that pairing.
+    ``check_pair``, one ``weighted_states`` and one K), and the dual
+    operator, the stationarity residual and the success probability (clamped
+    by ``tol``) all read that pairing.
     """
     pairing = _pair(ensemble, measurement)
     certificate = dual_operator(ensemble, measurement, pairing)
@@ -78,6 +84,7 @@ def _residuals(ensemble: Ensemble, measurement) -> CertificationReport:
         hermiticity_residual=certificate.herm_residual,
         verdict=INCONCLUSIVE,
         dual_value=certificate.dual_value,
+        success_prob=pairing.success(tol),
         certificate=certificate,
     )
 
@@ -94,7 +101,7 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
     stays within tol_recon and every slack eigenvalue of Z - p_i rho_i is
     above -tol_psd.
     """
-    report = _residuals(ensemble, measurement)
+    report = _residuals(ensemble, measurement, tol)
     stationarity, slack = report.stationarity_residual, report.min_slack_eig
     ok = stationarity <= tol.tol_recon and slack >= -tol.tol_psd
     borderline = (
@@ -150,7 +157,7 @@ def certify_simplified(
     still computed for the report, but only hermiticity and positivity drive
     the verdict. The measurement goes through ``rank_matched`` first.
     """
-    return _simplified_rule(_residuals(ensemble, rank_matched(ensemble, measurement, tol)), tol)
+    return _simplified_rule(_residuals(ensemble, rank_matched(ensemble, measurement, tol), tol), tol)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .belavkin import forward_map, inverse_map, roundtrip_check
 from .certify import OPTIMAL, _simplified_rule, certify_full, certify_simplified, fixpoint_check, rank_matched
-from .ensembles import ProjectiveMeasurement, random_ensemble, success_probability
+from .ensembles import ProjectiveMeasurement, random_ensemble
 from .errors import MEDError, NotProjective, SolverFailed
 from .linalg import DEFAULT_TOL
 from .serialize import (
@@ -235,7 +235,7 @@ def cmd_certify(args):
         "certify",
         _echo(args),
         {"ensemble": digest_in, "measurement": _digest(povm_data)},
-        success_prob=success_probability(ensemble, measurement, tol),
+        success_prob=full.success_prob,
         dual_value=full.dual_value,
         verdict=full.verdict,
         residuals=_residuals_block(full),
@@ -259,8 +259,7 @@ def cmd_map(args):
         report = certify_simplified(image, measurement, tol)
         if report.verdict != OPTIMAL:
             raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
-        prob = success_probability(image, measurement, tol)
-        result = SolveResult(measurement, certificate, report, prob, iterations=0, certified=True)
+        result = SolveResult(measurement, certificate, report, report.success_prob, iterations=0, certified=True)
     doc = _report(
         "map",
         echo,

@@ -8,11 +8,16 @@ everything downstream keys on exact ranks. The validators check all
 matrices as one (m, d, d) stack; ``validate_ensemble`` forms, once, Psi from
 the very range eigenpairs the LI test counted (its polar factor is the PGM,
 :mod:`medli.pgm`) and the stack of weighted states p_i rho_i.
+``_pair`` is the one product of states with measurement elements: the stack
+W_i E_i, W_i = p_i rho_i, whose traces are the detection weights, and its sum
+K, which the certifiers read (:mod:`medli.belavkin`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,12 +131,50 @@ def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, ...]:
     return elements
 
 
+class _Pairing(NamedTuple):
+    """The (m, d, d) stacks of p_i rho_i, E_i and p_i rho_i E_i, and K = sum_i p_i rho_i E_i."""
+
+    weighted: np.ndarray
+    elements: np.ndarray
+    products: np.ndarray
+    k: np.ndarray
+
+    def weights(self) -> list[float]:
+        """The detection weights Tr(p_i rho_i E_i), one batched trace of the products."""
+        return np.trace(self.products, axis1=1, axis2=2).real.tolist()
+
+    def success(self, tol: Tolerances) -> float:
+        """The sum of the weights; within tol_recon of [0, 1] it is clamped to it."""
+        value = sum(self.weights())
+        near = -tol.tol_recon <= value <= 1.0 + tol.tol_recon
+        return min(max(value, 0.0), 1.0) if near else value
+
+
+def _pair(ensemble: Ensemble, measurement) -> _Pairing:
+    """The checked elements paired with the states, and K from one batched product.
+
+    The package's one product of states with measurement elements. The
+    (m, d, d) products p_i rho_i E_i are summed over the outcome axis in
+    outcome order, so K has the bits of the running sum of the m products.
+    """
+    elements = np.asarray(check_pair(ensemble, measurement))
+    weighted = ensemble.weighted_states()
+    products = weighted @ elements
+    return _Pairing(weighted, elements, products, products.sum(axis=0))
+
+
 def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
     """The signature as a tuple of ints: at least two positive ranks summing to dim."""
     sig = tuple(int(r) for r in rank_signature)
     if len(sig) < 2 or any(r < 1 for r in sig) or sum(sig) != dim:
         raise InvalidSignature(f"signature {sig} is invalid for dim {dim}")
     return sig
+
+
+def _signature_slices(signature) -> list[slice]:
+    """Consecutive coordinate blocks of sizes r_1, r_2, ..., one per state."""
+    ends = itertools.accumulate(signature)
+    return [slice(end - r, end) for r, end in zip(signature, ends)]
 
 
 def _li_ranks(
@@ -280,27 +323,22 @@ def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
 
 
 def detection_profile(ensemble: Ensemble, measurement) -> list[float]:
-    """Per-state detection weights p_i Tr(rho_i E_i), from one batched trace.
+    """Per-state detection weights Tr(p_i rho_i E_i), the traces of ``_pair``'s products.
 
     At a fixed point of the Belavkin transform these are proportional to the
     state ranks; for rank-one signatures they are all equal.
     """
-    products = np.asarray(ensemble.states) @ np.asarray(check_pair(ensemble, measurement))
-    return (ensemble.priors * np.trace(products, axis1=1, axis2=2).real).tolist()
+    return _pair(ensemble, measurement).weights()
 
 
 def success_probability(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Average probability sum_i p_i Tr(rho_i E_i) of identifying the state.
+    """Average probability sum_i Tr(p_i rho_i E_i) of identifying the state.
 
-    It is the sum of the detection weights (``detection_profile``),
-    clamped to [0, 1] only when within tol_recon of the boundary.
+    It is the sum of the detection weights (``detection_profile``), clamped
+    to [0, 1] only when within tol_recon of the boundary: the value both
+    certifiers report as ``CertificationReport.success_prob``, bit for bit.
     """
-    value = sum(detection_profile(ensemble, measurement))
-    if 1.0 < value <= 1.0 + tol.tol_recon:
-        return 1.0
-    if -tol.tol_recon <= value < 0.0:
-        return 0.0
-    return value
+    return _pair(ensemble, measurement).success(tol)
 
 
 def random_ensemble(dim: int, rank_signature, seed: int, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
@@ -320,11 +358,9 @@ def random_ensemble(dim: int, rank_signature, seed: int, tol: Tolerances = DEFAU
     rng = np.random.default_rng(seed)
     u = haar_unitary(dim, rng)
     states = []
-    start = 0
-    for r in sig:
-        cols = u[:, start : start + r]
-        start += r
-        lam = rng.uniform(0.25, 1.0, size=r)
+    for block in _signature_slices(sig):
+        cols = u[:, block]
+        lam = rng.uniform(0.25, 1.0, size=cols.shape[1])
         lam /= lam.sum()
         states.append(herm((cols * lam) @ cols.conj().T))
     for i in range(len(sig)):

@@ -18,23 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import Ensemble, ProjectiveMeasurement, _frozen
+from .ensembles import Ensemble, ProjectiveMeasurement, _frozen, _signature_slices
 from .errors import NotProjectiveAfterPGM, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, herm
 
 # Beyond this condition number of the average state, near-dependent ensembles
 # are outside the stable regime: the one gate on sigma.
 COND_LIMIT = 1e12
-
-
-def _signature_slices(signature) -> list[slice]:
-    """Consecutive coordinate blocks of sizes r_1, r_2, ..., one per state."""
-    slices = []
-    start = 0
-    for r in signature:
-        slices.append(slice(start, start + r))
-        start += r
-    return slices
 
 
 def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:

@@ -37,13 +37,13 @@ from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
     _frozen,
+    _signature_slices,
     check_signature,
-    success_probability,
     validate_ensemble,
 )
 from .errors import BudgetExceeded, MEDError, NoConvergence, NotTwoState
 from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian
-from .pgm import _measurement, _pgm_unitary, _projectors_from_unitary, _signature_slices
+from .pgm import _measurement, _pgm_unitary, _projectors_from_unitary
 
 # Each restart takes at most this many polar steps before Newton.
 POLAR_STEPS = 30
@@ -137,11 +137,6 @@ class _Horizontal:
     labels: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-
-    @classmethod
-    def of(cls, slices, dim: int) -> "_Horizontal":
-        """The shared space of the signature whose d = dim coordinates ``slices`` partition."""
-        return _horizontal(tuple(s.stop - s.start for s in slices))
 
     def generator(self, z: np.ndarray) -> np.ndarray:
         """The Hermitian K with coordinates z."""
@@ -295,7 +290,7 @@ def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances)
         measurement=measurement,
         certificate=report.certificate,
         report=report,
-        success_prob=success_probability(ensemble, measurement, tol),
+        success_prob=report.success_prob,
         iterations=iterations,
         certified=report.verdict == OPTIMAL,
     )
@@ -336,7 +331,7 @@ def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances
     """
     cfg = config or SolveConfig()
     stack = ensemble.weighted_states()
-    space = _Horizontal.of(_signature_slices(ensemble.rank_signature), ensemble.dim)
+    space = _horizontal(ensemble.rank_signature)
 
     best: SolveResult | None = None
     failure = ""
@@ -489,14 +484,10 @@ def generate_fixed_point(dim: int, rank_signature, seed: int, tol: Tolerances = 
     base = np.eye(dim, dtype=complex) + (0.5 / spectral) * off
     root = base / np.sqrt(float(np.trace(base @ base).real))
     w = haar_unitary(dim, rng)
-    weighted = []
-    for s in slices:
-        proj = np.zeros((dim, dim), dtype=complex)
-        proj[s, s] = np.eye(s.stop - s.start)
-        weighted.append(herm(w @ (root @ proj @ root) @ w.conj().T))
-    priors = [float(np.trace(x).real) for x in weighted]
-    states = [x / p for x, p in zip(weighted, priors)]
-    return validate_ensemble(priors, states, tol)
+    coords = _projectors_from_unitary(np.eye(dim), slices)
+    weighted = herm(w @ (root @ coords @ root) @ w.conj().T)
+    priors = np.trace(weighted, axis1=1, axis2=2).real
+    return validate_ensemble(priors, weighted / priors[:, None, None], tol)
 
 
 def helstrom_comparator(ensemble: Ensemble) -> float:

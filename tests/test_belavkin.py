@@ -28,7 +28,8 @@ from medli import (
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
-from medli.pgm import _measurement, _polar, _signature_slices
+from medli.ensembles import _signature_slices
+from medli.pgm import _measurement, _polar
 from reference import block_decompose, column_stationarity, is_psd
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -285,5 +286,5 @@ def test_stacked_maps_match_per_state_loops(dim, sig):
     assert np.array_equal(derived.states, expected)
 
     elements = pgm(q).projectors
-    profile = [float(p * np.trace(rho @ e).real) for p, rho, e in zip(q.priors, q.states, elements)]
+    profile = [float(np.trace(w @ e).real) for w, e in zip(q.weighted_states(), elements)]
     assert detection_profile(q, pgm(q)) == profile

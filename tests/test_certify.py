@@ -19,11 +19,14 @@ from medli import (
     pgm,
     random_ensemble,
     solve,
+    solve_oracle,
     success_probability,
     validate_ensemble,
+    validate_povm,
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
+from medli.pgm import _measurement
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -166,6 +169,44 @@ class TestDetectionProfile:
         ens = generate_fixed_point(3, (1, 1, 1), seed=6)
         profile = detection_profile(ens, pgm(ens))
         assert max(profile) - min(profile) < 1e-7
+
+
+class TestReportedSuccessProbability:
+    # a report's success_prob comes from the certifier's own pairing; it must
+    # be the value success_probability gives the same pair, bit for bit
+
+    @pytest.mark.parametrize("sig", [(1, 1, 1, 1), (2, 1, 1), (2, 2, 1)])
+    def test_projective_measurements(self, sig):
+        ens = random_ensemble(sum(sig), sig, seed=40 + sum(sig))
+        haar = _measurement(haar_unitary(ens.dim, np.random.default_rng(41)), ens, DEFAULT_TOL)
+        for meas in (pgm(ens), haar, validate_projective(haar.projectors)):
+            prob = success_probability(ens, meas, DEFAULT_TOL)
+            assert certify_full(ens, meas, DEFAULT_TOL).success_prob == prob
+            assert certify_simplified(ens, meas, DEFAULT_TOL).success_prob == prob
+
+    def test_general_povm(self):
+        ens = random_ensemble(3, (1, 1, 1), seed=42)
+        povm = validate_povm([0.8 * p + 0.2 / 3 * np.eye(3) for p in pgm(ens).projectors])
+        prob = success_probability(ens, povm)
+        assert 0.0 < prob < 1.0
+        assert certify_full(ens, povm).success_prob == prob
+
+    def test_orthogonal_pair_is_clamped_to_one(self):
+        # rotated off the axes, the traces sum to 1 + 4e-16, within tol_recon of 1
+        u = haar_unitary(2, np.random.default_rng(3))
+        states = [herm(np.outer(col, col.conj())) for col in u.T]
+        ens, meas = validate_ensemble([0.5, 0.5], states), validate_projective(states)
+        assert sum(detection_profile(ens, meas)) > 1.0
+        assert success_probability(ens, meas) == 1.0
+        assert certify_full(ens, meas).success_prob == 1.0
+        assert certify_simplified(ens, meas).success_prob == 1.0
+
+    @pytest.mark.parametrize("search", [solve, solve_oracle])
+    def test_solvers_report_the_certifiers_value(self, search):
+        ens = random_ensemble(3, (2, 1), seed=43)
+        result = search(ens)
+        assert result.success_prob == result.report.success_prob
+        assert result.success_prob == success_probability(ens, result.measurement)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -25,8 +25,7 @@ from medli import (
 )
 from medli.ensembles import PERTURBATION, _hermitian_part
 from medli.linalg import DEFAULT_TOL, Tolerances, haar_unitary, herm, rank_cutoff_mask
-from medli.pgm import _signature_slices
-from medli.solver import _Horizontal
+from medli.solver import _horizontal
 from reference import average_state, check_hermitian, is_pd
 
 ORTH_STATES = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
@@ -337,7 +336,7 @@ def test_array_records_compare_and_hash_by_identity():
     result = solve(ens)
     _, _, _, artifacts = inverse_map(ens)
     povm = GeneralPOVM(dim=4, elements=result.measurement.projectors)
-    space = _Horizontal.of(_signature_slices(ens.rank_signature), ens.dim)
+    space = _horizontal(ens.rank_signature)
     records = [ens, twin, result, result.measurement, result.certificate, povm, artifacts, space]
     for record in records:
         assert record == record

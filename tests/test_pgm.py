@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import medli
 from conftest import pure_pair, range_projectors
 from medli import (
     NotProjectiveAfterPGM,
@@ -19,7 +20,8 @@ from medli import (
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
-from medli.pgm import _measurement, _signature_slices
+from medli.ensembles import _signature_slices
+from medli.pgm import _measurement
 from reference import (
     average_state,
     block_decompose,
@@ -266,6 +268,26 @@ def test_solve_builds_its_measurement_without_validation(monkeypatch, sig):
     assert calls(lambda: results.append(solve(ens, SolveConfig(restarts=1))))["eigvalsh"] == 2
     assert results[0].certified
     assert results[0].measurement.rank_signature == ens.rank_signature
+
+
+def test_solve_pairs_its_measurement_with_the_states_once(monkeypatch):
+    # one restart: the certifier's one pairing also gives the success probability,
+    # and no public reader forms the product stack again
+    ens = random_ensemble(5, (2, 2, 1), seed=13)
+    calls = {"_pair": 0, "success_probability": 0, "detection_profile": 0}
+    for name in calls:
+        original = getattr(medli.ensembles, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (medli.ensembles, medli.belavkin, medli.certify, medli.solver):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    result = solve(ens, SolveConfig(restarts=1))
+    assert result.certified
+    assert calls == {"_pair": 1, "success_probability": 0, "detection_profile": 0}
 
 
 def test_measurement_checks_that_the_unitary_is_unitary():

@@ -23,18 +23,18 @@ from medli import (
     validate_ensemble,
 )
 from medli.certify import OPTIMAL
+from medli.ensembles import _signature_slices
 from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
 from medli.pgm import COND_LIMIT, _measurement, _polar
 from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
     _finish,
-    _Horizontal,
+    _horizontal,
     _k_times,
     _newton,
     _objective,
     _polar_steps,
     _projectors_from_unitary,
-    _signature_slices,
 )
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -83,16 +83,16 @@ class TestSolve:
         tol = DEFAULT_TOL.replace(tol_psd=0.6)
         ens = ensemble_from_doc(load_json(RANDOM_D4)[0], tol)
         built = []
-        original = _Horizontal.of
+        original = _horizontal
 
-        def counted(slices, dim):
-            built.append(dim)
-            return original(slices, dim)
+        def counted(signature):
+            built.append(signature)
+            return original(signature)
 
-        monkeypatch.setattr(_Horizontal, "of", staticmethod(counted))
+        monkeypatch.setattr("medli.solver._horizontal", counted)
         result = solve(ens, tol=tol)
         assert not result.certified
-        assert built == [4]
+        assert built == [ens.rank_signature]
 
     def test_pgm_start_on_fixed_point_takes_zero_steps(self):
         ens = generate_fixed_point(3, (2, 1), seed=12)
@@ -128,7 +128,7 @@ class TestSolve:
     def test_monotone_ascent(self):
         ens = random_ensemble(4, (2, 2), seed=14)
         u0 = haar_unitary(4, np.random.default_rng(0))
-        space = _Horizontal.of(_signature_slices(ens.rank_signature), 4)
+        space = _horizontal(ens.rank_signature)
         _, values = _newton(np.asarray(ens.weighted_states()), u0, space)
         assert len(values) > 1
         diffs = np.diff(np.array(values))
@@ -138,7 +138,7 @@ class TestSolve:
         # the first trial step is reversed, so Newton must reject it and halve
         ens = inverse_map(near_collinear(4, (1, 1, 1, 1), 0.03, 1))[0]
         u0 = haar_unitary(4, np.random.default_rng(0))
-        space = _Horizontal.of(_signature_slices(ens.rank_signature), 4)
+        space = _horizontal(ens.rank_signature)
         trials = []
 
         def reversed_once(h, t=1.0):
@@ -187,7 +187,7 @@ class TestSolve:
         weighted = ens.weighted_states()
         slices = _signature_slices(sig)
         u = haar_unitary(dim, np.random.default_rng(dim))
-        space = _Horizontal.of(slices, dim)
+        space = _horizontal(sig)
         k = u.conj().T @ _k_times(weighted[space.labels], u)
         value, grad = space.value_and_gradient(k)
         hess = space.hessian(u.conj().T @ weighted @ u, k)
@@ -311,7 +311,7 @@ class TestFrame:
                 weighted = ens.weighted_states()
                 slices = _signature_slices(sig)
                 u = haar_unitary(dim, np.random.default_rng(seed))
-                space = _Horizontal.of(slices, dim)
+                space = _horizontal(sig)
                 k = u.conj().T @ _k_times(weighted[space.labels], u)
                 projectors = _projectors_from_unitary(u, slices)
                 expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
@@ -321,9 +321,9 @@ class TestFrame:
                 assert np.linalg.norm(grad) == pytest.approx(report.hermiticity_residual, rel=1e-12)
 
     def test_one_shared_read_only_space_per_signature(self):
-        space = _Horizontal.of(_signature_slices((2, 1, 1)), 4)
-        assert _Horizontal.of(_signature_slices((2, 1, 1)), 4) is space
-        assert _Horizontal.of(_signature_slices((1, 2, 1)), 4) is not space
+        space = _horizontal((2, 1, 1))
+        assert _horizontal((2, 1, 1)) is space
+        assert _horizontal((1, 2, 1)) is not space
         np.testing.assert_array_equal(space.labels, [0, 0, 1, 2])
         for arr in (space.labels, space.rows, space.cols):
             assert not arr.flags.writeable
@@ -354,7 +354,7 @@ class TestPolarSteps:
             weighted = ens.weighted_states()
             slices = _signature_slices(sig)
             u = haar_unitary(dim, np.random.default_rng(dim))
-            moved, steps = _polar_steps(weighted, u, _Horizontal.of(slices, dim))
+            moved, steps = _polar_steps(weighted, u, _horizontal(sig))
             assert steps == 1
             projectors = _projectors_from_unitary(u, slices)
             left, _, right = np.linalg.svd(u.conj().T @ (weighted @ projectors).sum(axis=0) @ u)
@@ -368,7 +368,7 @@ class TestPolarSteps:
             for seed in range(2):
                 ens = generate_fixed_point(dim, sig, seed=seed)
                 u, _, _ = _polar(ens)
-                space = _Horizontal.of(_signature_slices(sig), dim)
+                space = _horizontal(sig)
                 moved, steps = _polar_steps(np.asarray(ens.weighted_states()), u, space)
                 assert steps == 0
                 assert moved is u
@@ -388,7 +388,7 @@ class TestPolarSteps:
             ens = inverse_map(near_collinear(dim, sig, noise, seed=1))[0]
         weighted = ens.weighted_states()
         slices = _signature_slices(sig)
-        stack, space = np.asarray(weighted), _Horizontal.of(slices, dim)
+        stack, space = np.asarray(weighted), _horizontal(sig)
         rng = np.random.default_rng(dim)
         taken = 0
         for _ in range(3):
