@@ -6,7 +6,11 @@ The inverse map reconstructs, from any LI ensemble Q, the unique pre-image P
 whose optimal measurement is the pretty good measurement of Q. It reads the
 blocks of the square root of Q's average state around each PGM projector
 from one matrix, sigma^{1/2} in the PGM's frame, which comes with the PGM
-from one SVD (see :mod:`medli.pgm`); in that frame each X_i is one product.
+from one SVD (see :mod:`medli.pgm`). Both maps know their outputs as
+factors: X_i = F_i F_i^dag with F_i = W G[:, i] L_i^{-dag}, A_i = L_i L_i^dag
+for the pre-image, and Z Pi_i Z = (Z V_i)(Z V_i)^dag for the image, V the
+measurement's column basis. ``ensembles._from_factors`` builds each output
+from its factors in O(d^3), with no eigendecomposition of its states.
 
 The dual operator and the stationarity residual both read
 K = sum_i p_i rho_i E_i from the one pairing of a measurement with the
@@ -24,8 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, ProjectiveMeasurement, _pair, _Pairing, _signature_slices, validate_ensemble
-from .errors import MEDError, NotOptimalPair, SolverFailed
+from .ensembles import (
+    Ensemble,
+    ProjectiveMeasurement,
+    _block_norms2,
+    _from_factors,
+    _pair,
+    _Pairing,
+    _rank_groups,
+    rank_matched,
+)
+from .errors import NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
 from .pgm import _measurement, _polar
 
@@ -109,34 +122,42 @@ def forward_map(
 ) -> Ensemble:
     """Derived ensemble {q_i, sigma_i} of an optimal dual pair.
 
-    q_i = Tr(Z^2 Pi_i) / Tr(Z^2) and sigma_i = Z Pi_i Z / Tr(Z^2 Pi_i), each
-    formed for all i at once on the (m, d, d) stack of projectors. Refuses
-    to run unless the pair actually certifies: the map is only defined at
-    optimal dual pairs, and solving is the caller's job.
+    q_i sigma_i = Z Pi_i Z / Tr(Z^2) = F_i F_i^dag / ||F||_F^2 for the
+    column blocks F_i of F = Z V, V the rank-matched measurement's column
+    basis (``rank_matched``; a GeneralPOVM of projectors gets one there), so
+    q_i = Tr(Z^2 Pi_i) / Tr(Z^2) = ||F_i||_F^2 / ||F||_F^2. The image is
+    built from F by ``_from_factors``, in O(d^3). Refuses to run unless the
+    pair actually certifies: the map is only defined at optimal dual pairs,
+    and solving is the caller's job.
     """
-    pairing = _pair(ensemble, measurement)
-    residual = stationarity_residual(ensemble, measurement, pairing)
+    residual = stationarity_residual(ensemble, measurement)
     if residual > tol.tol_recon:
         raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
     slack = min(certificate.slack_min_eigs)
     if slack < -tol.tol_psd:
         raise NotOptimalPair(f"dual slack eigenvalue {slack:.3e} below -tol_psd")
-    z = certificate.z
-    z2 = z @ z
-    tr_z2 = float(np.trace(z2).real)
-    weights = np.trace(z2 @ pairing.elements, axis1=1, axis2=2).real
+    factors = certificate.z @ rank_matched(ensemble, measurement, tol)._basis
+    weights = _block_norms2(factors, ensemble.rank_signature)
     if weights.min() < tol.tol_psd:
         raise NotOptimalPair(
             f"outcome weight Tr(Z^2 Pi_i) = {weights.min():.3e} vanishes; "
             "not an optimal dual pair of an LI ensemble"
         )
-    states = herm(z @ pairing.elements @ z) / weights[:, None, None]
-    derived = validate_ensemble(weights / tr_z2, states, tol)
-    if derived.rank_signature != ensemble.rank_signature:
-        raise NotOptimalPair(
-            f"derived signature {derived.rank_signature} != {ensemble.rank_signature}"
-        )
-    return derived
+    return _from_factors(factors, ensemble.rank_signature, tol)
+
+
+def _whitened(frame: np.ndarray, signature) -> np.ndarray:
+    """G blockdiag(L_i^{-dag}), with A_i = L_i L_i^dag the diagonal blocks of G.
+
+    Column block i, H_i = G[:, i] L_i^{-dag}, has H_i H_i^dag =
+    G[:, i] A_i^{-1} G[i, :]. G is Hermitian, so H_i^dag = L_i^{-1} G[i, :]:
+    one batched Cholesky and one batched solve per distinct rank.
+    """
+    out = np.empty_like(frame)
+    for _, cols in _rank_groups(signature):
+        chol = np.linalg.cholesky(frame[cols[:, :, None], cols[:, None, :]])
+        out[:, cols] = np.linalg.solve(chol, frame[cols]).conj().transpose(2, 0, 1)
+    return out
 
 
 def inverse_map(
@@ -148,13 +169,16 @@ def inverse_map(
     coordinates of block i span projector i's range and the others its
     kernel, so the blocks A, B, C of sigma^{1/2} are slices of G. The paper's
     X_i = [[A, B], [B^dag, B^dag A^{-1} B]] is then G[:, i] A^{-1} G[i, :],
-    one solve per block, and Delta_i = C - B^dag A^{-1} B is what it leaves
-    of G on the kernel coordinates. The product's block-i columns are G's up
-    to round-off, so (sigma^{1/2} - X_i) Pi_i is zero to machine precision.
-    The X_i are rotated back by W and normalized into an ensemble as one
-    (m, d, d) stack. Each A is a principal block of
-    G, so by Cauchy interlacing lambda_min(A) >= s_min >= s_max 10^-6 > 0,
-    by ``_polar``'s gate on cond(sigma) = (s_max / s_min)^2.
+    and Delta_i = C - B^dag A^{-1} B is what it leaves of G on the kernel
+    coordinates. With A_i = L_i L_i^dag, X_i = F_i F_i^dag for
+    F_i = W G[:, i] L_i^{-dag} in ambient coordinates (``_whitened``), so the
+    pre-image p_i rho_i = X_i / sum_j Tr X_j is built from F = W G
+    blockdiag(L_i^{-dag}) by ``_from_factors``, with no d x d
+    eigendecomposition. F_i's block-i rows in the frame are L_i, so
+    (sigma^{1/2} - X_i) Pi_i is zero to machine precision. Each A is a
+    principal block of G, so by Cauchy interlacing
+    lambda_min(A) >= s_min >= s_max 10^-6 > 0, by ``_polar``'s gate on
+    cond(sigma) = (s_max / s_min)^2, and its Cholesky factor exists.
 
     Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
     certificate that self-certifies with no solver involved, and the map
@@ -162,21 +186,11 @@ def inverse_map(
     """
     w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
-    inner = np.empty((ensemble.m, ensemble.dim, ensemble.dim), dtype=complex)
-    for out, block in zip(inner, _signature_slices(ensemble.rank_signature)):
-        col = frame[:, block]
-        np.matmul(col, np.linalg.solve(col[block], col.conj().T), out=out)
-    x_ops = herm(w @ inner @ w.conj().T)
-    traces = np.trace(x_ops, axis1=1, axis2=2).real
-    total = sum(traces.tolist())
-    pre_image = validate_ensemble(traces / total, x_ops / traces[:, None, None], tol)
-    if pre_image.rank_signature != ensemble.rank_signature:
-        raise MEDError(
-            f"inverse map changed the rank signature: {pre_image.rank_signature} "
-            f"!= {ensemble.rank_signature}"
-        )
+    factors = w @ _whitened(frame, ensemble.rank_signature)
+    pre_image = _from_factors(factors, ensemble.rank_signature, tol)
+    total = float(_block_norms2(factors, ensemble.rank_signature).sum())
     certificate = _certificate(_pair(pre_image, measurement), sigma_sqrt / total)
-    artifacts = MapArtifacts(x_ops=tuple(x_ops), sigma_sqrt=sigma_sqrt)
+    artifacts = MapArtifacts(x_ops=tuple(total * pre_image.weighted_states()), sigma_sqrt=sigma_sqrt)
     return pre_image, measurement, certificate, artifacts
 
 

@@ -26,16 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belavkin import DualCertificate, dual_operator, stationarity_residual
-from .ensembles import (
-    Ensemble,
-    GeneralPOVM,
-    ProjectiveMeasurement,
-    _pair,
-    _signature_slices,
-    check_pair,
-    validate_projective,
-)
-from .errors import MEDError, NotProjective, RankSignatureMismatch
+from .ensembles import Ensemble, _pair, _signature_slices, rank_matched
 from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import _frame, _psi_svd
 
@@ -109,31 +100,6 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
         and slack >= -_VERDICT_BAND * tol.tol_psd
     )
     return _three_tier(report, ok, borderline)
-
-
-def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
-    """The measurement as projectors paired with the states and of their ranks.
-
-    The pairing is checked first: DimensionMismatch if it does not pair with
-    the states, projective or not. A GeneralPOVM comes from outside (a file,
-    or user arrays) and is the one kind validated here, by
-    ``validate_projective``: NotProjective if it is not projective. Then
-    RankSignatureMismatch if its ranks differ from the states'.
-    """
-    check_pair(ensemble, measurement)
-    if isinstance(measurement, GeneralPOVM):
-        try:
-            measurement = validate_projective(measurement.elements, tol)
-        except MEDError as exc:
-            raise NotProjective(f"measurement is not projective: {exc}") from exc
-    if not isinstance(measurement, ProjectiveMeasurement):
-        raise NotProjective(f"expected projectors, got {type(measurement).__name__}")
-    if measurement.rank_signature != ensemble.rank_signature:
-        raise RankSignatureMismatch(
-            f"projector ranks {measurement.rank_signature} != state ranks "
-            f"{ensemble.rank_signature}"
-        )
-    return measurement
 
 
 def _simplified_rule(report: CertificationReport, tol: Tolerances) -> CertificationReport:

@@ -7,7 +7,10 @@ always recompute the rank signature rather than trusting the input, since
 everything downstream keys on exact ranks. The validators check all
 matrices as one (m, d, d) stack; ``validate_ensemble`` forms, once, Psi from
 the very range eigenpairs the LI test counted (its polar factor is the PGM,
-:mod:`medli.pgm`) and the stack of weighted states p_i rho_i.
+:mod:`medli.pgm`) and the stack of weighted states p_i rho_i. Ensembles medli
+builds from known factors, the two maps' outputs, go through ``_from_factors``
+instead, which runs the same rank rule and LI test on the factors, with no
+d x d eigendecomposition.
 ``_pair`` is the one product of states with measurement elements: the stack
 W_i E_i, W_i = p_i rho_i, whose traces are the detection weights, and its sum
 K, which the certifiers read (:mod:`medli.belavkin`).
@@ -24,12 +27,15 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidSignature,
+    MEDError,
     NotComplete,
     NotLinearlyIndependent,
     NotOrthogonal,
+    NotProjective,
     NotProjector,
     NotPSD,
     PriorsInvalid,
+    RankSignatureMismatch,
     RankSumMismatch,
     StateNotDensity,
 )
@@ -60,10 +66,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class Ensemble:
     """Prior-weighted list of density matrices with its rank signature.
 
-    ``psi`` is the read-only d x d matrix Psi whose columns are
-    sqrt(p_i lambda_ik) v_ik over the range eigenpairs the LI test counted,
-    state i's ``rank_signature[i]`` in turn, so Psi Psi^dag = sigma.
-    ``weighted_states`` returns the read-only (m, d, d) stack of p_i rho_i.
+    ``psi`` is a read-only d x d matrix Psi whose column block i, of
+    ``rank_signature[i]`` columns, is a factor of p_i rho_i, so Psi Psi^dag
+    = sigma. Any factor will do: Psi_i -> Psi_i Q_i, Q_i unitary, moves the
+    PGM unitary's blocks by the same Q_i, so ``pgm``, ``fixpoint_check`` and
+    ``solve`` are invariant under this block-unitary freedom.
+    ``validate_ensemble`` takes the columns sqrt(p_i lambda_ik) v_ik over the
+    range eigenpairs its LI test counted; ``_from_factors`` keeps the factors
+    it was given. ``weighted_states`` returns the read-only (m, d, d) stack
+    of p_i rho_i.
     """
 
     dim: int
@@ -84,16 +95,20 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Mutually orthogonal projectors summing to the identity.
+    """Mutually orthogonal projectors summing to the identity, and their column basis.
 
-    Built by medli from a unitary (``pgm._measurement``) or checked from
-    outside input (``validate_projective``), a measurement holds only its
-    projectors, so every reader runs the same code on either.
+    ``_basis`` is a read-only d x d unitary V whose column block i spans
+    projector i, Pi_i = V_i V_i^dag: the unitary medli built the measurement
+    from (``pgm._measurement``), or the range eigenvectors that
+    ``validate_projective`` counted in outside input. Either way a
+    measurement holds the same two things, so every reader runs the same
+    code on either.
     """
 
     dim: int
     projectors: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
+    _basis: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -177,29 +192,47 @@ def _signature_slices(signature) -> list[slice]:
     return [slice(end - r, end) for r, end in zip(signature, ends)]
 
 
-def _li_ranks(
-    w: np.ndarray, v: np.ndarray, dim: int, tol: Tolerances
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """State ranks, range mask and range eigenvectors, if those vectors form a basis.
+def _rank_groups(signature) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each distinct rank r, ascending: the k states of rank r and their (k, r) coordinate blocks.
 
-    ``w`` and ``v`` are the stacked eigenvalues (m, d) and eigenvectors
-    (m, d, d) of the states' Hermitian parts. One row-wise
-    ``rank_cutoff_mask`` marks every state's range eigenpairs, and one
-    boolean gather lays their eigenvectors side by side, state by state, as
-    the d x d matrix the LI test reads. Raises RankSumMismatch or
+    The blocks are those of ``_signature_slices``, as index arrays, so one
+    batched call serves every state of the same rank.
+    """
+    sig = np.asarray(signature)
+    starts = np.cumsum(sig) - sig
+    groups = []
+    for r in sorted(set(signature)):
+        group = np.flatnonzero(sig == r)
+        groups.append((group, starts[group, None] + np.arange(r)))
+    return groups
+
+
+def _block_norms2(f: np.ndarray, signature) -> np.ndarray:
+    """||F_i||_F^2 for each column block F_i of f: its squared column norms, summed."""
+    col2 = (f.real**2 + f.imag**2).sum(axis=0)
+    norms2 = np.empty(len(signature))
+    for group, cols in _rank_groups(signature):
+        norms2[group] = col2[cols].sum(axis=1)
+    return norms2
+
+
+def _li_ranks(ranks: np.ndarray, basis: np.ndarray, dim: int, tol: Tolerances) -> tuple[int, ...]:
+    """The state ranks as a tuple, if they sum to dim and ``basis`` is a basis.
+
+    ``basis`` lays the states' range vectors side by side, state by state:
+    orthonormal within each state, so s_min / s_max of the whole reads only
+    how independent the states are. Raises RankSumMismatch or
     NotLinearlyIndependent otherwise.
     """
-    keep = rank_cutoff_mask(w, tol)
-    ranks = tuple(keep.sum(axis=1).tolist())
+    ranks = tuple(ranks.tolist())
     if sum(ranks) != dim:
         raise RankSumMismatch(f"state ranks {ranks} sum to {sum(ranks)}, dim is {dim}")
-    basis = v.transpose(1, 0, 2)[:, keep]
     svals = np.linalg.svd(basis, compute_uv=False)
     if not svals[-1] > tol.tol_rank * svals[0]:
         raise NotLinearlyIndependent(
-            f"stacked eigenvectors have singular value ratio {svals[-1] / svals[0]:.3e}"
+            f"stacked range vectors have singular value ratio {svals[-1] / svals[0]:.3e}"
         )
-    return ranks, keep, basis
+    return ranks
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -277,7 +310,9 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
     traces = np.trace(stack, axis1=1, axis2=2).real
     if (idx := _first(np.abs(traces - 1.0) > tol.tol_recon)) is not None:
         raise StateNotDensity(f"state {idx} has trace {float(traces[idx])!r}, not 1")
-    ranks, keep, basis = _li_ranks(w, v, dim, tol)
+    keep = rank_cutoff_mask(w, tol)
+    basis = v.transpose(1, 0, 2)[:, keep]
+    ranks = _li_ranks(keep.sum(axis=1), basis, dim, tol)
     psi = basis * np.sqrt(pr[:, None] * np.clip(w, 0.0, None))[keep]
     return Ensemble(
         dim=dim,
@@ -289,8 +324,53 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
     )
 
 
+def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) -> Ensemble:
+    """The ensemble with p_i rho_i = F_i F_i^dag / ||F||_F^2, F_i the column blocks of f.
+
+    For ensembles medli builds and knows as factors, the outputs of the two
+    maps; outside input goes through ``validate_ensemble``. No d x d matrix
+    is eigendecomposed. The priors are ||F_i||_F^2 / ||F||_F^2, and the
+    states F_i F_i^dag / ||F_i||_F^2 come from one batched product per
+    distinct rank. One thin SVD per distinct rank, O(d r_i^2) per state,
+    gives the ranks, by ``validate_ensemble``'s ``tol_rank`` rule on the
+    squared singular values, and the left singular vectors, on which
+    ``_li_ranks`` runs the same LI test. ``psi`` is f / ||F||_F. Raises
+    StateNotDensity on a non-finite factor, then RankSumMismatch or
+    NotLinearlyIndependent as ``validate_ensemble`` would.
+    """
+    dim = f.shape[0]
+    norms2 = _block_norms2(f, signature)
+    if (idx := _first(~np.isfinite(norms2))) is not None:
+        raise StateNotDensity(f"state {idx} has non-finite entries")
+    ranks = np.empty(len(signature), dtype=int)
+    left = np.empty_like(f)
+    states = np.empty((len(signature), dim, dim), dtype=complex)
+    for group, cols in _rank_groups(signature):
+        blocks = f[:, cols].transpose(1, 0, 2)
+        u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+        ranks[group] = rank_cutoff_mask(s * s, tol).sum(axis=1)
+        left[:, cols] = u.transpose(1, 0, 2)
+        states[group] = blocks @ blocks.conj().swapaxes(-2, -1)
+    ranks = _li_ranks(ranks, left, dim, tol)
+    total = float(norms2.sum())
+    priors = norms2 / total
+    states = herm(states) / norms2[:, None, None]
+    return Ensemble(
+        dim=dim,
+        priors=_frozen(priors),
+        states=tuple(_frozen(states)),
+        rank_signature=ranks,
+        psi=_frozen(f / np.sqrt(total)),
+        _weighted=_frozen(priors[:, None, None] * states),
+    )
+
+
 def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
-    """Check projector defects, completeness and orthogonality, by rows of P_i P_{j > i}."""
+    """Check projector defects, completeness and orthogonality, by rows of P_i P_{j > i}.
+
+    One stacked ``eigh`` gives the ranks and, from each projector's range
+    eigenvectors, the column basis the measurement holds.
+    """
     stack = _square_stack(projectors, "element", NotProjector)
     if not len(stack):
         raise DimensionMismatch("a measurement needs at least one element")
@@ -303,12 +383,39 @@ def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> Projective
         cross = np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(-2, -1))
         if (j := _first(cross > tol.tol_recon)) is not None:
             raise NotOrthogonal(f"elements {i} and {i + 1 + j} overlap by {cross[j]:.3e}")
-    ranks = rank_cutoff_mask(np.linalg.eigvalsh(herm(stack)), tol).sum(axis=1)
+    w, v = np.linalg.eigh(herm(stack))
+    keep = rank_cutoff_mask(w, tol)
     return ProjectiveMeasurement(
         dim=stack.shape[-1],
         projectors=tuple(_frozen(stack)),
-        rank_signature=tuple(ranks.tolist()),
+        rank_signature=tuple(keep.sum(axis=1).tolist()),
+        _basis=_frozen(v.transpose(1, 0, 2)[:, keep]),
     )
+
+
+def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
+    """The measurement as projectors paired with the states and of their ranks.
+
+    The pairing is checked first: DimensionMismatch if it does not pair with
+    the states, projective or not. A GeneralPOVM comes from outside (a file,
+    or user arrays) and is the one kind validated here, by
+    ``validate_projective``: NotProjective if it is not projective. Then
+    RankSignatureMismatch if its ranks differ from the states'.
+    """
+    check_pair(ensemble, measurement)
+    if isinstance(measurement, GeneralPOVM):
+        try:
+            measurement = validate_projective(measurement.elements, tol)
+        except MEDError as exc:
+            raise NotProjective(f"measurement is not projective: {exc}") from exc
+    if not isinstance(measurement, ProjectiveMeasurement):
+        raise NotProjective(f"expected projectors, got {type(measurement).__name__}")
+    if measurement.rank_signature != ensemble.rank_signature:
+        raise RankSignatureMismatch(
+            f"projector ranks {measurement.rank_signature} != state ranks "
+            f"{ensemble.rank_signature}"
+        )
+    return measurement
 
 
 def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:

@@ -6,12 +6,13 @@ so that sigma = Psi Psi^dag (Hausladen-Wootters 1994; Eldar-Forney, IEEE TIT
 47, 858 (2001)). One SVD Psi = U S V^dag gives the PGM unitary W = U V^dag,
 whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
 frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. Psi
-is ``Ensemble.psi``, formed by validation from the range eigenpairs its LI
-test counted, so no state is eigendecomposed here. The one test on sigma is
+is ``Ensemble.psi``: any factor of each p_i rho_i, formed by validation
+from the range eigenpairs its LI test counted or kept from the factors a
+map built the ensemble from, so no state is eigendecomposed here. The one test on sigma is
 cond(sigma) <= COND_LIMIT, read off the same SVD, not a verdict tolerance.
 Every measurement medli builds, the PGM and each solver restart's, comes
 from a unitary through ``_measurement``; outside input is validated by
-``certify.rank_matched``.
+``ensembles.rank_matched``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
 def _psi_svd(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The SVD Psi = U S V^dag, behind the one gate on sigma.
 
-    Psi is ``Ensemble.psi``, built by validation from the range eigenpairs
-    that fixed the rank signature. Raises SigmaSingular when
-    s_max^2 > COND_LIMIT s_min^2, a test with no division, so an exactly
-    zero s_min is refused too.
+    Psi is ``Ensemble.psi``, whose column blocks factor the p_i rho_i.
+    Raises SigmaSingular when s_max^2 > COND_LIMIT s_min^2, a test with no
+    division, so an exactly zero s_min is refused too.
     """
     u, s, vh = np.linalg.svd(ensemble.psi)
     smallest, largest = float(s[-1]) ** 2, float(s[0]) ** 2
@@ -90,7 +90,8 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
     idempotent, mutually orthogonal, complete and of the states' ranks by
     construction, so no validation pass follows. The projectors are
     read-only views of one frozen (m, d, d) stack, as ``validate_projective``
-    returns them. Raises NotProjectiveAfterPGM otherwise.
+    returns them, and a read-only copy of the checked W is the column basis.
+    Raises NotProjectiveAfterPGM otherwise.
     """
     defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
     if defect > tol.tol_recon:
@@ -100,4 +101,5 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
         dim=ensemble.dim,
         projectors=tuple(_frozen(projectors)),
         rank_signature=ensemble.rank_signature,
+        _basis=_frozen(np.array(w, dtype=complex)),
     )

@@ -9,6 +9,7 @@ from conftest import (
     range_projectors,
 )
 from medli import (
+    OPTIMAL,
     DimensionMismatch,
     NotOptimalPair,
     SolverFailed,
@@ -133,6 +134,20 @@ class TestForwardMap:
             range_proj = keep @ keep.conj().T
             assert np.linalg.norm(w - range_proj @ w @ range_proj) < 1e-9
 
+    @pytest.mark.parametrize("sig", [(1,) * 6, (2, 2, 1, 1)])
+    def test_outside_projectors_map_like_the_built_measurement(self, sig):
+        # the image reads V through the rank-matched measurement: the PGM medli
+        # built, its projectors validated from outside, and the same projectors
+        # as a general POVM give the same image
+        q = random_ensemble(sum(sig), sig, seed=51)
+        pre_image, built, certificate, _ = inverse_map(q)
+        image = forward_map(pre_image, built, certificate)
+        for outside in (validate_projective(built.projectors), validate_povm(built.projectors)):
+            other = forward_map(pre_image, outside, certificate)
+            assert other.rank_signature == image.rank_signature
+            assert np.abs(other.weighted_states() - image.weighted_states()).max() <= 1e-14
+            assert np.abs(other.priors - image.priors).max() <= 1e-14
+
 
 class TestInverseMap:
     def test_orthogonal_pair_identity(self):
@@ -256,35 +271,85 @@ def test_both_maps_keep_each_state_support(kind, dim, sig, seed):
             assert np.linalg.norm(a - b) <= 1e-9
 
 
+def _per_state_image(factors, slices):
+    """Priors, states and p_i rho_i from factor blocks F_i, one state at a time.
+
+    The arithmetic of ``_from_factors``: ||F_i||^2 sums F_i's squared column
+    norms, and the state is herm(F_i F_i^dag) / ||F_i||^2.
+    """
+    col2 = (factors.real**2 + factors.imag**2).sum(axis=0)
+    norms2 = [float(col2[s].sum()) for s in slices]
+    total = float(np.sum(norms2))
+    priors = [n / total for n in norms2]
+    states = [herm(factors[:, s] @ factors[:, s].conj().T) / n for s, n in zip(slices, norms2)]
+    return priors, states, [p * rho for p, rho in zip(priors, states)], total
+
+
 @pytest.mark.parametrize(
     "dim, sig", [(2, (1, 1)), (5, (2, 2, 1)), (8, (1,) * 8), (9, (3, 2, 2, 1, 1))]
 )
 def test_stacked_maps_match_per_state_loops(dim, sig):
-    # both maps, the measurement builder and the detection weights work on
-    # (m, d, d) stacks; the per-state loops here do the same arithmetic, so
-    # every number agrees to the bit
+    # both maps build their output from factors with one batched call per
+    # distinct rank, the measurement builder and the detection weights work
+    # on (m, d, d) stacks; the per-state loops here do the same arithmetic,
+    # so every number agrees to the bit
     q = random_ensemble(dim, sig, seed=dim)
-    w, frame, _ = _polar(q)
+    w, frame, sigma_sqrt = _polar(q)
     slices = _signature_slices(sig)
-    x_ops = []
-    for s in slices:
-        col = frame[:, s]
-        x_ops.append(herm(w @ (col @ np.linalg.solve(col[s], col.conj().T)) @ w.conj().T))
-    traces = [float(np.trace(x).real) for x in x_ops]
+    # F = W G blockdiag(L_i^{-dag}), A_i = G[i, i] = L_i L_i^dag
+    whitened = [np.linalg.solve(np.linalg.cholesky(frame[s, s]), frame[s]).conj().T for s in slices]
+    factors = w @ np.hstack(whitened)
+    priors, states, weighted, total = _per_state_image(factors, slices)
     pre_image, measurement, certificate, artifacts = inverse_map(q)
     projectors = [herm(w[:, s] @ w[:, s].conj().T) for s in slices]
     assert np.array_equal(measurement.projectors, projectors)
-    assert np.array_equal(artifacts.x_ops, x_ops)
-    assert pre_image.priors.tolist() == [t / sum(traces) for t in traces]
-    assert np.array_equal(pre_image.states, [x / t for x, t in zip(x_ops, traces)])
+    assert pre_image.priors.tolist() == priors
+    assert np.array_equal(pre_image.states, states)
+    assert np.array_equal(pre_image.weighted_states(), weighted)
+    assert np.array_equal(pre_image.psi, factors / np.sqrt(total))
+    assert np.array_equal(artifacts.x_ops, [total * x for x in weighted])
+    assert np.array_equal(certificate.z, sigma_sqrt / total)
 
     z = certificate.z
-    weights = [float(np.trace(z @ z @ e).real) for e in measurement.projectors]
     derived = forward_map(pre_image, measurement, certificate)
-    assert derived.priors.tolist() == [v / float(np.trace(z @ z).real) for v in weights]
-    expected = [herm(z @ e @ z) / v for v, e in zip(weights, measurement.projectors)]
-    assert np.array_equal(derived.states, expected)
+    priors, states, weighted, _ = _per_state_image(z @ w, slices)
+    assert derived.priors.tolist() == priors
+    assert np.array_equal(derived.states, states)
+    assert np.array_equal(derived.weighted_states(), weighted)
 
     elements = pgm(q).projectors
     profile = [float(np.trace(w @ e).real) for w, e in zip(q.weighted_states(), elements)]
     assert detection_profile(q, pgm(q)) == profile
+
+
+@pytest.mark.parametrize(
+    "dim, sig", [(2, (1, 1)), (5, (2, 2, 1)), (8, (1,) * 8), (9, (3, 2, 2, 1, 1)), (16, (2,) * 8)]
+)
+def test_factored_maps_match_the_paper_formulas(dim, sig):
+    # the pre-image's X_i is the paper's G[:, i] A_i^{-1} G[i, :] rotated by
+    # the PGM unitary, and the image's q_i sigma_i is Z Pi_i Z / Tr(Z^2)
+    q = random_ensemble(dim, sig, seed=dim)
+    w, frame, _ = _polar(q)
+    pre_image, measurement, certificate, artifacts = inverse_map(q)
+    for s, x in zip(_signature_slices(sig), artifacts.x_ops):
+        col = frame[:, s]
+        want = w @ (col @ np.linalg.solve(col[s], col.conj().T)) @ w.conj().T
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+    z = certificate.z
+    derived = forward_map(pre_image, measurement, certificate)
+    z2 = float(np.trace(z @ z).real)
+    for image, proj in zip(derived.weighted_states(), measurement.projectors):
+        want = z @ proj @ z / z2
+        assert np.linalg.norm(image - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("sig", [(1,) * 32, (1,) * 64, (2,) * 32], ids=["d32-pure", "d64-pure", "d64-pairs"])
+def test_maps_at_scale(sig):
+    # beyond d = 16: the pre-image self-certifies and forward(inverse(Q))
+    # returns Q within the round-trip bound
+    q = random_ensemble(sum(sig), sig, seed=len(sig))
+    pre_image, measurement, certificate, _ = inverse_map(q)
+    assert certify_simplified(pre_image, measurement).verdict == OPTIMAL
+    image = forward_map(pre_image, measurement, certificate)
+    assert image.rank_signature == q.rank_signature
+    assert np.abs(image.weighted_states() - q.weighted_states()).max() <= 1e-7

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pure_pair, qubit_angle_oracle, angle_measurement
+from conftest import angle_measurement, near_collinear, pure_pair, qubit_angle_oracle
 from medli import (
     DimensionMismatch,
     GeneralPOVM,
@@ -23,7 +23,7 @@ from medli import (
     validate_povm,
     validate_projective,
 )
-from medli.ensembles import PERTURBATION, _hermitian_part
+from medli.ensembles import PERTURBATION, _from_factors, _hermitian_part, _signature_slices
 from medli.linalg import DEFAULT_TOL, Tolerances, haar_unitary, herm, rank_cutoff_mask
 from medli.solver import _horizontal
 from reference import average_state, check_hermitian, is_pd
@@ -157,7 +157,8 @@ def test_validated_arrays_are_private_and_read_only():
     priors[:] = 0.0
     for arr, kept in zip(held(), before):
         assert np.array_equal(arr, kept)
-    for arr in (ens.priors, *ens.states, ens.weighted_states(), ens.psi, *pgm(ens).projectors):
+    meas = pgm(ens)
+    for arr in (ens.priors, *ens.states, ens.weighted_states(), ens.psi, *meas.projectors, meas._basis):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 
@@ -177,6 +178,69 @@ def test_stacked_validation_matches_per_state_loops(dim, sig):
     assert np.array_equal(ens.psi, np.hstack(psi))
     weighted = [p * rho for p, rho in zip(ens.priors, ens.states)]
     assert np.array_equal(ens.weighted_states(), weighted)
+
+
+def _block_rotated(psi, sig, seed):
+    """Psi with each column block times a Haar unitary: another factor of the same p_i rho_i."""
+    rng = np.random.default_rng(seed)
+    out = np.array(psi)
+    for s in _signature_slices(sig):
+        out[:, s] = out[:, s] @ haar_unitary(s.stop - s.start, rng)
+    return out
+
+
+def _factor_cases():
+    for kind, sig in (("pure", (1,) * 8), ("pairs", (2,) * 4), ("mixed", (2, 2, 1))):
+        yield pytest.param(random_ensemble(sum(sig), sig, seed=sum(sig)).psi, sig, id=kind)
+    # the pre-image's own factors, of a stiff near-collinear Q
+    pre_image = inverse_map(near_collinear(4, (1,) * 4, 0.01, seed=4))[0]
+    yield pytest.param(pre_image.psi, (1,) * 4, id="near-collinear-pre-image")
+
+
+@pytest.mark.parametrize("psi, sig", _factor_cases())
+def test_from_factors_matches_validation(psi, sig):
+    # the same p_i rho_i, once built from factors and once validated as
+    # outside input: same ranks, priors and states, and Psi Psi^dag = sigma;
+    # any factor will do, so the blocks are rotated and F scaled first
+    f = 3.0 * _block_rotated(psi, sig, seed=len(sig))
+    built = _from_factors(f, sig, DEFAULT_TOL)
+    total = float(np.linalg.norm(f)) ** 2
+    weighted = [f[:, s] @ f[:, s].conj().T / total for s in _signature_slices(sig)]
+    priors = [float(np.trace(w).real) for w in weighted]
+    checked = validate_ensemble(np.array(priors) / sum(priors), [w / p for w, p in zip(weighted, priors)])
+    assert built.rank_signature == checked.rank_signature == sig
+    assert np.abs(built.priors - checked.priors).max() <= 1e-15
+    for got, want in zip(built.states, checked.states):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    sigma = average_state(checked)
+    assert np.abs(built.psi @ built.psi.conj().T - sigma).max() <= 1e-15
+    assert np.abs(sum(built.weighted_states()) - sigma).max() <= 1e-15
+
+
+def test_from_factors_refuses_what_validation_refuses():
+    # a rank-deficient block, one below the tol_rank cutoff on its squared
+    # singular values (s_2 / s_1 = 2e-6, so (s_2 / s_1)^2 < 1e-8 < s_2 / s_1)
+    # and dependent blocks raise the classes validate_ensemble raises on the
+    # same p_i rho_i; so does a non-finite factor
+    psi = random_ensemble(4, (2, 1, 1), seed=6).psi
+    deficient = np.array(psi)
+    deficient[:, 1] = 2.0 * deficient[:, 0]
+    below_cutoff = np.array(deficient)
+    below_cutoff[:, 1] += 1e-5 * psi[:, 1]
+    dependent = np.array(psi)
+    dependent[:, 3] = deficient[:, 0] + deficient[:, 2]
+    cases = ((deficient, RankSumMismatch), (below_cutoff, RankSumMismatch), (dependent, NotLinearlyIndependent))
+    for f, error in cases:
+        weighted = [f[:, s] @ f[:, s].conj().T for s in _signature_slices((2, 1, 1))]
+        priors = np.array([np.trace(w).real for w in weighted])
+        with pytest.raises(error):
+            validate_ensemble(priors / priors.sum(), [w / p for w, p in zip(weighted, priors)])
+        with pytest.raises(error):
+            _from_factors(f, (2, 1, 1), DEFAULT_TOL)
+    broken = np.array(psi)
+    broken[0, 2] = np.nan
+    with pytest.raises(StateNotDensity, match=r"^state 1 has non-finite entries$"):
+        _from_factors(broken, (2, 1, 1), DEFAULT_TOL)
 
 
 def test_stacked_hermiticity_rule_matches_the_one_matrix_check():
@@ -236,6 +300,18 @@ class TestValidateProjective:
         proj = herm(u[:, :2] @ u[:, :2].conj().T)
         meas = validate_projective([proj, np.eye(5) - proj])
         assert meas.rank_signature == (2, 3)
+
+    def test_basis_spans_each_projector(self):
+        # the column basis comes from the projectors' range eigenvectors
+        rng = np.random.default_rng(8)
+        u = haar_unitary(6, rng)
+        sig = (3, 1, 2)
+        meas = validate_projective([herm(u[:, s] @ u[:, s].conj().T) for s in _signature_slices(sig)])
+        basis = meas._basis
+        assert meas.rank_signature == sig and not basis.flags.writeable
+        assert np.abs(basis.conj().T @ basis - np.eye(6)).max() <= 1e-14
+        for s, proj in zip(_signature_slices(sig), meas.projectors):
+            assert np.abs(basis[:, s] @ basis[:, s].conj().T - proj).max() <= 1e-14
 
     def test_first_overlapping_pair_in_row_order(self):
         # diagonal near-projectors, each within tol_recon = 0.35 of idempotent,

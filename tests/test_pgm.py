@@ -11,6 +11,7 @@ from medli import (
     SolveConfig,
     dual_operator,
     fixpoint_check,
+    forward_map,
     inverse_map,
     pgm,
     random_ensemble,
@@ -229,34 +230,40 @@ def test_stored_range_pairs_and_stacked_slacks(sig):
 
 
 def _decomposition_counter(monkeypatch):
-    """A function running fn(*args) that returns its numpy.linalg eigh/eigvalsh call counts."""
-    counts = {}
+    """A function running fn(*args) that returns the shapes numpy.linalg eigh/eigvalsh decomposed."""
+    shapes = {}
     for name in ("eigh", "eigvalsh"):
 
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def calls(fn, *args):
-        counts.update(eigh=0, eigvalsh=0)
+        shapes.update(eigh=[], eigvalsh=[])
         fn(*args)
-        return dict(counts)
+        return {name: list(found) for name, found in shapes.items()}
 
     return calls
 
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
 def test_each_state_is_decomposed_once(monkeypatch, sig):
+    # validation decomposes the (m, d, d) stack of outside states once; the
+    # maps build their outputs from factors and decompose no stack of them:
+    # the inverse map's one stacked spectrum is its certificate's slacks
     ens = random_ensemble(sum(sig), sig, seed=13)
     meas = pgm(ens)
+    stack = (ens.m, ens.dim, ens.dim)
     calls = _decomposition_counter(monkeypatch)
-    assert calls(validate_ensemble, ens.priors, ens.states) == {"eigh": 1, "eigvalsh": 0}
-    assert calls(pgm, ens)["eigh"] == 0
-    assert calls(fixpoint_check, ens)["eigh"] == 0
-    assert calls(inverse_map, ens)["eigh"] == 1
-    assert calls(dual_operator, ens, meas) == {"eigh": 0, "eigvalsh": 1}
+    assert calls(validate_ensemble, ens.priors, ens.states) == {"eigh": [stack], "eigvalsh": []}
+    assert calls(pgm, ens)["eigh"] == []
+    assert calls(fixpoint_check, ens)["eigh"] == []
+    assert calls(inverse_map, ens) == {"eigh": [], "eigvalsh": [stack]}
+    pre_image, measurement, certificate, _ = inverse_map(ens)
+    assert calls(forward_map, pre_image, measurement, certificate) == {"eigh": [], "eigvalsh": []}
+    assert calls(dual_operator, ens, meas) == {"eigh": [], "eigvalsh": [stack]}
 
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
@@ -265,7 +272,8 @@ def test_solve_builds_its_measurement_without_validation(monkeypatch, sig):
     ens = random_ensemble(sum(sig), sig, seed=13)
     results = []
     calls = _decomposition_counter(monkeypatch)
-    assert calls(lambda: results.append(solve(ens, SolveConfig(restarts=1))))["eigvalsh"] == 2
+    spectra = calls(lambda: results.append(solve(ens, SolveConfig(restarts=1))))["eigvalsh"]
+    assert spectra == [(ens.m, ens.dim, ens.dim), (ens.dim, ens.dim)]
     assert results[0].certified
     assert results[0].measurement.rank_signature == ens.rank_signature
 
