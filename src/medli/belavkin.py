@@ -13,13 +13,13 @@ measurement's column basis. ``ensembles._from_factors`` builds each output
 from its factors in O(d^3), with no eigendecomposition of its states.
 
 The dual operator and the stationarity residual both read
-K = sum_i p_i rho_i E_i from the one pairing of a measurement with the
-states, ``ensembles._pair``, which the success probability reads too. Summed
-over j, the pairwise stationarity conditions
+K = sum_i p_i rho_i E_i from the one pairing of a measurement's factors
+E_i = L_i R_i^dag with the states, ``ensembles._pair``, which the success
+probability reads too. Summed over j, the pairwise stationarity conditions
 E_j (p_j rho_j - p_i rho_i) E_i = 0 are exactly (K^dag - p_i rho_i) E_i = 0
-for every i, so one batched product over the pairing's stacks reads the
-residual of any POVM, projective or not, built by medli or loaded from a
-file, in O(m d^3).
+for every i, and R_i has orthonormal columns, so the residual of any POVM,
+projective or not, built by medli or loaded from a file, is read off the
+blocks of K^dag L - W L: O(d^3) for projectors, O(m d^3) for a general POVM.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ class DualCertificate:
 
 @dataclass(frozen=True, eq=False)
 class MapArtifacts:
-    """Intermediates of the inverse map: the X_i and sigma^{1/2}."""
+    """Intermediates of the inverse map: sigma^{1/2}."""
 
-    x_ops: tuple[np.ndarray, ...]
     sigma_sqrt: np.ndarray
 
 
@@ -77,12 +76,13 @@ def stationarity_residual(ensemble: Ensemble, measurement, pairing: _Pairing | N
     ranges and E_i (K^dag - p_i rho_i) E_i = 0, so the value squared is the
     max over i of sum_{j != i} || E_j (p_j rho_j - p_i rho_i) E_i ||_F^2: it
     lies between the largest pairwise block norm and sqrt(m - 1) times it.
-    One batched product, O(m d^3), for any POVM. ``pairing`` is
+    With E_i = L_i R_i^dag, R_i's columns orthonormal, it is ||K^dag L_i -
+    (W L)_i||_F, O(d^3) for projectors. ``pairing`` is
     ``_pair(ensemble, measurement)`` when the caller has formed it.
     """
     pairing = pairing if pairing is not None else _pair(ensemble, measurement)
-    columns = pairing.k.conj().T @ pairing.elements - pairing.products
-    return float(np.linalg.norm(columns, axis=(-2, -1)).max())
+    columns = pairing.k.conj().T @ pairing.left - pairing.wl
+    return float(np.sqrt(_block_norms2(columns, pairing.signature).max()))
 
 
 def dual_operator(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> DualCertificate:
@@ -181,8 +181,8 @@ def inverse_map(
     cond(sigma) = (s_max / s_min)^2, and its Cholesky factor exists.
 
     Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
-    certificate that self-certifies with no solver involved, and the map
-    intermediates.
+    certificate that self-certifies with no solver involved, and sigma^{1/2}.
+    The X_i are t p_i rho_i, t = Tr sigma^{1/2} / ``C.dual_value``.
     """
     w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
@@ -190,8 +190,7 @@ def inverse_map(
     pre_image = _from_factors(factors, ensemble.rank_signature, tol)
     total = float(_block_norms2(factors, ensemble.rank_signature).sum())
     certificate = _certificate(_pair(pre_image, measurement), sigma_sqrt / total)
-    artifacts = MapArtifacts(x_ops=tuple(total * pre_image.weighted_states()), sigma_sqrt=sigma_sqrt)
-    return pre_image, measurement, certificate, artifacts
+    return pre_image, measurement, certificate, MapArtifacts(sigma_sqrt=sigma_sqrt)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ optimality is equivalent to sum_i p_i rho_i Pi_i being Hermitian and positive
 definite; it checks exactly that, rather than smuggling the full condition
 back in. Both numbers are in the full certifier's report, so the simplified
 verdict is a second rule read off one report: ``medli certify`` builds one
-report and reads both verdicts and the success probability from it. A report
-reads all its numbers off one pairing of the measurement with the states.
+report and reads both verdicts and the success probability from it, and a
+report reads all its numbers off one pairing of the measurement's factors.
 
 Verdicts are three-tier: a check that fails by less than a factor of ten of
 its tolerance yields Inconclusive instead of flipping to NotOptimal, so

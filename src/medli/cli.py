@@ -255,11 +255,11 @@ def cmd_map(args):
             return _report("map", echo, digest, **_result_fields(result)), EXIT_UNCERTIFIED
         image = forward_map(ensemble, result.measurement, result.certificate, tol)
     else:
-        image, measurement, certificate, _ = inverse_map(ensemble, tol)
+        image, measurement, _, _ = inverse_map(ensemble, tol)
         report = certify_simplified(image, measurement, tol)
         if report.verdict != OPTIMAL:
             raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
-        result = SolveResult(measurement, certificate, report, report.success_prob, iterations=0, certified=True)
+        result = SolveResult(measurement, report, iterations=0, certified=True)
     doc = _report(
         "map",
         echo,

@@ -11,13 +11,16 @@ the very range eigenpairs the LI test counted (its polar factor is the PGM,
 builds from known factors, the two maps' outputs, go through ``_from_factors``
 instead, which runs the same rank rule and LI test on the factors, with no
 d x d eigendecomposition.
-``_pair`` is the one product of states with measurement elements: the stack
-W_i E_i, W_i = p_i rho_i, whose traces are the detection weights, and its sum
-K, which the certifiers read (:mod:`medli.belavkin`).
+Each measurement is factored, E_i = L_i R_i^dag with R_i's columns orthonormal:
+(V_i, V_i) for projectors, V their column basis, and (E_i, I) for a general
+POVM. ``_pair``, the one product of states with measurement elements, forms
+W L, K = (W L) R^dag and the weights Tr(W_i E_i), W_i = p_i rho_i, by one
+formula for both: O(d^3) for projectors, with no (m, d, d) stack formed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -93,26 +96,36 @@ class Ensemble:
         return self._weighted
 
 
+def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
+    """The (m, d, d) stack of projectors U_i U_i^dag onto a unitary's column blocks."""
+    return herm(np.array([u[:, s] @ u[:, s].conj().T for s in slices]))
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Mutually orthogonal projectors summing to the identity, and their column basis.
+    """Mutually orthogonal projectors summing to the identity, held as their column basis.
 
     ``_basis`` is a read-only d x d unitary V whose column block i spans
     projector i, Pi_i = V_i V_i^dag: the unitary medli built the measurement
     from (``pgm._measurement``), or the range eigenvectors that
-    ``validate_projective`` counted in outside input. Either way a
-    measurement holds the same two things, so every reader runs the same
-    code on either.
+    ``validate_projective`` counted in outside input. V is all either holds,
+    so every reader runs the same code; serialization derives ``projectors``.
     """
 
     dim: int
-    projectors: tuple[np.ndarray, ...]
     rank_signature: tuple[int, ...]
     _basis: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
-        return len(self.projectors)
+        return len(self.rank_signature)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(_frozen(_projectors_from_unitary(self._basis, _signature_slices(self.rank_signature))))
+
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        return self._basis, self._basis, self.rank_signature
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +139,9 @@ class GeneralPOVM:
     def m(self) -> int:
         return len(self.elements)
 
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        return np.hstack(self.elements), np.tile(np.eye(self.dim), self.m), (self.dim,) * self.m
+
 
 def measurement_elements(measurement) -> tuple[np.ndarray, ...]:
     if isinstance(measurement, ProjectiveMeasurement):
@@ -135,47 +151,56 @@ def measurement_elements(measurement) -> tuple[np.ndarray, ...]:
     raise TypeError(f"not a measurement: {type(measurement).__name__}")
 
 
-def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, ...]:
-    """The measurement's elements, after checking they pair one-to-one with the states."""
-    elements = measurement_elements(measurement)
-    if len(elements) != ensemble.m or elements[0].shape[0] != ensemble.dim:
+def check_pair(ensemble: Ensemble, measurement) -> None:
+    """Raise DimensionMismatch unless the measurement's outcomes pair one-to-one with the states."""
+    if measurement.m != ensemble.m or measurement.dim != ensemble.dim:
         raise DimensionMismatch(
-            f"measurement ({len(elements)} outcomes, dim {elements[0].shape[0]}) does not "
+            f"measurement ({measurement.m} outcomes, dim {measurement.dim}) does not "
             f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
         )
-    return elements
+
+
+def _k_times(per_coord: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """M = K U for K = sum_i W_i U_i U_i^dag, U_i the column blocks of u.
+
+    ``per_coord[a]`` is W_{l(a)}, the weighted state of coordinate a's block,
+    and U_i U_i^dag u_a = u_a exactly when a lies in block i, so column a of M
+    is W_{l(a)} u_a: one batched mat-vec, O(d^3). K~ = U^dag K U is U^dag M.
+    """
+    return (per_coord @ u.T[..., None])[..., 0].T
 
 
 class _Pairing(NamedTuple):
-    """The (m, d, d) stacks of p_i rho_i, E_i and p_i rho_i E_i, and K = sum_i p_i rho_i E_i."""
+    """The stack of W_i = p_i rho_i, the factors L, W L, their block widths, K and the weights."""
 
     weighted: np.ndarray
-    elements: np.ndarray
-    products: np.ndarray
+    left: np.ndarray
+    wl: np.ndarray
+    signature: tuple[int, ...]
     k: np.ndarray
-
-    def weights(self) -> list[float]:
-        """The detection weights Tr(p_i rho_i E_i), one batched trace of the products."""
-        return np.trace(self.products, axis1=1, axis2=2).real.tolist()
+    weights: list[float]
 
     def success(self, tol: Tolerances) -> float:
         """The sum of the weights; within tol_recon of [0, 1] it is clamped to it."""
-        value = sum(self.weights())
+        value = sum(self.weights)
         near = -tol.tol_recon <= value <= 1.0 + tol.tol_recon
         return min(max(value, 0.0), 1.0) if near else value
 
 
 def _pair(ensemble: Ensemble, measurement) -> _Pairing:
-    """The checked elements paired with the states, and K from one batched product.
+    """The checked measurement's factors E_i = L_i R_i^dag paired with the states.
 
-    The package's one product of states with measurement elements. The
-    (m, d, d) products p_i rho_i E_i are summed over the outcome axis in
-    outcome order, so K has the bits of the running sum of the m products.
+    Column a of W L is W_{l(a)} l_a, one ``_k_times`` batch per block width,
+    each state broadcast over its block's columns, not copied once per column;
+    K = (W L) R^dag, and weight i sums Re(r_a^dag (W L)_a) over block i.
     """
-    elements = np.asarray(check_pair(ensemble, measurement))
-    weighted = ensemble.weighted_states()
-    products = weighted @ elements
-    return _Pairing(weighted, elements, products, products.sum(axis=0))
+    check_pair(ensemble, measurement)
+    left, right, signature = measurement._factors()
+    wl = np.empty(left.shape, dtype=complex)
+    for group, cols in _rank_groups(signature):
+        wl[:, cols.T] = _k_times(ensemble.weighted_states()[group, None], left[:, cols.T])
+    weights = _block_sums((right.conj() * wl).sum(axis=0).real, signature).tolist()
+    return _Pairing(ensemble.weighted_states(), left, wl, signature, wl @ right.conj().T, weights)
 
 
 def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
@@ -192,28 +217,33 @@ def _signature_slices(signature) -> list[slice]:
     return [slice(end - r, end) for r, end in zip(signature, ends)]
 
 
-def _rank_groups(signature) -> list[tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=None)
+def _rank_groups(signature: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """For each distinct rank r, ascending: the k states of rank r and their (k, r) coordinate blocks.
 
-    The blocks are those of ``_signature_slices``, as index arrays, so one
-    batched call serves every state of the same rank.
+    The blocks are those of ``_signature_slices``, as read-only index arrays
+    built once per signature, so one batched call serves each rank's states.
     """
     sig = np.asarray(signature)
     starts = np.cumsum(sig) - sig
     groups = []
     for r in sorted(set(signature)):
         group = np.flatnonzero(sig == r)
-        groups.append((group, starts[group, None] + np.arange(r)))
-    return groups
+        groups.append((_frozen(group), _frozen(starts[group, None] + np.arange(r))))
+    return tuple(groups)
+
+
+def _block_sums(columns: np.ndarray, signature) -> np.ndarray:
+    """Per-column values summed over each column block of the signature's sizes."""
+    sums = np.empty(len(signature))
+    for group, cols in _rank_groups(signature):
+        sums[group] = columns[cols].sum(axis=1)
+    return sums
 
 
 def _block_norms2(f: np.ndarray, signature) -> np.ndarray:
     """||F_i||_F^2 for each column block F_i of f: its squared column norms, summed."""
-    col2 = (f.real**2 + f.imag**2).sum(axis=0)
-    norms2 = np.empty(len(signature))
-    for group, cols in _rank_groups(signature):
-        norms2[group] = col2[cols].sum(axis=1)
-    return norms2
+    return _block_sums((f.real**2 + f.imag**2).sum(axis=0), signature)
 
 
 def _li_ranks(ranks: np.ndarray, basis: np.ndarray, dim: int, tol: Tolerances) -> tuple[int, ...]:
@@ -385,12 +415,8 @@ def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> Projective
             raise NotOrthogonal(f"elements {i} and {i + 1 + j} overlap by {cross[j]:.3e}")
     w, v = np.linalg.eigh(herm(stack))
     keep = rank_cutoff_mask(w, tol)
-    return ProjectiveMeasurement(
-        dim=stack.shape[-1],
-        projectors=tuple(_frozen(stack)),
-        rank_signature=tuple(keep.sum(axis=1).tolist()),
-        _basis=_frozen(v.transpose(1, 0, 2)[:, keep]),
-    )
+    basis = _frozen(v.transpose(1, 0, 2)[:, keep])
+    return ProjectiveMeasurement(stack.shape[-1], tuple(keep.sum(axis=1).tolist()), basis)
 
 
 def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
@@ -430,12 +456,12 @@ def validate_povm(elements, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:
 
 
 def detection_profile(ensemble: Ensemble, measurement) -> list[float]:
-    """Per-state detection weights Tr(p_i rho_i E_i), the traces of ``_pair``'s products.
+    """Per-state detection weights Tr(p_i rho_i E_i), read off ``_pair``.
 
     At a fixed point of the Belavkin transform these are proportional to the
     state ranks; for rank-one signatures they are all equal.
     """
-    return _pair(ensemble, measurement).weights()
+    return _pair(ensemble, measurement).weights
 
 
 def success_probability(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> float:

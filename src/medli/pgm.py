@@ -11,29 +11,21 @@ from the range eigenpairs its LI test counted or kept from the factors a
 map built the ensemble from, so no state is eigendecomposed here. The one test on sigma is
 cond(sigma) <= COND_LIMIT, read off the same SVD, not a verdict tolerance.
 Every measurement medli builds, the PGM and each solver restart's, comes
-from a unitary through ``_measurement``; outside input is validated by
-``ensembles.rank_matched``.
+from a unitary through ``_measurement`` and is that unitary, with no
+projector stack; outside input is validated by ``ensembles.rank_matched``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import Ensemble, ProjectiveMeasurement, _frozen, _signature_slices
+from .ensembles import Ensemble, ProjectiveMeasurement, _frozen
 from .errors import NotProjectiveAfterPGM, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, herm
 
 # Beyond this condition number of the average state, near-dependent ensembles
 # are outside the stable regime: the one gate on sigma.
 COND_LIMIT = 1e12
-
-
-def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
-    """The (m, d, d) stack of projectors U_i U_i^dag onto a unitary's column blocks."""
-    stack = np.empty((len(slices), *u.shape), dtype=complex)
-    for out, s in zip(stack, slices):
-        np.matmul(u[:, s], u[:, s].conj().T, out=out)
-    return herm(stack)
 
 
 def _psi_svd(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,18 +80,10 @@ def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> Projecti
     W is a unitary medli built: the PGM's or a solver restart's. Once
     ||W^dag W - Id||_F <= tol_recon, the projectors W_i W_i^dag are
     idempotent, mutually orthogonal, complete and of the states' ranks by
-    construction, so no validation pass follows. The projectors are
-    read-only views of one frozen (m, d, d) stack, as ``validate_projective``
-    returns them, and a read-only copy of the checked W is the column basis.
-    Raises NotProjectiveAfterPGM otherwise.
+    construction, so no validation pass follows; the measurement holds a
+    read-only copy of the checked W. Raises NotProjectiveAfterPGM otherwise.
     """
     defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
     if defect > tol.tol_recon:
         raise NotProjectiveAfterPGM(f"unitary fails unitarity by {defect:.3e}")
-    projectors = _projectors_from_unitary(w, _signature_slices(ensemble.rank_signature))
-    return ProjectiveMeasurement(
-        dim=ensemble.dim,
-        projectors=tuple(_frozen(projectors)),
-        rank_signature=ensemble.rank_signature,
-        _basis=_frozen(np.array(w, dtype=complex)),
-    )
+    return ProjectiveMeasurement(ensemble.dim, ensemble.rank_signature, _frozen(np.array(w, dtype=complex)))

@@ -3,14 +3,14 @@
 ``solve`` searches the manifold of rank-compatible projective measurements
 (parameterized as column-block partitions of a unitary). Each restart, from
 the PGM and then from seeded Haar unitaries, reads M = K U with
-K = sum_i p_i rho_i Pi_i from one batched mat-vec: column a of M is
-W_{l(a)} u_a, W_i = p_i rho_i and l(a) the block of coordinate a, so no
-frame U^dag W_i U of every state is formed. Polar steps U <- polar(K U), one
-d x d SVD each and O(d^3) in all, drive K towards Hermitian PSD, the paper's
-simplified optimality condition. A saddle-free Riemannian Newton ascent on
-Re Tr K~, K~ = U^dag K U, finishes, building its Hessian only where the
-polar steps stall; its gradient norm is the certificate's hermiticity
-residual.
+K = sum_i p_i rho_i Pi_i from one batched mat-vec (``ensembles._k_times``,
+shared with the certificate's pairing): column a of M is W_{l(a)} u_a,
+W_i = p_i rho_i and l(a) the block of coordinate a, so no frame U^dag W_i U of
+every state is formed. Polar steps U <- polar(K U), one d x d SVD each and
+O(d^3) in all, drive K towards Hermitian PSD, the paper's simplified
+optimality condition. A saddle-free Riemannian Newton ascent on Re Tr K~,
+K~ = U^dag K U, finishes, building its Hessian only where the polar steps
+stall; its gradient norm is the certificate's hermiticity residual.
 It accepts a result only when the simplified certificate says Optimal: the
 certificate is the acceptance authority, not the optimizer's convergence
 flag, because the simplified condition is an iff for this problem class.
@@ -37,13 +37,15 @@ from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
     _frozen,
+    _k_times,
+    _projectors_from_unitary,
     _signature_slices,
     check_signature,
     validate_ensemble,
 )
 from .errors import BudgetExceeded, MEDError, NoConvergence, NotTwoState
 from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian
-from .pgm import _measurement, _pgm_unitary, _projectors_from_unitary
+from .pgm import _measurement, _pgm_unitary
 
 # Each restart takes at most this many polar steps before Newton.
 POLAR_STEPS = 30
@@ -70,7 +72,7 @@ class SolveConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """A candidate optimum with its certificate.
+    """A candidate optimum; its report alone holds the certificate and success probability.
 
     ``certified`` is True exactly when the simplified certificate reports
     Optimal. For ``solve``, ``iterations`` counts the polar steps plus the
@@ -79,11 +81,17 @@ class SolveResult:
     """
 
     measurement: ProjectiveMeasurement
-    certificate: DualCertificate
     report: CertificationReport
-    success_prob: float
     iterations: int
     certified: bool
+
+    @property
+    def certificate(self) -> DualCertificate:
+        return self.report.certificate
+
+    @property
+    def success_prob(self) -> float:
+        return self.report.success_prob
 
 
 def _objective(weighted, projectors) -> float:
@@ -111,16 +119,6 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
             g[j, k] = 1j
             gens.append(g)
     return gens
-
-
-def _k_times(per_coord: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """M = K U for K = sum_i W_i U_i U_i^dag, U_i the column blocks of u.
-
-    ``per_coord[a]`` is W_{l(a)}, the weighted state of coordinate a's block,
-    and U_i U_i^dag u_a = u_a exactly when a lies in block i, so column a of M
-    is W_{l(a)} u_a: one batched mat-vec, O(d^3). K~ = U^dag K U is U^dag M.
-    """
-    return (per_coord @ u.T[..., None])[..., 0].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,17 +281,10 @@ def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[
 
 
 def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances) -> SolveResult:
-    """Certify the measurement of u's column blocks; ``_measurement`` checks u is unitary."""
+    """Certify the measurement of u's column blocks, u itself; ``_measurement`` checks u is unitary."""
     measurement = _measurement(u, ensemble, tol)
     report = certify_simplified(ensemble, measurement, tol)
-    return SolveResult(
-        measurement=measurement,
-        certificate=report.certificate,
-        report=report,
-        success_prob=report.success_prob,
-        iterations=iterations,
-        certified=report.verdict == OPTIMAL,
-    )
+    return SolveResult(measurement, report, iterations, report.verdict == OPTIMAL)
 
 
 def _restart(ensemble: Ensemble, stack, space: _Horizontal, u0, tol: Tolerances) -> SolveResult:

@@ -187,13 +187,31 @@ def pairwise_column_squares(ensemble: Ensemble, elements) -> float:
     )
 
 
+def outcome_sum(ensemble: Ensemble, elements) -> np.ndarray:
+    """K = sum_i p_i rho_i E_i, one outcome at a time."""
+    k = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
+    for w, e in zip(ensemble.weighted_states(), elements):
+        k += w @ e
+    return k
+
+
+def outcome_weights(ensemble: Ensemble, elements) -> list[float]:
+    """The detection weights Tr(p_i rho_i E_i), one outcome at a time."""
+    return [float(np.trace(w @ e).real) for w, e in zip(ensemble.weighted_states(), elements)]
+
+
 def column_stationarity(ensemble: Ensemble, elements) -> float:
     """max over i of ||(K^dag - p_i rho_i) E_i||_F, K = sum_j p_j rho_j E_j, one outcome at a time."""
-    weighted = ensemble.weighted_states()
-    k = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
-    for w, e in zip(weighted, elements):
-        k += w @ e
-    return max(float(np.linalg.norm((k.conj().T - w) @ e)) for w, e in zip(weighted, elements))
+    k = outcome_sum(ensemble, elements)
+    return max(
+        float(np.linalg.norm((k.conj().T - w) @ e)) for w, e in zip(ensemble.weighted_states(), elements)
+    )
+
+
+def paper_x_ops(pre_image: Ensemble, certificate, artifacts) -> np.ndarray:
+    """The paper's X_i of an inverse map, t p_i rho_i of its pre-image with t = Tr sigma^{1/2} / Tr Z."""
+    scale = float(np.trace(artifacts.sigma_sqrt).real) / certificate.dual_value
+    return scale * pre_image.weighted_states()
 
 
 def pgm_general(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> GeneralPOVM:

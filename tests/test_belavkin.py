@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import medli
 from conftest import (
     angle_measurement,
     near_collinear,
@@ -31,10 +34,11 @@ from medli import (
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
 from medli.ensembles import _signature_slices
 from medli.pgm import _measurement, _polar
-from reference import block_decompose, column_stationarity, is_psd
+from reference import block_decompose, column_stationarity, is_psd, paper_x_ops
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+NUMBERS = [f.name for f in dataclasses.fields(medli.CertificationReport) if f.name not in ("verdict", "certificate")]
 
 
 def rank_matched_random_measurement(ensemble, seed):
@@ -81,16 +85,32 @@ class TestStationarityResidual:
         assert certify_full(ens, povm).stationarity_residual == pytest.approx(want, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("sig", [(1,) * 6, (2, 2, 1, 1)])
-    def test_outside_projectors_match_the_built_measurement(self, sig):
+    def test_outside_projectors_match_the_built_measurement(self, monkeypatch, sig):
         # a measurement medli built and the same projectors from
-        # validate_projective run the same code: identical reports
+        # validate_projective run the same code, the one _pair, on two bases
+        # of the same projectors (the built unitary and validation's range
+        # eigenvectors): equal verdicts, every number equal to round-off
+        paired = []
+
+        def spy(ensemble, measurement, _pair=medli.ensembles._pair):
+            paired.append(measurement)
+            return _pair(ensemble, measurement)
+
+        for module in (medli.belavkin, medli.certify):
+            monkeypatch.setattr(module, "_pair", spy)
         ens = random_ensemble(sum(sig), sig, seed=41)
         haar = haar_unitary(ens.dim, np.random.default_rng(41))
         for built in (pgm(ens), _measurement(haar, ens, DEFAULT_TOL)):
             outside = validate_projective(built.projectors)
-            assert stationarity_residual(ens, outside) == stationarity_residual(ens, built)
+            paired.clear()
+            values = [stationarity_residual(ens, meas) for meas in (outside, built)]
+            assert abs(values[0] - values[1]) <= 1e-14
             for certify in (certify_full, certify_simplified):
-                assert certify(ens, outside) == certify(ens, built)
+                reports = [certify(ens, meas) for meas in (outside, built)]
+                assert reports[0].verdict == reports[1].verdict
+                for name in NUMBERS:
+                    assert abs(getattr(reports[0], name) - getattr(reports[1], name)) <= 1e-14
+            assert paired == [outside, built] * 3
 
 
 class TestForwardMap:
@@ -175,8 +195,9 @@ class TestInverseMap:
     def test_artifacts_invariants(self):
         ens = random_ensemble(5, (2, 2, 1), seed=4)
         pre, meas, cert, arts = inverse_map(ens)
-        total = sum(float(np.trace(x).real) for x in arts.x_ops)
-        for x, proj, r in zip(arts.x_ops, meas.projectors, ens.rank_signature):
+        x_ops = paper_x_ops(pre, cert, arts)
+        total = sum(float(np.trace(x).real) for x in x_ops)
+        for x, proj, r in zip(x_ops, meas.projectors, ens.rank_signature):
             assert rank_eps(x) == r
             assert is_psd(x)
             assert is_psd(arts.sigma_sqrt - x)
@@ -290,9 +311,9 @@ def _per_state_image(factors, slices):
 )
 def test_stacked_maps_match_per_state_loops(dim, sig):
     # both maps build their output from factors with one batched call per
-    # distinct rank, the measurement builder and the detection weights work
-    # on (m, d, d) stacks; the per-state loops here do the same arithmetic,
-    # so every number agrees to the bit
+    # distinct rank, and the detection weights are read off the measurement's
+    # columns; the per-state loops here do the same arithmetic, so every
+    # number agrees to the bit
     q = random_ensemble(dim, sig, seed=dim)
     w, frame, sigma_sqrt = _polar(q)
     slices = _signature_slices(sig)
@@ -300,14 +321,13 @@ def test_stacked_maps_match_per_state_loops(dim, sig):
     whitened = [np.linalg.solve(np.linalg.cholesky(frame[s, s]), frame[s]).conj().T for s in slices]
     factors = w @ np.hstack(whitened)
     priors, states, weighted, total = _per_state_image(factors, slices)
-    pre_image, measurement, certificate, artifacts = inverse_map(q)
+    pre_image, measurement, certificate, _ = inverse_map(q)
     projectors = [herm(w[:, s] @ w[:, s].conj().T) for s in slices]
     assert np.array_equal(measurement.projectors, projectors)
     assert pre_image.priors.tolist() == priors
     assert np.array_equal(pre_image.states, states)
     assert np.array_equal(pre_image.weighted_states(), weighted)
     assert np.array_equal(pre_image.psi, factors / np.sqrt(total))
-    assert np.array_equal(artifacts.x_ops, [total * x for x in weighted])
     assert np.array_equal(certificate.z, sigma_sqrt / total)
 
     z = certificate.z
@@ -317,9 +337,12 @@ def test_stacked_maps_match_per_state_loops(dim, sig):
     assert np.array_equal(derived.states, states)
     assert np.array_equal(derived.weighted_states(), weighted)
 
-    elements = pgm(q).projectors
-    profile = [float(np.trace(w @ e).real) for w, e in zip(q.weighted_states(), elements)]
-    assert detection_profile(q, pgm(q)) == profile
+    # Tr(W_i Pi_i) = Re sum_a v_a^dag W_i v_a over the PGM's columns a in block i
+    v = pgm(q)._basis
+    labels = np.repeat(np.arange(len(sig)), sig)
+    wv = np.stack([q.weighted_states()[label] @ v[:, a] for a, label in enumerate(labels)], axis=1)
+    columns = (v.conj() * wv).sum(axis=0).real
+    assert detection_profile(q, pgm(q)) == [float(columns[s].sum()) for s in slices]
 
 
 @pytest.mark.parametrize(
@@ -331,7 +354,7 @@ def test_factored_maps_match_the_paper_formulas(dim, sig):
     q = random_ensemble(dim, sig, seed=dim)
     w, frame, _ = _polar(q)
     pre_image, measurement, certificate, artifacts = inverse_map(q)
-    for s, x in zip(_signature_slices(sig), artifacts.x_ops):
+    for s, x in zip(_signature_slices(sig), paper_x_ops(pre_image, certificate, artifacts)):
         col = frame[:, s]
         want = w @ (col @ np.linalg.solve(col[s], col.conj().T)) @ w.conj().T
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)

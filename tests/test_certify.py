@@ -193,7 +193,7 @@ class TestReportedSuccessProbability:
 
     def test_orthogonal_pair_is_clamped_to_one(self):
         # rotated off the axes, the traces sum to 1 + 4e-16, within tol_recon of 1
-        u = haar_unitary(2, np.random.default_rng(3))
+        u = haar_unitary(2, np.random.default_rng(10))
         states = [herm(np.outer(col, col.conj())) for col in u.T]
         ens, meas = validate_ensemble([0.5, 0.5], states), validate_projective(states)
         assert sum(detection_profile(ens, meas)) > 1.0

@@ -5,6 +5,13 @@ from conftest import angle_measurement, near_collinear, pure_pair, qubit_angle_o
 from medli import (
     DimensionMismatch,
     GeneralPOVM,
+    ProjectiveMeasurement,
+    certify_full,
+    certify_simplified,
+    detection_profile,
+    forward_map,
+    roundtrip_check,
+    stationarity_residual,
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
@@ -23,10 +30,26 @@ from medli import (
     validate_povm,
     validate_projective,
 )
-from medli.ensembles import PERTURBATION, _from_factors, _hermitian_part, _signature_slices
+from medli.ensembles import (
+    PERTURBATION,
+    _from_factors,
+    _hermitian_part,
+    _pair,
+    _signature_slices,
+    measurement_elements,
+)
 from medli.linalg import DEFAULT_TOL, Tolerances, haar_unitary, herm, rank_cutoff_mask
+from medli.pgm import _measurement
+from medli.serialize import measurement_to_doc
 from medli.solver import _horizontal
-from reference import average_state, check_hermitian, is_pd
+from reference import (
+    average_state,
+    check_hermitian,
+    column_stationarity,
+    is_pd,
+    outcome_sum,
+    outcome_weights,
+)
 
 ORTH_STATES = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
@@ -348,6 +371,63 @@ class TestSuccessProbability:
         ens = validate_ensemble([0.5, 0.5], ORTH_STATES)
         with pytest.raises(DimensionMismatch):
             success_probability(ens, GeneralPOVM(dim=2, elements=(np.eye(2),)))
+        # the pairing reads the outcome count, not a first element
+        with pytest.raises(DimensionMismatch, match="0 outcomes"):
+            success_probability(ens, GeneralPOVM(dim=2, elements=()))
+
+
+PAIRING_SIGNATURES = [(1,) * d for d in range(2, 17)] + [
+    (2,) * (d // 2) + (1,) * (d % 2) for d in range(3, 17)
+] + [(1,) * 64, (2,) * 32]
+
+
+@pytest.mark.parametrize("sig", PAIRING_SIGNATURES, ids=lambda sig: f"d{sum(sig)}-m{len(sig)}")
+def test_factor_pairing_matches_per_outcome_loops(sig):
+    # _pair reads K, the detection weights and the stationarity residual off
+    # the measurement's factors, (V_i, V_i) for projectors and (E_i, I) for a
+    # general POVM; the references loop over the outcomes' elements. K and
+    # the weights (entries and traces of size <= 1) agree within 1e-15. The
+    # residual agrees within 1e-13 relative: at the PGM it is a cancellation
+    # down to 2e-4 against entries of size 1, which reads at most 2.6e-14
+    # relative here (2.1e-14 on the (m, d, d) product stack it replaced)
+    ens = random_ensemble(sum(sig), sig, seed=900 + sum(sig))
+    built = pgm(ens)
+    haar = _measurement(haar_unitary(ens.dim, np.random.default_rng(sum(sig))), ens, DEFAULT_TOL)
+    povm = validate_povm([0.9 * p + 0.1 / ens.m * np.eye(ens.dim) for p in built.projectors])
+    outside = [validate_projective(meas.projectors) for meas in (built, haar)]
+    for meas in (built, haar, *outside, povm):
+        elements = measurement_elements(meas)
+        pairing = _pair(ens, meas)
+        assert np.abs(pairing.k - outcome_sum(ens, elements)).max() <= 1e-15
+        assert np.abs(np.subtract(pairing.weights, outcome_weights(ens, elements))).max() <= 1e-15
+        want = column_stationarity(ens, elements)
+        assert abs(stationarity_residual(ens, meas, pairing) - want) <= 1e-13 * want
+
+
+def test_projective_measurements_never_form_their_projectors(monkeypatch):
+    # a projective measurement is its column basis: solving, both certifiers,
+    # both maps, the detection profile and the round trip never read the
+    # projector stack, which only serialization derives
+    ens = random_ensemble(4, (2, 1, 1), seed=17)
+    outside = validate_projective(pgm(ens).projectors)
+
+    def refuse(self):
+        raise AssertionError("projector stack formed")
+
+    monkeypatch.setattr(ProjectiveMeasurement, "projectors", property(refuse))
+    result = solve(ens)
+    assert result.certified
+    for meas in (result.measurement, pgm(ens), outside):
+        assert certify_full(ens, meas).verdict == certify_simplified(ens, meas).verdict
+        assert len(detection_profile(ens, meas)) == ens.m
+    pre_image, measurement, certificate, _ = inverse_map(ens)
+    image = forward_map(pre_image, measurement, certificate)
+    assert np.abs(image.weighted_states() - ens.weighted_states()).max() <= 1e-12
+    forward_map(ens, result.measurement, result.certificate)
+    report = roundtrip_check(ens, solve)
+    assert max(report.p_deviation, report.q_deviation) <= 1e-10
+    with pytest.raises(AssertionError, match="projector stack"):
+        measurement_to_doc(result.measurement)
 
 
 class TestAverageState:

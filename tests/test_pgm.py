@@ -28,6 +28,7 @@ from reference import (
     block_decompose,
     pairwise_column_squares,
     pairwise_stationarity,
+    paper_x_ops,
     pgm_general,
     psd_sqrt,
     schur_complement,
@@ -167,10 +168,10 @@ def test_polar_path_matches_ambient_construction(sig):
     for proj, element in zip(meas.projectors, pgm_general(ens).elements):
         assert np.abs(proj - element).max() <= 1e-9
     root, x_ref, delta_ref, residual_ref = _ambient_reference(ens, meas.projectors)
-    _, _, _, arts = inverse_map(ens)
+    pre_image, _, certificate, arts = inverse_map(ens)
     assert np.abs(arts.sigma_sqrt - root).max() <= 1e-12
     for x, want, proj, rank, spectrum in zip(
-        arts.x_ops, x_ref, meas.projectors, ens.rank_signature, delta_ref
+        paper_x_ops(pre_image, certificate, arts), x_ref, meas.projectors, ens.rank_signature, delta_ref
     ):
         assert np.abs(x - want).max() <= 1e-12
         assert np.linalg.norm((arts.sigma_sqrt - x) @ proj) <= 1e-13
