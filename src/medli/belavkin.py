@@ -35,7 +35,7 @@ from .ensembles import (
     _from_factors,
     _pair,
     _Pairing,
-    _rank_groups,
+    _runs,
     rank_matched,
 )
 from .errors import NotOptimalPair, SolverFailed
@@ -151,12 +151,13 @@ def _whitened(frame: np.ndarray, signature) -> np.ndarray:
 
     Column block i, H_i = G[:, i] L_i^{-dag}, has H_i H_i^dag =
     G[:, i] A_i^{-1} G[i, :]. G is Hermitian, so H_i^dag = L_i^{-1} G[i, :]:
-    one batched Cholesky and one batched solve per distinct rank.
+    one batched Cholesky and one batched solve per run of equal ranks (``_runs``).
     """
     out = np.empty_like(frame)
-    for _, cols in _rank_groups(signature):
-        chol = np.linalg.cholesky(frame[cols[:, :, None], cols[:, None, :]])
-        out[:, cols] = np.linalg.solve(chol, frame[cols]).conj().transpose(2, 0, 1)
+    for _, cols, k, r in _runs(signature):
+        rows = frame[cols].reshape(k, r, -1)
+        chol = np.linalg.cholesky(np.einsum("iaib->iab", rows[..., cols].reshape(k, r, k, r)))
+        out[:, cols] = np.linalg.solve(chol, rows).conj().transpose(2, 0, 1).reshape(-1, k * r)
     return out
 
 

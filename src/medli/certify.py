@@ -121,9 +121,11 @@ def certify_simplified(
     Optimal iff sum_i p_i rho_i Pi_i is Hermitian within tol_recon and PD
     above tol_psd. The full stationarity residual and slack spectrum are
     still computed for the report, but only hermiticity and positivity drive
-    the verdict. The measurement goes through ``rank_matched`` first.
+    the verdict. ``rank_matched`` checks the measurement, which the report
+    pairs as given, as ``certify_full`` does, not as validation rebuilds it.
     """
-    return _simplified_rule(_residuals(ensemble, rank_matched(ensemble, measurement, tol), tol), tol)
+    rank_matched(ensemble, measurement, tol)
+    return _simplified_rule(_residuals(ensemble, measurement, tol), tol)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .belavkin import forward_map, inverse_map, roundtrip_check
 from .certify import OPTIMAL, _simplified_rule, certify_full, certify_simplified, fixpoint_check, rank_matched
-from .ensembles import ProjectiveMeasurement, random_ensemble
+from .ensembles import random_ensemble
 from .errors import MEDError, NotProjective, SolverFailed
 from .linalg import DEFAULT_TOL
 from .serialize import (
@@ -169,12 +169,17 @@ def _report(command: str, args_echo: dict, digest, **fields) -> dict:
     return doc
 
 
-def _residuals_block(report) -> dict:
+def _report_fields(report) -> dict:
     return {
-        "stationarity": report.stationarity_residual,
-        "min_slack_eig": report.min_slack_eig,
-        "positivity_min_eig": report.positivity_min_eig,
-        "hermiticity": report.hermiticity_residual,
+        "success_prob": report.success_prob,
+        "dual_value": report.dual_value,
+        "verdict": report.verdict,
+        "residuals": {
+            "stationarity": report.stationarity_residual,
+            "min_slack_eig": report.min_slack_eig,
+            "positivity_min_eig": report.positivity_min_eig,
+            "hermiticity": report.hermiticity_residual,
+        },
     }
 
 
@@ -186,13 +191,8 @@ def _solve(args, ensemble, tol):
 
 def _result_fields(result) -> dict:
     """Report fields of a SolveResult, all but its measurement."""
-    return {
-        "success_prob": result.success_prob,
-        "dual_value": result.certificate.dual_value,
-        "verdict": result.report.verdict,
-        "residuals": _residuals_block(result.report),
-        "timings": {"iterations": result.iterations, "certified": result.certified},
-    }
+    timings = {"iterations": result.iterations, "certified": result.certified}
+    return {**_report_fields(result.report), "timings": timings}
 
 
 # Each handler returns the document to write and the exit code.
@@ -225,20 +225,16 @@ def cmd_certify(args):
     with _input_phase():
         povm_doc, povm_data = load_json(args.povm)
         measurement = povm_from_doc(povm_doc, tol)
+        projective = None
         with contextlib.suppress(NotProjective):
-            measurement = rank_matched(ensemble, measurement, tol)
+            projective = rank_matched(ensemble, measurement, tol)
     full = certify_full(ensemble, measurement, tol)
-    simplified = (
-        _simplified_rule(full, tol).verdict if isinstance(measurement, ProjectiveMeasurement) else None
-    )
+    simplified = None if projective is None else _simplified_rule(full, tol).verdict
     doc = _report(
         "certify",
         _echo(args),
         {"ensemble": digest_in, "measurement": _digest(povm_data)},
-        success_prob=full.success_prob,
-        dual_value=full.dual_value,
-        verdict=full.verdict,
-        residuals=_residuals_block(full),
+        **_report_fields(full),
         simplified_verdict=simplified,
         verdicts_agree=None if simplified is None else simplified == full.verdict,
     )

@@ -151,13 +151,16 @@ def measurement_elements(measurement) -> tuple[np.ndarray, ...]:
     raise TypeError(f"not a measurement: {type(measurement).__name__}")
 
 
-def check_pair(ensemble: Ensemble, measurement) -> None:
-    """Raise DimensionMismatch unless the measurement's outcomes pair one-to-one with the states."""
-    if measurement.m != ensemble.m or measurement.dim != ensemble.dim:
-        raise DimensionMismatch(
-            f"measurement ({measurement.m} outcomes, dim {measurement.dim}) does not "
-            f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
-        )
+def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The measurement's factors L, R and block widths, if their shapes, not ``dim``, fit the states."""
+    if measurement.m == ensemble.m:
+        left, right, signature = factors = measurement._factors()
+        if left.shape == right.shape == (ensemble.dim, sum(signature)):
+            return factors
+    raise DimensionMismatch(
+        f"measurement ({measurement.m} outcomes, dim {measurement.dim}) does not "
+        f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
+    )
 
 
 def _k_times(per_coord: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -190,17 +193,16 @@ class _Pairing(NamedTuple):
 def _pair(ensemble: Ensemble, measurement) -> _Pairing:
     """The checked measurement's factors E_i = L_i R_i^dag paired with the states.
 
-    Column a of W L is W_{l(a)} l_a, one ``_k_times`` batch per block width,
-    each state broadcast over its block's columns, not copied once per column;
+    Column a of W L is W_{l(a)} l_a: one ``_k_times`` batch per run of blocks
+    (``_runs``), the run's k states broadcast over its columns, not copied.
     K = (W L) R^dag, and weight i sums Re(r_a^dag (W L)_a) over block i.
     """
-    check_pair(ensemble, measurement)
-    left, right, signature = measurement._factors()
-    wl = np.empty(left.shape, dtype=complex)
-    for group, cols in _rank_groups(signature):
-        wl[:, cols.T] = _k_times(ensemble.weighted_states()[group, None], left[:, cols.T])
+    left, right, signature = check_pair(ensemble, measurement)
+    weighted, wl = ensemble.weighted_states(), np.empty(left.shape, dtype=complex)
+    for run, cols, k, r in _runs(signature):
+        wl[:, cols] = _k_times(weighted[run], left[:, cols].reshape(-1, k, r)).reshape(-1, k * r)
     weights = _block_sums((right.conj() * wl).sum(axis=0).real, signature).tolist()
-    return _Pairing(ensemble.weighted_states(), left, wl, signature, wl @ right.conj().T, weights)
+    return _Pairing(weighted, left, wl, signature, wl @ right.conj().T, weights)
 
 
 def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
@@ -218,26 +220,25 @@ def _signature_slices(signature) -> list[slice]:
 
 
 @functools.lru_cache(maxsize=None)
-def _rank_groups(signature: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For each distinct rank r, ascending: the k states of rank r and their (k, r) coordinate blocks.
+def _runs(signature: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int], ...]:
+    """(states, coordinates, k, r) for each maximal run of k consecutive states of rank r.
 
-    The blocks are those of ``_signature_slices``, as read-only index arrays
-    built once per signature, so one batched call serves each rank's states.
+    The states and their k r coordinates are slices, so a run's blocks are a
+    reshape, and one batched call serves its states with nothing gathered.
     """
-    sig = np.asarray(signature)
-    starts = np.cumsum(sig) - sig
-    groups = []
-    for r in sorted(set(signature)):
-        group = np.flatnonzero(sig == r)
-        groups.append((_frozen(group), _frozen(starts[group, None] + np.arange(r))))
-    return tuple(groups)
+    runs, state, col = [], 0, 0
+    for r, run in itertools.groupby(signature):
+        k = len(list(run))
+        runs.append((slice(state, state + k), slice(col, col + k * r), k, r))
+        state, col = state + k, col + k * r
+    return tuple(runs)
 
 
 def _block_sums(columns: np.ndarray, signature) -> np.ndarray:
     """Per-column values summed over each column block of the signature's sizes."""
     sums = np.empty(len(signature))
-    for group, cols in _rank_groups(signature):
-        sums[group] = columns[cols].sum(axis=1)
+    for run, cols, k, r in _runs(signature):
+        sums[run] = columns[cols].reshape(k, r).sum(axis=1)
     return sums
 
 
@@ -360,8 +361,8 @@ def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) ->
     For ensembles medli builds and knows as factors, the outputs of the two
     maps; outside input goes through ``validate_ensemble``. No d x d matrix
     is eigendecomposed. The priors are ||F_i||_F^2 / ||F||_F^2, and the
-    states F_i F_i^dag / ||F_i||_F^2 come from one batched product per
-    distinct rank. One thin SVD per distinct rank, O(d r_i^2) per state,
+    states F_i F_i^dag / ||F_i||_F^2 come from one batched product per run
+    of equal ranks (``_runs``). One thin SVD per run, O(d r_i^2) per state,
     gives the ranks, by ``validate_ensemble``'s ``tol_rank`` rule on the
     squared singular values, and the left singular vectors, on which
     ``_li_ranks`` runs the same LI test. ``psi`` is f / ||F||_F. Raises
@@ -375,12 +376,12 @@ def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) ->
     ranks = np.empty(len(signature), dtype=int)
     left = np.empty_like(f)
     states = np.empty((len(signature), dim, dim), dtype=complex)
-    for group, cols in _rank_groups(signature):
-        blocks = f[:, cols].transpose(1, 0, 2)
+    for run, cols, k, r in _runs(signature):
+        blocks = f[:, cols].reshape(dim, k, r).transpose(1, 0, 2)
         u, s, _ = np.linalg.svd(blocks, full_matrices=False)
-        ranks[group] = rank_cutoff_mask(s * s, tol).sum(axis=1)
-        left[:, cols] = u.transpose(1, 0, 2)
-        states[group] = blocks @ blocks.conj().swapaxes(-2, -1)
+        ranks[run] = rank_cutoff_mask(s * s, tol).sum(axis=1)
+        left[:, cols] = u.transpose(1, 0, 2).reshape(dim, k * r)
+        states[run] = blocks @ blocks.conj().swapaxes(-2, -1)
     ranks = _li_ranks(ranks, left, dim, tol)
     total = float(norms2.sum())
     priors = norms2 / total

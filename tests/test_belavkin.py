@@ -311,7 +311,7 @@ def _per_state_image(factors, slices):
 )
 def test_stacked_maps_match_per_state_loops(dim, sig):
     # both maps build their output from factors with one batched call per
-    # distinct rank, and the detection weights are read off the measurement's
+    # run of equal ranks, and the detection weights are read off the measurement's
     # columns; the per-state loops here do the same arithmetic, so every
     # number agrees to the bit
     q = random_ensemble(dim, sig, seed=dim)

@@ -114,6 +114,28 @@ class TestCertifySimplified:
         with pytest.raises(DimensionMismatch):
             certify_simplified(ORTH, povm)
 
+    def test_general_povm_is_paired_as_given(self):
+        # projectors off by eps, inside tol_recon: validation accepts them and
+        # rebuilds the exact projectors from its eigenvectors, but both
+        # certifiers pair the elements the caller gave, so their numbers are
+        # one report's, bit for bit, and the rebuilt projectors' report differs
+        eps = 5e-9
+        elements = [np.diag([1.0 + eps, 0.0]), np.diag([0.0, 1.0 - eps])]
+        ens = random_ensemble(2, (1, 1), seed=4)
+        povm = validate_povm(elements)
+        full, simplified = certify_full(ens, povm), certify_simplified(ens, povm)
+        for name in ("stationarity_residual", "min_slack_eig", "positivity_min_eig",
+                     "hermiticity_residual", "dual_value", "success_prob"):
+            assert getattr(simplified, name) == getattr(full, name)
+        assert full.success_prob == success_probability(ens, povm)
+        rebuilt = validate_projective(elements)
+        assert np.array_equal(rebuilt.projectors, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        weighted = ens.weighted_states()
+        shift = eps * (weighted[0][0, 0] - weighted[1][1, 1]).real
+        assert abs(shift) > 1e-10
+        moved = full.success_prob - certify_full(ens, rebuilt).success_prob
+        assert moved == pytest.approx(shift, rel=1e-5)
+
     def test_inconclusive_band(self):
         ens = random_ensemble(3, (1, 1, 1), seed=9)
         result = solve(ens)

@@ -374,6 +374,12 @@ class TestSuccessProbability:
         # the pairing reads the outcome count, not a first element
         with pytest.raises(DimensionMismatch, match="0 outcomes"):
             success_probability(ens, GeneralPOVM(dim=2, elements=()))
+        # and the elements' shape, not a hand-built dim field that contradicts it
+        ens3 = random_ensemble(3, (1, 1, 1), seed=0)
+        with pytest.raises(DimensionMismatch):
+            success_probability(ens3, GeneralPOVM(dim=3, elements=(np.eye(2),) * 3))
+        with pytest.raises(DimensionMismatch):
+            success_probability(ens, GeneralPOVM(dim=3, elements=(np.eye(2) / 2,) * 2))
 
 
 PAIRING_SIGNATURES = [(1,) * d for d in range(2, 17)] + [
