@@ -48,7 +48,6 @@ from .errors import (
     NotComplete,
     NotLinearlyIndependent,
     NotOptimalPair,
-    NotOrthogonal,
     NotProjective,
     NotProjectiveAfterPGM,
     NotProjector,

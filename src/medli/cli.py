@@ -255,7 +255,7 @@ def cmd_map(args):
         report = certify_simplified(image, measurement, tol)
         if report.verdict != OPTIMAL:
             raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
-        result = SolveResult(measurement, report, iterations=0, certified=True)
+        result = SolveResult(measurement, report, iterations=0)
     doc = _report(
         "map",
         echo,

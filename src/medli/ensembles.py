@@ -13,9 +13,11 @@ instead, which runs the same rank rule and LI test on the factors, with no
 d x d eigendecomposition.
 Each measurement is factored, E_i = L_i R_i^dag with R_i's columns orthonormal:
 (V_i, V_i) for projectors, V their column basis, and (E_i, I) for a general
-POVM. ``_pair``, the one product of states with measurement elements, forms
-W L, K = (W L) R^dag and the weights Tr(W_i E_i), W_i = p_i rho_i, by one
-formula for both: O(d^3) for projectors, with no (m, d, d) stack formed.
+POVM. ``_from_basis`` alone builds projective measurements, and its one check,
+V^dag V = Id, is their orthogonality and completeness. ``_pair``, the one
+product of states with measurement elements, forms W L, K = (W L) R^dag and
+the weights Tr(W_i E_i), W_i = p_i rho_i, by one formula for both: O(d^3)
+for projectors, with no (m, d, d) stack formed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
     MEDError,
     NotComplete,
     NotLinearlyIndependent,
-    NotOrthogonal,
     NotProjective,
     NotProjector,
     NotPSD,
@@ -49,7 +50,6 @@ from .linalg import (
     expi_herm,
     haar_unitary,
     herm,
-    projector_defect,
     random_hermitian,
     rank_cutoff_mask,
 )
@@ -128,6 +128,23 @@ class ProjectiveMeasurement:
         return self._basis, self._basis, self.rank_signature
 
 
+def _from_basis(basis: np.ndarray, signature: tuple[int, ...], error, tol: Tolerances) -> ProjectiveMeasurement:
+    """The measurement Pi_i = V_i V_i^dag, V_i column block i of ``basis``: its one constructor.
+
+    Its one check raises the caller's ``error`` unless V is d x d, d the sum
+    of the ranks, and ||V^dag V - Id||_F <= tol_recon: then the projectors
+    are orthogonal and complete. The measurement holds a read-only copy of V.
+    """
+    v = np.array(basis, dtype=complex)
+    dim = sum(signature)
+    if v.shape != (dim, dim):
+        raise error(f"ranks {signature} sum to {dim}, but the basis is {v.shape[0]} x {v.shape[1]}")
+    defect = float(np.linalg.norm(v.conj().T @ v - np.eye(dim)))
+    if defect > tol.tol_recon:
+        raise error(f"basis fails unitarity by {defect:.3e}")
+    return ProjectiveMeasurement(dim, signature, _frozen(v))
+
+
 @dataclass(frozen=True, eq=False)
 class GeneralPOVM:
     """PSD elements summing to the identity; pre-validation input type."""
@@ -157,9 +174,10 @@ def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, np.ndarray,
         left, right, signature = factors = measurement._factors()
         if left.shape == right.shape == (ensemble.dim, sum(signature)):
             return factors
+    shapes = sorted({np.shape(e) for e in measurement_elements(measurement)})
     raise DimensionMismatch(
-        f"measurement ({measurement.m} outcomes, dim {measurement.dim}) does not "
-        f"match ensemble ({ensemble.m} states, dim {ensemble.dim})"
+        f"measurement ({measurement.m} outcomes, element shapes {shapes}, dim {measurement.dim}) "
+        f"does not match ensemble ({ensemble.m} states, dim {ensemble.dim})"
     )
 
 
@@ -397,27 +415,23 @@ def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) ->
 
 
 def validate_projective(projectors, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:
-    """Check projector defects, completeness and orthogonality, by rows of P_i P_{j > i}.
+    """Check outside projectors and hold them as ``_from_basis`` of their range eigenvectors.
 
-    One stacked ``eigh`` gives the ranks and, from each projector's range
-    eigenvectors, the column basis the measurement holds.
+    After ``_hermitian_part``, one stacked ``eigh`` gives each check: the
+    idempotence defect ||P^2 - P||_F = sqrt(sum (lambda^2 - lambda)^2), the
+    raw sum against Id, and the ranks, counted as eigenvalues above 1/2.
+    Raises NotProjector, then NotComplete, also for ranges that are no basis.
     """
     stack = _square_stack(projectors, "element", NotProjector)
     if not len(stack):
         raise DimensionMismatch("a measurement needs at least one element")
-    for idx, p in enumerate(stack):
-        defect = projector_defect(p)
-        if defect > tol.tol_recon:
-            raise NotProjector(f"element {idx} has projector defect {defect:.3e}")
+    w, v = np.linalg.eigh(_hermitian_part(stack, "element", NotProjector, tol))
+    defect = np.sqrt(((w * w - w) ** 2).sum(axis=1))
+    if (idx := _first(defect > tol.tol_recon)) is not None:
+        raise NotProjector(f"element {idx} has idempotence defect {defect[idx]:.3e}")
     _check_complete(stack, tol)
-    for i in range(len(stack) - 1):
-        cross = np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(-2, -1))
-        if (j := _first(cross > tol.tol_recon)) is not None:
-            raise NotOrthogonal(f"elements {i} and {i + 1 + j} overlap by {cross[j]:.3e}")
-    w, v = np.linalg.eigh(herm(stack))
-    keep = rank_cutoff_mask(w, tol)
-    basis = _frozen(v.transpose(1, 0, 2)[:, keep])
-    return ProjectiveMeasurement(stack.shape[-1], tuple(keep.sum(axis=1).tolist()), basis)
+    keep = w > 0.5
+    return _from_basis(v.transpose(1, 0, 2)[:, keep], tuple(keep.sum(axis=1).tolist()), NotComplete, tol)
 
 
 def rank_matched(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:

@@ -37,12 +37,8 @@ class RankSumMismatch(MEDError):
     """State ranks do not sum to the space dimension."""
 
 
-class NotOrthogonal(MEDError):
-    """Measurement projectors are not mutually orthogonal."""
-
-
 class NotComplete(MEDError):
-    """Measurement elements do not sum to the identity."""
+    """Measurement elements do not sum to the identity, or projector ranges do not form a basis."""
 
 
 class NotProjective(MEDError):
@@ -68,7 +64,7 @@ class SigmaSingular(MEDError):
 
 
 class NotProjectiveAfterPGM(MEDError):
-    """A unitary medli built, the PGM's or a restart's, failed its unitarity check."""
+    """A unitary medli built, the PGM's or a restart's, failed ||W^dag W - Id||_F <= tol_recon."""
 
 
 class NotOptimalPair(MEDError):

@@ -66,12 +66,6 @@ def hermiticity_defect(mat) -> float:
     return float(np.linalg.norm(arr - arr.conj().T))
 
 
-def projector_defect(mat) -> float:
-    """||P^2 - P||_F + ||P - P^dag||_F, zero for an orthogonal projector."""
-    arr = as_square(mat)
-    return float(np.linalg.norm(arr @ arr - arr)) + hermiticity_defect(arr)
-
-
 def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of eigenvalues above the relative cutoff tol_rank * max|eigenvalue|.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import Ensemble, ProjectiveMeasurement, _frozen
+from .ensembles import Ensemble, ProjectiveMeasurement, _from_basis
 from .errors import NotProjectiveAfterPGM, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, herm
 
@@ -77,13 +77,6 @@ def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurem
 def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> ProjectiveMeasurement:
     """The projective measurement of W's column blocks, with the ensemble's ranks.
 
-    W is a unitary medli built: the PGM's or a solver restart's. Once
-    ||W^dag W - Id||_F <= tol_recon, the projectors W_i W_i^dag are
-    idempotent, mutually orthogonal, complete and of the states' ranks by
-    construction, so no validation pass follows; the measurement holds a
-    read-only copy of the checked W. Raises NotProjectiveAfterPGM otherwise.
+    W is a unitary medli built, the PGM's or a restart's: ``_from_basis`` checks it.
     """
-    defect = float(np.linalg.norm(w.conj().T @ w - np.eye(ensemble.dim)))
-    if defect > tol.tol_recon:
-        raise NotProjectiveAfterPGM(f"unitary fails unitarity by {defect:.3e}")
-    return ProjectiveMeasurement(ensemble.dim, ensemble.rank_signature, _frozen(np.array(w, dtype=complex)))
+    return _from_basis(w, ensemble.rank_signature, NotProjectiveAfterPGM, tol)

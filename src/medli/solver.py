@@ -72,18 +72,21 @@ class SolveConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """A candidate optimum; its report alone holds the certificate and success probability.
+    """A candidate optimum; its report alone holds the verdict, certificate and success probability.
 
-    ``certified`` is True exactly when the simplified certificate reports
-    Optimal. For ``solve``, ``iterations`` counts the polar steps plus the
-    accepted Newton steps of the restart that returned it (``_restart``); for
-    ``solve_oracle`` it counts objective evaluations.
+    ``certified`` reads the report: True exactly when the simplified
+    certificate reports Optimal. For ``solve``, ``iterations`` counts the
+    polar steps plus the accepted Newton steps of the restart that returned
+    it (``_restart``); for ``solve_oracle`` it counts objective evaluations.
     """
 
     measurement: ProjectiveMeasurement
     report: CertificationReport
     iterations: int
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.report.verdict == OPTIMAL
 
     @property
     def certificate(self) -> DualCertificate:
@@ -284,7 +287,7 @@ def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances)
     """Certify the measurement of u's column blocks, u itself; ``_measurement`` checks u is unitary."""
     measurement = _measurement(u, ensemble, tol)
     report = certify_simplified(ensemble, measurement, tol)
-    return SolveResult(measurement, report, iterations, report.verdict == OPTIMAL)
+    return SolveResult(measurement, report, iterations)
 
 
 def _restart(ensemble: Ensemble, stack, space: _Horizontal, u0, tol: Tolerances) -> SolveResult:

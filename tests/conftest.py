@@ -1,4 +1,6 @@
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -43,6 +45,17 @@ GOLDEN_CASES = {
         0, ("gen", "--dim", "3", "--signature", "2,1", "--seed", "5", "--fixed-point", "--quiet")
     ),
 }
+
+
+def run_cli(*argv):
+    """Run ``python -m medli`` in a child process; returns (exit code, stdout bytes, stderr text).
+
+    PYTHONWARNINGS=error makes every warning in the child fail it, as pytest's
+    filterwarnings setting does in this process.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONWARNINGS="error")
+    proc = subprocess.run([sys.executable, "-m", "medli", *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
 def pure_pair(theta, priors=(0.5, 0.5)):

@@ -7,8 +7,8 @@ eigendecomposition, the PGM as sigma^{-1/2} (p_i rho_i) sigma^{-1/2}, and the
 blocks of sigma^{1/2} in a basis adapted to each projector with the Schur
 complement of the range block. Tests check the frame path against them.
 The package never calls the small helpers here either (the average state,
-the one-matrix hermiticity check, positivity tests and the NotPD error they
-raise); tests use them as independent references.
+the one-matrix hermiticity check, the projector defect, positivity tests and
+the NotPD error they raise); tests use them as independent references.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from medli.linalg import (
     Tolerances,
     as_square,
     herm,
-    projector_defect,
+    hermiticity_defect,
 )
 from medli.pgm import COND_LIMIT
 
@@ -113,6 +113,12 @@ class BlockDecomposition:
         inner[r:, :r] = self.b_block.conj().T
         inner[r:, r:] = self.c_block
         return herm(self.basis @ inner @ self.basis.conj().T)
+
+
+def projector_defect(mat) -> float:
+    """||P^2 - P||_F + ||P - P^dag||_F, zero for an orthogonal projector."""
+    arr = as_square(mat)
+    return float(np.linalg.norm(arr @ arr - arr)) + hermiticity_defect(arr)
 
 
 def projector_basis(proj: np.ndarray) -> tuple[int, np.ndarray]:

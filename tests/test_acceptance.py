@@ -4,9 +4,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 Every tolerance below is pinned; nothing is deferred to later calibration.
 """
 
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -18,8 +15,8 @@ from conftest import (
     NEAR_SINGULAR,
     ORTH,
     RANDOM_D4,
-    SRC,
     haar_restart,
+    run_cli,
     pure_pair,
     qubit_angle_oracle,
 )
@@ -280,17 +277,9 @@ def test_c09_uniqueness():
     report(f"C9 uniqueness: PASS (50 instances, max measurement dev {worst:.2e})")
 
 
-def run_cli(*argv):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "medli", *argv], capture_output=True, env=env
-    )
-    return proc.returncode, proc.stdout
-
-
 def test_c10_cli_contract():
     for name, (expected, argv) in sorted(GOLDEN_CASES.items()):
-        code, out = run_cli(*argv)
+        code, out, _ = run_cli(*argv)
         assert code == expected, f"{argv} exited {code}, expected {expected}"
         assert out == (GOLDEN / name).read_bytes(), f"golden mismatch for {name}"
     partition = {
@@ -303,7 +292,7 @@ def test_c10_cli_contract():
     }
     seen = set()
     for argv, expected in partition.items():
-        code, _ = run_cli(*argv)
+        code, _, _ = run_cli(*argv)
         assert code == expected, f"{argv} exited {code}, expected {expected}"
         seen.add(code)
     assert seen == {0, 2, 3, 4}

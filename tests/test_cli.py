@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 import medli.certify
-from conftest import FIXED, FIXTURES, GOLDEN, GOLDEN_CASES, MALFORMED, NEAR_SINGULAR, ORTH, PI6, RANDOM_D4, SRC
+from conftest import (
+    FIXED,
+    FIXTURES,
+    GOLDEN,
+    GOLDEN_CASES,
+    MALFORMED,
+    NEAR_SINGULAR,
+    ORTH,
+    PI6,
+    RANDOM_D4,
+    SRC,
+    run_cli,
+)
 from medli import certify_full, certify_simplified, random_ensemble, solve
 from medli.cli import main
 from medli.linalg import DEFAULT_TOL, haar_unitary
@@ -21,17 +33,6 @@ from medli.serialize import (
     measurement_to_doc,
     povm_from_doc,
 )
-
-
-def run_cli(*argv):
-    """Drive the CLI in a subprocess; returns (exit code, stdout bytes, stderr text)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "medli", *argv],
-        capture_output=True,
-        env=env,
-    )
-    return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
 def run_inprocess(*argv, capsys=None):
@@ -233,6 +234,16 @@ class TestCertifyCommand:
         assert doc["verdict"] == "NotOptimal"
         assert doc["simplified_verdict"] is None
         assert doc["verdicts_agree"] is None
+
+    def test_ranks_count_eigenvalues_above_one_half(self, tmp_path):
+        # within --tol-recon 1e-6 of a projector, the 5e-7 eigenvalue adds no
+        # rank: the measurement's ranks are (1, 1), the states'
+        elements = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5e-7, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"schema_version": "med-li/1", "dim": 2, "elements": elements}))
+        code, out, err = run_cli("certify", ORTH, str(path), "--tol-recon", "1e-6", "--quiet")
+        assert code == 0, err
+        assert json.loads(out)["simplified_verdict"] == "Optimal"
 
     def test_rank_mismatched_measurement_rejected(self, tmp_path):
         # fixed_point_d3 has signature (2,1); feed it projectors of ranks (1,2)

@@ -15,7 +15,6 @@ from medli import (
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
-    NotOrthogonal,
     NotProjector,
     NotPSD,
     PriorsInvalid,
@@ -336,15 +335,30 @@ class TestValidateProjective:
         for s, proj in zip(_signature_slices(sig), meas.projectors):
             assert np.abs(basis[:, s] @ basis[:, s].conj().T - proj).max() <= 1e-14
 
-    def test_first_overlapping_pair_in_row_order(self):
+    def test_overlapping_ranges_fail_the_basis_gate(self):
         # diagonal near-projectors, each within tol_recon = 0.35 of idempotent,
-        # summing to the identity; pairs (0, 3) and (1, 2) both overlap by 0.36,
-        # and the scan by rows meets (0, 3) first
+        # summing to the identity; pairs (0, 3) and (1, 2) overlap by 0.36, and
+        # the four ranges, one eigenvalue above 1/2 each, are no basis of C^2
         x = [0.6, -0.2, 0.0, 0.6]
         y = [0.0, 0.6, 0.6, -0.2]
         elements = [np.diag([a, b]) for a, b in zip(x, y)]
-        with pytest.raises(NotOrthogonal, match=r"^elements 0 and 3 overlap by 3\.600e-01$"):
+        with pytest.raises(NotComplete, match=r"^ranks \(1, 1, 1, 1\) sum to 4, but the basis is 2 x 4$"):
             validate_projective(elements, Tolerances(tol_recon=0.35))
+
+    def test_ranks_count_eigenvalues_above_one_half(self):
+        # within tol_recon = 1e-6 of a projector, the 5e-7 eigenvalue is no range
+        # direction: ranks (1, 1) and the identity as basis, not (2, 1) and a 2 x 3
+        meas = validate_projective([np.diag([1.0, 5e-7]), np.diag([0.0, 1.0])], Tolerances(tol_recon=1e-6))
+        assert meas.rank_signature == (1, 1)
+        assert np.array_equal(meas._basis, np.eye(2))
+
+    def test_hermiticity_is_the_package_rule(self):
+        # ||P - P^dag||_F = 1.4e-9 is within tol_recon, but the entry defect
+        # 1e-9 exceeds tol_herm = 1e-10, the rule every validator applies
+        proj = np.diag([1.0, 0.0]).astype(complex)
+        proj[0, 1] = 1e-9
+        with pytest.raises(NotProjector, match="^element 0: matrix is not Hermitian"):
+            validate_projective([proj, np.diag([0.0, 1.0])])
 
 
 class TestSuccessProbability:
@@ -376,7 +390,7 @@ class TestSuccessProbability:
             success_probability(ens, GeneralPOVM(dim=2, elements=()))
         # and the elements' shape, not a hand-built dim field that contradicts it
         ens3 = random_ensemble(3, (1, 1, 1), seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"element shapes \[\(2, 2\)\], dim 3\) does not match"):
             success_probability(ens3, GeneralPOVM(dim=3, elements=(np.eye(2),) * 3))
         with pytest.raises(DimensionMismatch):
             success_probability(ens, GeneralPOVM(dim=3, elements=(np.eye(2) / 2,) * 2))

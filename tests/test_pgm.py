@@ -268,6 +268,15 @@ def test_each_state_is_decomposed_once(monkeypatch, sig):
 
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
+def test_projector_validation_decomposes_the_stack_once(monkeypatch, sig):
+    # idempotence, ranks and the basis all come from one eigh of the (m, d, d) stack
+    projectors = pgm(random_ensemble(sum(sig), sig, seed=13)).projectors
+    calls = _decomposition_counter(monkeypatch)
+    stack = (len(sig), sum(sig), sum(sig))
+    assert calls(validate_projective, projectors) == {"eigh": [stack], "eigvalsh": []}
+
+
+@pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
 def test_solve_builds_its_measurement_without_validation(monkeypatch, sig):
     # one restart, the PGM start: its only spectra are the stacked slacks and Z's positivity
     ens = random_ensemble(sum(sig), sig, seed=13)
