@@ -7,14 +7,11 @@ independent brute-force oracle.
 """
 
 from .belavkin import (
-    DualCertificate,
     MapArtifacts,
     RoundtripReport,
-    dual_operator,
     forward_map,
     inverse_map,
     roundtrip_check,
-    stationarity_residual,
 )
 from .certify import (
     INCONCLUSIVE,

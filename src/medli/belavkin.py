@@ -28,36 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import CertificationReport, _report, _simplified_rule
 from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
     _block_norms2,
     _from_factors,
     _pair,
-    _Pairing,
     _runs,
     rank_matched,
 )
 from .errors import NotOptimalPair, SolverFailed
-from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
+from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import _measurement, _polar
-
-
-@dataclass(frozen=True, eq=False)
-class DualCertificate:
-    """The dual operator Z, its trace, and per-state slack spectra.
-
-    The certificate witnesses optimality when every slack eigenvalue is
-    nonnegative within tolerance. ``herm_residual`` records how far the
-    unsymmetrized sum_i p_i rho_i Pi_i was from Hermitian: a large value
-    means the measurement is not even stationary, a negative slack means
-    stationarity holds but the dual constraint is violated.
-    """
-
-    z: np.ndarray
-    dual_value: float
-    slack_min_eigs: tuple[float, ...]
-    herm_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,57 +50,10 @@ class MapArtifacts:
     sigma_sqrt: np.ndarray
 
 
-def stationarity_residual(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> float:
-    """max over i of || (K^dag - p_i rho_i) E_i ||_F, with K = sum_j p_j rho_j E_j.
-
-    Column i is sum_j E_j (p_j rho_j - p_i rho_i) E_i, since the E_j sum to
-    the identity, so it vanishes for every i exactly when every pairwise
-    stationarity condition does. For projectors the terms have orthogonal
-    ranges and E_i (K^dag - p_i rho_i) E_i = 0, so the value squared is the
-    max over i of sum_{j != i} || E_j (p_j rho_j - p_i rho_i) E_i ||_F^2: it
-    lies between the largest pairwise block norm and sqrt(m - 1) times it.
-    With E_i = L_i R_i^dag, R_i's columns orthonormal, it is ||K^dag L_i -
-    (W L)_i||_F, O(d^3) for projectors. ``pairing`` is
-    ``_pair(ensemble, measurement)`` when the caller has formed it.
-    """
-    pairing = pairing if pairing is not None else _pair(ensemble, measurement)
-    columns = pairing.k.conj().T @ pairing.left - pairing.wl
-    return float(np.sqrt(_block_norms2(columns, pairing.signature).max()))
-
-
-def dual_operator(ensemble: Ensemble, measurement, pairing: _Pairing | None = None) -> DualCertificate:
-    """Candidate dual operator Z = sym(sum_i p_i rho_i Pi_i) with slack spectra.
-
-    Z equals the true dual operator only when the measurement is stationary;
-    callers gate on the certificate validity, not on this construction.
-    ``pairing`` is ``_pair(ensemble, measurement)`` when the caller has
-    formed it.
-    """
-    return _certificate(pairing if pairing is not None else _pair(ensemble, measurement))
-
-
-def _certificate(pairing: _Pairing, z: np.ndarray | None = None) -> DualCertificate:
-    """Certificate for the dual operator z, by default sym(K), K = sum_i p_i rho_i E_i.
-
-    K is Hermitian exactly when the measurement is stationary; its
-    hermiticity residual ||K - K^dag||_F is recorded either way.
-    """
-    k = pairing.k
-    if z is None:
-        z = herm(k)
-    slacks = np.linalg.eigvalsh(z - pairing.weighted)
-    return DualCertificate(
-        z=z,
-        dual_value=float(np.trace(z).real),
-        slack_min_eigs=tuple(float(low) for low in slacks[:, 0]),
-        herm_residual=hermiticity_defect(k),
-    )
-
-
 def forward_map(
     ensemble: Ensemble,
     measurement: ProjectiveMeasurement,
-    certificate: DualCertificate,
+    report: CertificationReport,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Ensemble:
     """Derived ensemble {q_i, sigma_i} of an optimal dual pair.
@@ -126,17 +62,19 @@ def forward_map(
     column blocks F_i of F = Z V, V the rank-matched measurement's column
     basis (``rank_matched``; a GeneralPOVM of projectors gets one there), so
     q_i = Tr(Z^2 Pi_i) / Tr(Z^2) = ||F_i||_F^2 / ||F||_F^2. The image is
-    built from F by ``_from_factors``, in O(d^3). Refuses to run unless the
-    pair actually certifies: the map is only defined at optimal dual pairs,
-    and solving is the caller's job.
+    built from F by ``_from_factors``, in O(d^3). ``report`` is the pair's
+    ``CertificationReport``, a certifier's or ``inverse_map``'s, and Z is its
+    ``z``. Refuses to run unless the report's stationarity and slacks
+    certify the pair: the map is only defined at optimal dual pairs, and
+    solving and certifying are the caller's job, so nothing is paired here.
     """
-    residual = stationarity_residual(ensemble, measurement)
+    residual = report.stationarity_residual
     if residual > tol.tol_recon:
         raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
-    slack = min(certificate.slack_min_eigs)
+    slack = report.min_slack_eig
     if slack < -tol.tol_psd:
         raise NotOptimalPair(f"dual slack eigenvalue {slack:.3e} below -tol_psd")
-    factors = certificate.z @ rank_matched(ensemble, measurement, tol)._basis
+    factors = report.z @ rank_matched(ensemble, measurement, tol)._basis
     weights = _block_norms2(factors, ensemble.rank_signature)
     if weights.min() < tol.tol_psd:
         raise NotOptimalPair(
@@ -163,7 +101,7 @@ def _whitened(frame: np.ndarray, signature) -> np.ndarray:
 
 def inverse_map(
     ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Ensemble, ProjectiveMeasurement, DualCertificate, MapArtifacts]:
+) -> tuple[Ensemble, ProjectiveMeasurement, CertificationReport, MapArtifacts]:
     """Pre-image ensemble whose optimal measurement is this ensemble's PGM.
 
     In the PGM frame G = W^dag sigma^{1/2} W, with W the PGM unitary, the
@@ -181,17 +119,19 @@ def inverse_map(
     lambda_min(A) >= s_min >= s_max 10^-6 > 0, by ``_polar``'s gate on
     cond(sigma) = (s_max / s_min)^2, and its Cholesky factor exists.
 
-    Returns (P, M, C, A): the pre-image, its optimal measurement, a dual
-    certificate that self-certifies with no solver involved, and sigma^{1/2}.
-    The X_i are t p_i rho_i, t = Tr sigma^{1/2} / ``C.dual_value``.
+    Returns (P, M, R, A): the pre-image, its optimal measurement, the
+    pair's report, and sigma^{1/2}. R is ``certify._report`` of one pairing
+    with Z = sigma^{1/2} / sum_j Tr X_j, and its verdict is the simplified
+    rule's, so the pair self-certifies with no solver involved. The X_i are
+    t p_i rho_i, t = Tr sigma^{1/2} / ``R.dual_value``.
     """
     w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
     factors = w @ _whitened(frame, ensemble.rank_signature)
     pre_image = _from_factors(factors, ensemble.rank_signature, tol)
     total = float(_block_norms2(factors, ensemble.rank_signature).sum())
-    certificate = _certificate(_pair(pre_image, measurement), sigma_sqrt / total)
-    return pre_image, measurement, certificate, MapArtifacts(sigma_sqrt=sigma_sqrt)
+    report = _simplified_rule(_report(_pair(pre_image, measurement), sigma_sqrt / total, tol), tol)
+    return pre_image, measurement, report, MapArtifacts(sigma_sqrt=sigma_sqrt)
 
 
 @dataclass(frozen=True)
@@ -219,11 +159,11 @@ def roundtrip_check(ensemble: Ensemble, solver, tol: Tolerances = DEFAULT_TOL) -
     result = solver(ensemble)
     if not getattr(result, "certified", False):
         raise SolverFailed("solver did not produce a certified optimum")
-    derived = forward_map(ensemble, result.measurement, result.certificate, tol)
+    derived = forward_map(ensemble, result.measurement, result.report, tol)
     reconstructed, _, _, _ = inverse_map(derived, tol)
     p_dev = _max_weighted_deviation(reconstructed, ensemble)
 
-    pre_image, measurement, certificate, _ = inverse_map(ensemble, tol)
-    rederived = forward_map(pre_image, measurement, certificate, tol)
+    pre_image, measurement, report, _ = inverse_map(ensemble, tol)
+    rederived = forward_map(pre_image, measurement, report, tol)
     q_dev = _max_weighted_deviation(rederived, ensemble)
     return RoundtripReport(p_deviation=p_dev, q_deviation=q_dev)

@@ -1,17 +1,23 @@
-"""Optimality certification and the fixed-point test.
+"""What certifies a pair: the optimality conditions and the fixed-point test.
 
-Two certifiers are provided. The full one checks the general optimality
-conditions: the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F,
-K = sum_j p_j rho_j E_j (:func:`medli.belavkin.stationarity_residual`; for
-projectors it lies between the largest pairwise block norm and sqrt(m - 1)
-times it), plus PSD slacks of the candidate dual operator. The simplified one is
+This module alone knows what certifies a measurement for an ensemble. One
+report (``_report``) reads every number off one pairing of the
+measurement's factors E_i = L_i R_i^dag with the states (``ensembles._pair``)
+and a dual operator Z: the stationarity residual
+max_i ||(K^dag - p_i rho_i) E_i||_F, K = sum_j p_j rho_j E_j (for projectors
+it lies between the largest pairwise block norm and sqrt(m - 1) times it),
+the slack spectra of Z - p_i rho_i (Eldar-Megretski-Verghese, IEEE TIT 49,
+1007 (2003)), the positivity of Z, the hermiticity residual of K, the dual
+value Tr Z and the success probability. The certifiers take Z = sym(K); the
+inverse map (:mod:`medli.belavkin`) passes its own Z.
+
+Two rules read verdicts off a report. The full one checks the general
+optimality conditions, stationarity plus PSD slacks. The simplified one is
 specific to LI ensembles with rank-matched projective measurements, where
-optimality is equivalent to sum_i p_i rho_i Pi_i being Hermitian and positive
-definite; it checks exactly that, rather than smuggling the full condition
-back in. Both numbers are in the full certifier's report, so the simplified
-verdict is a second rule read off one report: ``medli certify`` builds one
-report and reads both verdicts and the success probability from it, and a
-report reads all its numbers off one pairing of the measurement's factors.
+optimality is equivalent to K being Hermitian and positive definite; it
+checks exactly that, rather than smuggling the full condition back in.
+``medli certify`` builds one report and reads both verdicts and the success
+probability from it.
 
 Verdicts are three-tier: a check that fails by less than a factor of ten of
 its tolerance yields Inconclusive instead of flipping to NotOptimal, so
@@ -25,9 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belavkin import DualCertificate, dual_operator, stationarity_residual
-from .ensembles import Ensemble, _pair, _signature_slices, rank_matched
-from .linalg import DEFAULT_TOL, Tolerances
+from .ensembles import Ensemble, _block_norms2, _pair, _Pairing, _signature_slices, rank_matched
+from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
 from .pgm import _frame, _psi_svd
 
 OPTIMAL = "Optimal"
@@ -39,13 +44,17 @@ _VERDICT_BAND = 10.0
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Residuals and verdict of one certifier run.
+    """The numbers that certify a pair, and the verdict of one rule.
 
     ``stationarity_residual`` is max_i ||(K^dag - p_i rho_i) E_i||_F; for
     projectors it lies between the largest pairwise block norm and sqrt(m - 1)
-    times it. ``success_prob`` is ``success_probability`` of the pair, bit for
-    bit. ``certificate`` is the candidate dual operator the residuals were
-    read from, so a caller that needs it does not build it again.
+    times it. ``min_slack_eig`` is the least of ``slack_min_eigs``, the
+    smallest eigenvalue of Z - p_i rho_i per state, and
+    ``positivity_min_eig`` Z's smallest. ``hermiticity_residual`` is
+    ||K - K^dag||_F: a large value means the measurement is not even
+    stationary, a negative slack that it is, but the dual constraint fails.
+    ``dual_value`` is Tr Z, and ``success_prob`` is ``success_probability``
+    of the pair, bit for bit. ``z`` is the dual operator Z itself.
     """
 
     stationarity_residual: float
@@ -55,28 +64,33 @@ class CertificationReport:
     verdict: str
     dual_value: float
     success_prob: float
-    certificate: DualCertificate = field(repr=False, compare=False)
+    z: np.ndarray = field(repr=False, compare=False)
+    slack_min_eigs: tuple[float, ...] = field(repr=False, compare=False)
 
 
-def _residuals(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
-    """What both certifiers report; each sets the verdict by its own rule.
+def _report(pairing: _Pairing, z: np.ndarray, tol: Tolerances) -> CertificationReport:
+    """Every number that certifies the paired measurement with dual operator z; verdict unset.
 
-    The measurement is paired with the states once (``_pair``: one
-    ``check_pair``, one ``weighted_states`` and one K), and the dual
-    operator, the stationarity residual and the success probability (clamped
-    by ``tol``) all read that pairing.
+    With E_i = L_i R_i^dag, R_i's columns orthonormal, column block i of
+    K^dag L - W L is (K^dag - p_i rho_i) L_i, whose norm is the stationarity
+    residual of outcome i: O(d^3) for projectors. Summed over j, the pairwise
+    conditions E_j (p_j rho_j - p_i rho_i) E_i = 0 are exactly
+    (K^dag - p_i rho_i) E_i = 0, since the E_j sum to the identity. The
+    slacks are one stacked ``eigvalsh`` of Z - p_i rho_i, and the success
+    probability is clamped by ``tol``.
     """
-    pairing = _pair(ensemble, measurement)
-    certificate = dual_operator(ensemble, measurement, pairing)
+    columns = pairing.k.conj().T @ pairing.left - pairing.wl
+    slacks = tuple(float(low) for low in np.linalg.eigvalsh(z - pairing.weighted)[:, 0])
     return CertificationReport(
-        stationarity_residual=stationarity_residual(ensemble, measurement, pairing),
-        min_slack_eig=min(certificate.slack_min_eigs),
-        positivity_min_eig=float(np.linalg.eigvalsh(certificate.z)[0]),
-        hermiticity_residual=certificate.herm_residual,
+        stationarity_residual=float(np.sqrt(_block_norms2(columns, pairing.signature).max())),
+        min_slack_eig=min(slacks),
+        positivity_min_eig=float(np.linalg.eigvalsh(z)[0]),
+        hermiticity_residual=hermiticity_defect(pairing.k),
         verdict=INCONCLUSIVE,
-        dual_value=certificate.dual_value,
+        dual_value=float(np.trace(z).real),
         success_prob=pairing.success(tol),
-        certificate=certificate,
+        z=z,
+        slack_min_eigs=slacks,
     )
 
 
@@ -89,10 +103,11 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
     """General optimality conditions for any POVM candidate.
 
     Optimal iff the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F
-    stays within tol_recon and every slack eigenvalue of Z - p_i rho_i is
-    above -tol_psd.
+    stays within tol_recon and every slack eigenvalue of Z - p_i rho_i,
+    Z = sym(K), is above -tol_psd.
     """
-    report = _residuals(ensemble, measurement, tol)
+    pairing = _pair(ensemble, measurement)
+    report = _report(pairing, herm(pairing.k), tol)
     stationarity, slack = report.stationarity_residual, report.min_slack_eig
     ok = stationarity <= tol.tol_recon and slack >= -tol.tol_psd
     borderline = (
@@ -125,7 +140,8 @@ def certify_simplified(
     pairs as given, as ``certify_full`` does, not as validation rebuilds it.
     """
     rank_matched(ensemble, measurement, tol)
-    return _simplified_rule(_residuals(ensemble, measurement, tol), tol)
+    pairing = _pair(ensemble, measurement)
+    return _simplified_rule(_report(pairing, herm(pairing.k), tol), tol)
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,7 @@ def cmd_map(args):
         if not result.certified:
             _diag(args, "forward map requires a certified optimum; solve was uncertified")
             return _report("map", echo, digest, **_result_fields(result)), EXIT_UNCERTIFIED
-        image = forward_map(ensemble, result.measurement, result.certificate, tol)
+        image = forward_map(ensemble, result.measurement, result.report, tol)
     else:
         image, measurement, _, _ = inverse_map(ensemble, tol)
         report = certify_simplified(image, measurement, tol)

@@ -156,7 +156,10 @@ class GeneralPOVM:
     def m(self) -> int:
         return len(self.elements)
 
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]] | None:
+        """(E, I) with the elements side by side, or None unless every element is dim x dim."""
+        if any(np.shape(e) != (self.dim, self.dim) for e in self.elements):
+            return None
         return np.hstack(self.elements), np.tile(np.eye(self.dim), self.m), (self.dim,) * self.m
 
 
@@ -169,9 +172,13 @@ def measurement_elements(measurement) -> tuple[np.ndarray, ...]:
 
 
 def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The measurement's factors L, R and block widths, if their shapes, not ``dim``, fit the states."""
-    if measurement.m == ensemble.m:
-        left, right, signature = factors = measurement._factors()
+    """The measurement's factors L, R and block widths, if their shapes, not ``dim``, fit the states.
+
+    A hand-built GeneralPOVM has no factors unless every element is square
+    of its ``dim``, so elements of other shapes are refused before stacking.
+    """
+    if measurement.m == ensemble.m and (factors := measurement._factors()) is not None:
+        left, right, signature = factors
         if left.shape == right.shape == (ensemble.dim, sum(signature)):
             return factors
     shapes = sorted({np.shape(e) for e in measurement_elements(measurement)})

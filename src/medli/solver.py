@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belavkin import DualCertificate
 from .certify import OPTIMAL, CertificationReport, certify_simplified
 from .ensembles import (
     Ensemble,
@@ -72,7 +71,7 @@ class SolveConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """A candidate optimum; its report alone holds the verdict, certificate and success probability.
+    """A candidate optimum; its report alone holds the verdict, dual operator and success probability.
 
     ``certified`` reads the report: True exactly when the simplified
     certificate reports Optimal. For ``solve``, ``iterations`` counts the
@@ -87,10 +86,6 @@ class SolveResult:
     @property
     def certified(self) -> bool:
         return self.report.verdict == OPTIMAL
-
-    @property
-    def certificate(self) -> DualCertificate:
-        return self.report.certificate
 
     @property
     def success_prob(self) -> float:

@@ -65,7 +65,7 @@ def test_c01_bijectivity():
     for ens in corpus(200, base_seed=10_000):
         result = solve(ens)
         assert result.certified
-        derived = forward_map(ens, result.measurement, result.certificate)
+        derived = forward_map(ens, result.measurement, result.report)
         reconstructed, _, _, _ = inverse_map(derived)
         worst_p = max(worst_p, weighted_deviation(reconstructed, ens))
         pre, meas, cert, _ = inverse_map(ens)
@@ -106,7 +106,7 @@ def test_c03_optimal_measurement_is_pgm_of_image():
         ens = random_ensemble(sum(sig), sig, seed=20_000 + k)
         result = solve(ens)
         assert result.certified
-        derived = forward_map(ens, result.measurement, result.certificate)
+        derived = forward_map(ens, result.measurement, result.report)
         image_pgm = pgm(derived)
         dev = max(
             float(np.abs(a - b).max())
@@ -162,7 +162,7 @@ def test_c05_fixed_point_iff():
         assert fixpoint_check(ens).is_fixed
         result = solve(ens)
         assert result.certified
-        derived = forward_map(ens, result.measurement, result.certificate)
+        derived = forward_map(ens, result.measurement, result.report)
         move = weighted_deviation(derived, ens)
         worst_fixed_move = max(worst_fixed_move, move)
         assert move <= 1e-7
@@ -180,7 +180,7 @@ def test_c05_fixed_point_iff():
         assert not check.is_fixed
         result = solve(ens)
         assert result.certified
-        derived = forward_map(ens, result.measurement, result.certificate)
+        derived = forward_map(ens, result.measurement, result.report)
         move = weighted_deviation(derived, ens)
         least_move = min(least_move, move)
         assert move > 1e-4
@@ -221,7 +221,7 @@ def test_c07_zero_duality_gap():
     for k, ens in enumerate(corpus(40, base_seed=70_000)):
         result = solve(ens)
         assert result.certified
-        gap = abs(result.success_prob - result.certificate.dual_value)
+        gap = abs(result.success_prob - result.report.dual_value)
         worst = max(worst, gap)
         assert gap <= 1e-8
     report(f"C7 zero duality gap: PASS (40 certified solves, max gap {worst:.2e})")

@@ -19,14 +19,12 @@ from medli import (
     certify_full,
     certify_simplified,
     detection_profile,
-    dual_operator,
     forward_map,
     inverse_map,
     pgm,
     random_ensemble,
     roundtrip_check,
     solve,
-    stationarity_residual,
     validate_ensemble,
     validate_povm,
     validate_projective,
@@ -38,7 +36,7 @@ from reference import block_decompose, column_stationarity, is_psd, paper_x_ops
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-NUMBERS = [f.name for f in dataclasses.fields(medli.CertificationReport) if f.name not in ("verdict", "certificate")]
+NUMBERS = [f.name for f in dataclasses.fields(medli.CertificationReport) if f.name not in ("verdict", "z", "slack_min_eigs")]
 
 
 def rank_matched_random_measurement(ensemble, seed):
@@ -55,21 +53,21 @@ def rank_matched_random_measurement(ensemble, seed):
 
 class TestDualOperator:
     def test_orthogonal_pair(self):
-        cert = dual_operator(ORTH, ORTH_MEAS)
+        cert = certify_full(ORTH, ORTH_MEAS)
         np.testing.assert_allclose(cert.z, np.eye(2) / 2, atol=1e-14)
         assert cert.dual_value == pytest.approx(1.0, abs=1e-14)
-        assert cert.herm_residual < 1e-14
-        assert min(cert.slack_min_eigs) >= -1e-14
+        assert cert.hermiticity_residual < 1e-14
+        assert cert.min_slack_eig == min(cert.slack_min_eigs) >= -1e-14
 
     def test_arity_guard(self):
         lone = validate_projective([np.eye(2)])
         with pytest.raises(DimensionMismatch):
-            dual_operator(ORTH, lone)
+            certify_full(ORTH, lone)
 
     def test_pi6_with_oracle_measurement(self):
         ens = pure_pair(np.pi / 6)
         _, phi = qubit_angle_oracle(ens)
-        cert = dual_operator(ens, angle_measurement(phi))
+        cert = certify_full(ens, angle_measurement(phi))
         assert cert.dual_value == pytest.approx(0.75, abs=1e-6)
         assert min(cert.slack_min_eigs) >= -1e-9
 
@@ -103,45 +101,42 @@ class TestStationarityResidual:
         for built in (pgm(ens), _measurement(haar, ens, DEFAULT_TOL)):
             outside = validate_projective(built.projectors)
             paired.clear()
-            values = [stationarity_residual(ens, meas) for meas in (outside, built)]
-            assert abs(values[0] - values[1]) <= 1e-14
             for certify in (certify_full, certify_simplified):
                 reports = [certify(ens, meas) for meas in (outside, built)]
                 assert reports[0].verdict == reports[1].verdict
                 for name in NUMBERS:
                     assert abs(getattr(reports[0], name) - getattr(reports[1], name)) <= 1e-14
-            assert paired == [outside, built] * 3
+            assert paired == [outside, built] * 2
 
 
 class TestForwardMap:
     def test_orthogonal_pair_is_fixed(self):
-        cert = dual_operator(ORTH, ORTH_MEAS)
-        derived = forward_map(ORTH, ORTH_MEAS, cert)
+        derived = forward_map(ORTH, ORTH_MEAS, certify_full(ORTH, ORTH_MEAS))
         for a, b in zip(derived.weighted_states(), ORTH.weighted_states()):
             assert np.abs(a - b).max() < 1e-12
 
     def test_rejects_non_optimal_pair(self):
         ens = random_ensemble(3, (1, 1, 1), seed=2)
         meas = rank_matched_random_measurement(ens, seed=3)
-        cert = dual_operator(ens, meas)
-        with pytest.raises(NotOptimalPair):
-            forward_map(ens, meas, cert)
+        report = certify_full(ens, meas)
+        with pytest.raises(NotOptimalPair, match="stationarity"):
+            forward_map(ens, meas, report)
 
     def test_rejects_stationary_pair_with_infeasible_dual(self):
         # swapped projectors: every Pi_j (p_j rho_j - p_i rho_i) Pi_i vanishes,
         # but K = 0, so Z = 0 and Z - p_i rho_i has eigenvalue -1/2
         swapped = validate_projective([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
-        assert stationarity_residual(ORTH, swapped) == 0.0
-        cert = dual_operator(ORTH, swapped)
-        assert min(cert.slack_min_eigs) == pytest.approx(-0.5, abs=1e-15)
+        report = certify_full(ORTH, swapped)
+        assert report.stationarity_residual == 0.0
+        assert report.min_slack_eig == pytest.approx(-0.5, abs=1e-15)
         with pytest.raises(NotOptimalPair, match="dual slack"):
-            forward_map(ORTH, swapped, cert)
+            forward_map(ORTH, swapped, report)
 
     def test_pi4_symmetry_and_derived_ensemble_properties(self):
         ens = pure_pair(np.pi / 4)
         result = solve(ens)
         assert result.certified
-        derived = forward_map(ens, result.measurement, result.certificate)
+        derived = forward_map(ens, result.measurement, result.report)
         # symmetric instance: equal derived priors
         assert derived.priors[0] == pytest.approx(derived.priors[1], abs=1e-9)
         for sigma in derived.states:
@@ -160,10 +155,10 @@ class TestForwardMap:
         # built, its projectors validated from outside, and the same projectors
         # as a general POVM give the same image
         q = random_ensemble(sum(sig), sig, seed=51)
-        pre_image, built, certificate, _ = inverse_map(q)
-        image = forward_map(pre_image, built, certificate)
+        pre_image, built, report, _ = inverse_map(q)
+        image = forward_map(pre_image, built, report)
         for outside in (validate_projective(built.projectors), validate_povm(built.projectors)):
-            other = forward_map(pre_image, outside, certificate)
+            other = forward_map(pre_image, outside, report)
             assert other.rank_signature == image.rank_signature
             assert np.abs(other.weighted_states() - image.weighted_states()).max() <= 1e-14
             assert np.abs(other.priors - image.priors).max() <= 1e-14
@@ -188,9 +183,10 @@ class TestInverseMap:
 
     def test_random_d5_self_certification(self):
         ens = random_ensemble(5, (2, 2, 1), seed=11)
-        pre, meas, cert, _ = inverse_map(ens)
-        assert min(cert.slack_min_eigs) >= -1e-9
-        assert stationarity_residual(pre, meas) < 1e-8
+        _, _, report, _ = inverse_map(ens)
+        assert report.verdict == OPTIMAL
+        assert report.min_slack_eig >= -1e-9
+        assert report.stationarity_residual < 1e-8
 
     def test_artifacts_invariants(self):
         ens = random_ensemble(5, (2, 2, 1), seed=4)
@@ -262,7 +258,7 @@ def test_optimal_measurement_equals_pgm_of_image(seed):
     ens = random_ensemble(sum(sig), sig, seed=40 + seed)
     result = solve(ens)
     assert result.certified
-    derived = forward_map(ens, result.measurement, result.certificate)
+    derived = forward_map(ens, result.measurement, result.report)
     image_pgm = pgm(derived)
     for a, b in zip(image_pgm.projectors, result.measurement.projectors):
         assert np.abs(a - b).max() <= 1e-8
@@ -284,7 +280,7 @@ def test_both_maps_keep_each_state_support(kind, dim, sig, seed):
         ens = near_collinear(dim, sig, 0.05, seed)
     result = solve(ens)
     assert result.certified
-    derived = forward_map(ens, result.measurement, result.certificate)
+    derived = forward_map(ens, result.measurement, result.report)
     pre_image, _, _, _ = inverse_map(ens)
     want = range_projectors(ens)
     for image in (derived, pre_image):
@@ -321,17 +317,17 @@ def test_stacked_maps_match_per_state_loops(dim, sig):
     whitened = [np.linalg.solve(np.linalg.cholesky(frame[s, s]), frame[s]).conj().T for s in slices]
     factors = w @ np.hstack(whitened)
     priors, states, weighted, total = _per_state_image(factors, slices)
-    pre_image, measurement, certificate, _ = inverse_map(q)
+    pre_image, measurement, report, _ = inverse_map(q)
     projectors = [herm(w[:, s] @ w[:, s].conj().T) for s in slices]
     assert np.array_equal(measurement.projectors, projectors)
     assert pre_image.priors.tolist() == priors
     assert np.array_equal(pre_image.states, states)
     assert np.array_equal(pre_image.weighted_states(), weighted)
     assert np.array_equal(pre_image.psi, factors / np.sqrt(total))
-    assert np.array_equal(certificate.z, sigma_sqrt / total)
+    assert np.array_equal(report.z, sigma_sqrt / total)
 
-    z = certificate.z
-    derived = forward_map(pre_image, measurement, certificate)
+    z = report.z
+    derived = forward_map(pre_image, measurement, report)
     priors, states, weighted, _ = _per_state_image(z @ w, slices)
     assert derived.priors.tolist() == priors
     assert np.array_equal(derived.states, states)
@@ -353,17 +349,53 @@ def test_factored_maps_match_the_paper_formulas(dim, sig):
     # the PGM unitary, and the image's q_i sigma_i is Z Pi_i Z / Tr(Z^2)
     q = random_ensemble(dim, sig, seed=dim)
     w, frame, _ = _polar(q)
-    pre_image, measurement, certificate, artifacts = inverse_map(q)
-    for s, x in zip(_signature_slices(sig), paper_x_ops(pre_image, certificate, artifacts)):
+    pre_image, measurement, report, artifacts = inverse_map(q)
+    for s, x in zip(_signature_slices(sig), paper_x_ops(pre_image, report, artifacts)):
         col = frame[:, s]
         want = w @ (col @ np.linalg.solve(col[s], col.conj().T)) @ w.conj().T
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
-    z = certificate.z
-    derived = forward_map(pre_image, measurement, certificate)
+    z = report.z
+    derived = forward_map(pre_image, measurement, report)
     z2 = float(np.trace(z @ z).real)
     for image, proj in zip(derived.weighted_states(), measurement.projectors):
         want = z @ proj @ z / z2
         assert np.linalg.norm(image - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("sig", [(1,) * 6, (2, 2, 1, 1)])
+def test_inverse_map_pairs_once_and_forward_map_never(monkeypatch, sig):
+    # the inverse map's report reads one pairing of the pre-image with its
+    # measurement, and the forward map reads the report it is given
+    paired = []
+
+    def spy(ensemble, measurement, _pair=medli.ensembles._pair):
+        paired.append((ensemble, measurement))
+        return _pair(ensemble, measurement)
+
+    for module in (medli.belavkin, medli.certify):
+        monkeypatch.setattr(module, "_pair", spy)
+    q = random_ensemble(sum(sig), sig, seed=61)
+    pre_image, measurement, report, _ = inverse_map(q)
+    assert paired == [(pre_image, measurement)]
+    paired.clear()
+    forward_map(pre_image, measurement, report)
+    assert paired == []
+
+
+@pytest.mark.parametrize(
+    "dim, sig", [(2, (1, 1)), (5, (2, 2, 1)), (8, (1,) * 8), (9, (3, 2, 2, 1, 1)), (16, (2,) * 8)]
+)
+def test_inverse_map_report_is_the_simplified_certifiers(dim, sig):
+    # the map's report and certify_simplified's read the same pairing and
+    # differ only in Z: sigma^{1/2} / sum_j Tr X_j against sym(K), equal at
+    # the optimum, so the numbers of K and the pairing agree to the bit
+    q = random_ensemble(dim, sig, seed=dim)
+    pre_image, measurement, report, _ = inverse_map(q)
+    want = certify_simplified(pre_image, measurement)
+    assert report.verdict == want.verdict == OPTIMAL
+    for name in ("stationarity_residual", "hermiticity_residual", "success_prob"):
+        assert getattr(report, name) == getattr(want, name)
+    assert np.abs(report.z - want.z).max() <= 1e-14
 
 
 @pytest.mark.parametrize("sig", [(1,) * 32, (1,) * 64, (2,) * 32], ids=["d32-pure", "d64-pure", "d64-pairs"])
@@ -371,8 +403,8 @@ def test_maps_at_scale(sig):
     # beyond d = 16: the pre-image self-certifies and forward(inverse(Q))
     # returns Q within the round-trip bound
     q = random_ensemble(sum(sig), sig, seed=len(sig))
-    pre_image, measurement, certificate, _ = inverse_map(q)
+    pre_image, measurement, report, _ = inverse_map(q)
     assert certify_simplified(pre_image, measurement).verdict == OPTIMAL
-    image = forward_map(pre_image, measurement, certificate)
+    image = forward_map(pre_image, measurement, report)
     assert image.rank_signature == q.rank_signature
     assert np.abs(image.weighted_states() - q.weighted_states()).max() <= 1e-7

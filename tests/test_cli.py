@@ -435,10 +435,10 @@ from medli.cli import main
 from medli.serialize import ensemble_from_doc, load_json
 
 ens = ensemble_from_doc(load_json(sys.argv[1])[0])
-pre_image, measurement, certificate, _ = medli.inverse_map(ens)
+pre_image, measurement, report, _ = medli.inverse_map(ens)
 medli.certify_simplified(pre_image, measurement)
 medli.certify_full(pre_image, measurement)
-medli.forward_map(pre_image, measurement, certificate)
+medli.forward_map(pre_image, measurement, report)
 medli.fixpoint_check(ens)
 assert medli.solve(ens).certified
 assert main(["fixpoint", sys.argv[2], "--quiet"]) == 0

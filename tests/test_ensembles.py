@@ -11,7 +11,6 @@ from medli import (
     detection_profile,
     forward_map,
     roundtrip_check,
-    stationarity_residual,
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
@@ -394,6 +393,14 @@ class TestSuccessProbability:
             success_probability(ens3, GeneralPOVM(dim=3, elements=(np.eye(2),) * 3))
         with pytest.raises(DimensionMismatch):
             success_probability(ens, GeneralPOVM(dim=3, elements=(np.eye(2) / 2,) * 2))
+        # every element is checked to be square of the ensemble's dim before
+        # the elements are stacked: rows that differ, or widths 2, 4 and 3
+        # that total m d columns but misalign the blocks
+        with pytest.raises(DimensionMismatch, match=r"element shapes \[\(2, 2\), \(3, 3\)\]"):
+            success_probability(ens3, GeneralPOVM(dim=3, elements=(np.eye(3), np.eye(2), np.eye(3))))
+        widths = (np.eye(3, 2), np.eye(3, 4), np.eye(3))
+        with pytest.raises(DimensionMismatch, match=r"element shapes \[\(3, 2\), \(3, 3\), \(3, 4\)\]"):
+            certify_full(ens3, GeneralPOVM(dim=3, elements=widths))
 
 
 PAIRING_SIGNATURES = [(1,) * d for d in range(2, 17)] + [
@@ -421,7 +428,7 @@ def test_factor_pairing_matches_per_outcome_loops(sig):
         assert np.abs(pairing.k - outcome_sum(ens, elements)).max() <= 1e-15
         assert np.abs(np.subtract(pairing.weights, outcome_weights(ens, elements))).max() <= 1e-15
         want = column_stationarity(ens, elements)
-        assert abs(stationarity_residual(ens, meas, pairing) - want) <= 1e-13 * want
+        assert abs(certify_full(ens, meas).stationarity_residual - want) <= 1e-13 * want
 
 
 def test_projective_measurements_never_form_their_projectors(monkeypatch):
@@ -440,10 +447,10 @@ def test_projective_measurements_never_form_their_projectors(monkeypatch):
     for meas in (result.measurement, pgm(ens), outside):
         assert certify_full(ens, meas).verdict == certify_simplified(ens, meas).verdict
         assert len(detection_profile(ens, meas)) == ens.m
-    pre_image, measurement, certificate, _ = inverse_map(ens)
-    image = forward_map(pre_image, measurement, certificate)
+    pre_image, measurement, report, _ = inverse_map(ens)
+    image = forward_map(pre_image, measurement, report)
     assert np.abs(image.weighted_states() - ens.weighted_states()).max() <= 1e-12
-    forward_map(ens, result.measurement, result.certificate)
+    forward_map(ens, result.measurement, result.report)
     report = roundtrip_check(ens, solve)
     assert max(report.p_deviation, report.q_deviation) <= 1e-10
     with pytest.raises(AssertionError, match="projector stack"):
@@ -513,7 +520,7 @@ def test_array_records_compare_and_hash_by_identity():
     _, _, _, artifacts = inverse_map(ens)
     povm = GeneralPOVM(dim=4, elements=result.measurement.projectors)
     space = _horizontal(ens.rank_signature)
-    records = [ens, twin, result, result.measurement, result.certificate, povm, artifacts, space]
+    records = [ens, twin, result, result.measurement, result.report, povm, artifacts, space]
     for record in records:
         assert record == record
         assert hash(record) == hash(record)

@@ -9,14 +9,13 @@ from medli import (
     NotProjectiveAfterPGM,
     SigmaSingular,
     SolveConfig,
-    dual_operator,
+    certify_full,
     fixpoint_check,
     forward_map,
     inverse_map,
     pgm,
     random_ensemble,
     solve,
-    stationarity_residual,
     validate_ensemble,
     validate_projective,
 )
@@ -168,10 +167,10 @@ def test_polar_path_matches_ambient_construction(sig):
     for proj, element in zip(meas.projectors, pgm_general(ens).elements):
         assert np.abs(proj - element).max() <= 1e-9
     root, x_ref, delta_ref, residual_ref = _ambient_reference(ens, meas.projectors)
-    pre_image, _, certificate, arts = inverse_map(ens)
+    pre_image, _, report, arts = inverse_map(ens)
     assert np.abs(arts.sigma_sqrt - root).max() <= 1e-12
     for x, want, proj, rank, spectrum in zip(
-        paper_x_ops(pre_image, certificate, arts), x_ref, meas.projectors, ens.rank_signature, delta_ref
+        paper_x_ops(pre_image, report, arts), x_ref, meas.projectors, ens.rank_signature, delta_ref
     ):
         assert np.abs(x - want).max() <= 1e-12
         assert np.linalg.norm((arts.sigma_sqrt - x) @ proj) <= 1e-13
@@ -193,13 +192,13 @@ def test_frame_stationarity_matches_pairwise(sig):
     pre_image, stationary, _, _ = inverse_map(ens)
     haar = _measurement(haar_unitary(ens.dim, np.random.default_rng(sum(sig))), ens, DEFAULT_TOL)
     for ensemble, meas in ((ens, pgm(ens)), (pre_image, stationary), (ens, haar)):
-        value = stationarity_residual(ensemble, meas)
+        value = certify_full(ensemble, meas).stationarity_residual
         assert abs(value - np.sqrt(pairwise_column_squares(ensemble, meas.projectors))) <= 1e-15
         blockwise = pairwise_stationarity(ensemble, meas.projectors)
         assert blockwise - 1e-15 <= value <= np.sqrt(ensemble.m - 1) * blockwise + 1e-15
     # far from stationary, value^2 matches the column sums to 1e-14 relative
     columns = pairwise_column_squares(ens, haar.projectors)
-    assert abs(stationarity_residual(ens, haar) ** 2 - columns) <= 1e-14 * columns
+    assert abs(certify_full(ens, haar).stationarity_residual ** 2 - columns) <= 1e-14 * columns
     assert pairwise_stationarity(ens, haar.projectors) > 1e-3
 
 
@@ -221,13 +220,14 @@ def test_stored_range_pairs_and_stacked_slacks(sig):
         basis = np.linalg.qr(cols)[0]
         assert np.linalg.norm(basis @ basis.conj().T - support) <= 1e-9
         assert np.array_equal(weighted[i], ens.priors[i] * rho)
-    pre_image, _, image_certificate, _ = inverse_map(ens)
-    for certificate, weighted in (
-        (dual_operator(ens, pgm(ens)), ens.weighted_states()),
-        (image_certificate, pre_image.weighted_states()),
+    pre_image, _, image_report, _ = inverse_map(ens)
+    for report, weighted in (
+        (certify_full(ens, pgm(ens)), ens.weighted_states()),
+        (image_report, pre_image.weighted_states()),
     ):
-        loop = tuple(float(np.linalg.eigvalsh(certificate.z - w)[0]) for w in weighted)
-        assert certificate.slack_min_eigs == loop
+        loop = tuple(float(np.linalg.eigvalsh(report.z - w)[0]) for w in weighted)
+        assert report.slack_min_eigs == loop
+        assert report.min_slack_eig == min(loop)
 
 
 def _decomposition_counter(monkeypatch):
@@ -253,7 +253,8 @@ def _decomposition_counter(monkeypatch):
 def test_each_state_is_decomposed_once(monkeypatch, sig):
     # validation decomposes the (m, d, d) stack of outside states once; the
     # maps build their outputs from factors and decompose no stack of them:
-    # the inverse map's one stacked spectrum is its certificate's slacks
+    # the inverse map's spectra are its report's, the stacked slacks and Z's
+    # positivity, and the forward map reads its report, decomposing nothing
     ens = random_ensemble(sum(sig), sig, seed=13)
     meas = pgm(ens)
     stack = (ens.m, ens.dim, ens.dim)
@@ -261,10 +262,11 @@ def test_each_state_is_decomposed_once(monkeypatch, sig):
     assert calls(validate_ensemble, ens.priors, ens.states) == {"eigh": [stack], "eigvalsh": []}
     assert calls(pgm, ens)["eigh"] == []
     assert calls(fixpoint_check, ens)["eigh"] == []
-    assert calls(inverse_map, ens) == {"eigh": [], "eigvalsh": [stack]}
-    pre_image, measurement, certificate, _ = inverse_map(ens)
-    assert calls(forward_map, pre_image, measurement, certificate) == {"eigh": [], "eigvalsh": []}
-    assert calls(dual_operator, ens, meas) == {"eigh": [], "eigvalsh": [stack]}
+    square = (ens.dim, ens.dim)
+    assert calls(inverse_map, ens) == {"eigh": [], "eigvalsh": [stack, square]}
+    pre_image, measurement, report, _ = inverse_map(ens)
+    assert calls(forward_map, pre_image, measurement, report) == {"eigh": [], "eigvalsh": []}
+    assert calls(certify_full, ens, meas) == {"eigh": [], "eigvalsh": [stack, square]}
 
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])

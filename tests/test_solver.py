@@ -277,7 +277,7 @@ class TestSolve:
         ens = random_ensemble(4, (2, 1, 1), seed=16)
         result = solve(ens)
         assert result.certified
-        assert abs(result.success_prob - result.certificate.dual_value) <= 1e-8
+        assert abs(result.success_prob - result.report.dual_value) <= 1e-8
 
     def test_optimal_verdict_certifies_when_the_probability_is_clamped(self, monkeypatch):
         # priors summing to 1 + 5e-7 pass validation at tol_recon 1e-6: the
