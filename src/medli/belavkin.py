@@ -12,14 +12,13 @@ for the pre-image, and Z Pi_i Z = (Z V_i)(Z V_i)^dag for the image, V the
 measurement's column basis. ``ensembles._from_factors`` builds each output
 from its factors in O(d^3), with no eigendecomposition of its states.
 
-The dual operator and the stationarity residual both read
-K = sum_i p_i rho_i E_i from the one pairing of a measurement's factors
-E_i = L_i R_i^dag with the states, ``ensembles._pair``, which the success
-probability reads too. Summed over j, the pairwise stationarity conditions
-E_j (p_j rho_j - p_i rho_i) E_i = 0 are exactly (K^dag - p_i rho_i) E_i = 0
-for every i, and R_i has orthonormal columns, so the residual of any POVM,
-projective or not, built by medli or loaded from a file, is read off the
-blocks of K^dag L - W L: O(d^3) for projectors, O(m d^3) for a general POVM.
+Neither map pairs a measurement with states or reads a certificate off its
+own numbers: :mod:`medli.certify` does both. The inverse map's report is
+``certify_simplified``'s for the pre-image and its measurement, so its Z is
+sym(K), K = sum_i p_i rho_i Pi_i, which equals the paper's
+sigma^{1/2} / sum_j Tr X_j at the optimum. The forward map takes a pair's
+report and refuses it unless the full rule (``certify._full_rule``) says
+Optimal.
 """
 
 from __future__ import annotations
@@ -28,16 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import CertificationReport, _report, _simplified_rule
-from .ensembles import (
-    Ensemble,
-    ProjectiveMeasurement,
-    _block_norms2,
-    _from_factors,
-    _pair,
-    _runs,
-    rank_matched,
-)
+from .certify import OPTIMAL, CertificationReport, _full_rule, certify_simplified
+from .ensembles import Ensemble, ProjectiveMeasurement, _block_norms2, _from_factors, _runs, rank_matched
 from .errors import NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import _measurement, _polar
@@ -64,16 +55,17 @@ def forward_map(
     q_i = Tr(Z^2 Pi_i) / Tr(Z^2) = ||F_i||_F^2 / ||F||_F^2. The image is
     built from F by ``_from_factors``, in O(d^3). ``report`` is the pair's
     ``CertificationReport``, a certifier's or ``inverse_map``'s, and Z is its
-    ``z``. Refuses to run unless the report's stationarity and slacks
-    certify the pair: the map is only defined at optimal dual pairs, and
-    solving and certifying are the caller's job, so nothing is paired here.
+    ``z``. Refuses to run unless the full rule, read off the report, says
+    Optimal: the map is only defined at optimal dual pairs, and solving and
+    certifying are the caller's job, so nothing is paired here.
     """
-    residual = report.stationarity_residual
-    if residual > tol.tol_recon:
-        raise NotOptimalPair(f"stationarity residual {residual:.3e} exceeds tol_recon")
-    slack = report.min_slack_eig
-    if slack < -tol.tol_psd:
-        raise NotOptimalPair(f"dual slack eigenvalue {slack:.3e} below -tol_psd")
+    verdict = _full_rule(report, tol).verdict
+    if verdict != OPTIMAL:
+        raise NotOptimalPair(
+            f"full certificate verdict {verdict}: stationarity residual "
+            f"{report.stationarity_residual:.3e} (tol_recon {tol.tol_recon:.1e}), "
+            f"dual slack eigenvalue {report.min_slack_eig:.3e} (-tol_psd {-tol.tol_psd:.1e})"
+        )
     factors = report.z @ rank_matched(ensemble, measurement, tol)._basis
     weights = _block_norms2(factors, ensemble.rank_signature)
     if weights.min() < tol.tol_psd:
@@ -120,17 +112,16 @@ def inverse_map(
     cond(sigma) = (s_max / s_min)^2, and its Cholesky factor exists.
 
     Returns (P, M, R, A): the pre-image, its optimal measurement, the
-    pair's report, and sigma^{1/2}. R is ``certify._report`` of one pairing
-    with Z = sigma^{1/2} / sum_j Tr X_j, and its verdict is the simplified
-    rule's, so the pair self-certifies with no solver involved. The X_i are
-    t p_i rho_i, t = Tr sigma^{1/2} / ``R.dual_value``.
+    pair's report, and sigma^{1/2}. R is ``certify_simplified`` of the pair,
+    so the pair self-certifies with no solver involved. The X_i are
+    t p_i rho_i with t = sum_j Tr X_j, and the paper's dual operator
+    sigma^{1/2} / t equals R's Z = sym(K) to round-off.
     """
     w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
     factors = w @ _whitened(frame, ensemble.rank_signature)
     pre_image = _from_factors(factors, ensemble.rank_signature, tol)
-    total = float(_block_norms2(factors, ensemble.rank_signature).sum())
-    report = _simplified_rule(_report(_pair(pre_image, measurement), sigma_sqrt / total, tol), tol)
+    report = certify_simplified(pre_image, measurement, tol)
     return pre_image, measurement, report, MapArtifacts(sigma_sqrt=sigma_sqrt)
 
 

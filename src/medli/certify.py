@@ -2,20 +2,21 @@
 
 This module alone knows what certifies a measurement for an ensemble. One
 report (``_report``) reads every number off one pairing of the
-measurement's factors E_i = L_i R_i^dag with the states (``ensembles._pair``)
-and a dual operator Z: the stationarity residual
-max_i ||(K^dag - p_i rho_i) E_i||_F, K = sum_j p_j rho_j E_j (for projectors
-it lies between the largest pairwise block norm and sqrt(m - 1) times it),
-the slack spectra of Z - p_i rho_i (Eldar-Megretski-Verghese, IEEE TIT 49,
-1007 (2003)), the positivity of Z, the hermiticity residual of K, the dual
-value Tr Z and the success probability. The certifiers take Z = sym(K); the
-inverse map (:mod:`medli.belavkin`) passes its own Z.
+measurement's factors E_i = L_i R_i^dag with the states (``ensembles._pair``),
+and forms the dual operator Z = sym(K), K = sum_j p_j rho_j E_j, nowhere
+else: the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F (for
+projectors it lies between the largest pairwise block norm and sqrt(m - 1)
+times it), the slack spectra of Z - p_i rho_i (Eldar-Megretski-Verghese,
+IEEE TIT 49, 1007 (2003)), the positivity of Z, the hermiticity residual of
+K, the dual value Tr Z and the success probability. Every report comes from
+it: both certifiers', each solver restart's and the inverse map's.
 
-Two rules read verdicts off a report. The full one checks the general
-optimality conditions, stationarity plus PSD slacks. The simplified one is
-specific to LI ensembles with rank-matched projective measurements, where
-optimality is equivalent to K being Hermitian and positive definite; it
-checks exactly that, rather than smuggling the full condition back in.
+Two rules read verdicts off a report. The full one (``_full_rule``) checks
+the general optimality conditions, stationarity plus PSD slacks; the forward
+map refuses a pair unless it says Optimal. The simplified one is specific
+to LI ensembles with rank-matched projective measurements, where optimality
+is equivalent to K being Hermitian and positive definite; it checks exactly
+that, rather than smuggling the full condition back in.
 ``medli certify`` builds one report and reads both verdicts and the success
 probability from it.
 
@@ -54,7 +55,7 @@ class CertificationReport:
     ||K - K^dag||_F: a large value means the measurement is not even
     stationary, a negative slack that it is, but the dual constraint fails.
     ``dual_value`` is Tr Z, and ``success_prob`` is ``success_probability``
-    of the pair, bit for bit. ``z`` is the dual operator Z itself.
+    of the pair, bit for bit. ``z`` is the dual operator Z = sym(K) itself.
     """
 
     stationarity_residual: float
@@ -68,8 +69,8 @@ class CertificationReport:
     slack_min_eigs: tuple[float, ...] = field(repr=False, compare=False)
 
 
-def _report(pairing: _Pairing, z: np.ndarray, tol: Tolerances) -> CertificationReport:
-    """Every number that certifies the paired measurement with dual operator z; verdict unset.
+def _report(pairing: _Pairing, tol: Tolerances) -> CertificationReport:
+    """Every number that certifies the paired measurement, Z = sym(K); verdict unset.
 
     With E_i = L_i R_i^dag, R_i's columns orthonormal, column block i of
     K^dag L - W L is (K^dag - p_i rho_i) L_i, whose norm is the stationarity
@@ -79,6 +80,7 @@ def _report(pairing: _Pairing, z: np.ndarray, tol: Tolerances) -> CertificationR
     slacks are one stacked ``eigvalsh`` of Z - p_i rho_i, and the success
     probability is clamped by ``tol``.
     """
+    z = herm(pairing.k)
     columns = pairing.k.conj().T @ pairing.left - pairing.wl
     slacks = tuple(float(low) for low in np.linalg.eigvalsh(z - pairing.weighted)[:, 0])
     return CertificationReport(
@@ -99,15 +101,8 @@ def _three_tier(report: CertificationReport, ok: bool, borderline: bool) -> Cert
     return dataclasses.replace(report, verdict=verdict)
 
 
-def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> CertificationReport:
-    """General optimality conditions for any POVM candidate.
-
-    Optimal iff the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F
-    stays within tol_recon and every slack eigenvalue of Z - p_i rho_i,
-    Z = sym(K), is above -tol_psd.
-    """
-    pairing = _pair(ensemble, measurement)
-    report = _report(pairing, herm(pairing.k), tol)
+def _full_rule(report: CertificationReport, tol: Tolerances) -> CertificationReport:
+    """The full verdict: stationarity within tol_recon, every slack above -tol_psd."""
     stationarity, slack = report.stationarity_residual, report.min_slack_eig
     ok = stationarity <= tol.tol_recon and slack >= -tol.tol_psd
     borderline = (
@@ -115,6 +110,16 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
         and slack >= -_VERDICT_BAND * tol.tol_psd
     )
     return _three_tier(report, ok, borderline)
+
+
+def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL) -> CertificationReport:
+    """General optimality conditions for any POVM candidate.
+
+    Optimal iff the stationarity residual max_i ||(K^dag - p_i rho_i) E_i||_F
+    stays within tol_recon and every slack eigenvalue of Z - p_i rho_i,
+    Z = sym(K), is above -tol_psd.
+    """
+    return _full_rule(_report(_pair(ensemble, measurement), tol), tol)
 
 
 def _simplified_rule(report: CertificationReport, tol: Tolerances) -> CertificationReport:
@@ -140,8 +145,7 @@ def certify_simplified(
     pairs as given, as ``certify_full`` does, not as validation rebuilds it.
     """
     rank_matched(ensemble, measurement, tol)
-    pairing = _pair(ensemble, measurement)
-    return _simplified_rule(_report(pairing, herm(pairing.k), tol), tol)
+    return _simplified_rule(_report(_pair(ensemble, measurement), tol), tol)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .belavkin import forward_map, inverse_map, roundtrip_check
-from .certify import OPTIMAL, _simplified_rule, certify_full, certify_simplified, fixpoint_check, rank_matched
+from .certify import OPTIMAL, _simplified_rule, certify_full, fixpoint_check, rank_matched
 from .ensembles import random_ensemble
 from .errors import MEDError, NotProjective, SolverFailed
 from .linalg import DEFAULT_TOL
@@ -251,8 +251,7 @@ def cmd_map(args):
             return _report("map", echo, digest, **_result_fields(result)), EXIT_UNCERTIFIED
         image = forward_map(ensemble, result.measurement, result.report, tol)
     else:
-        image, measurement, _, _ = inverse_map(ensemble, tol)
-        report = certify_simplified(image, measurement, tol)
+        image, measurement, report, _ = inverse_map(ensemble, tol)
         if report.verdict != OPTIMAL:
             raise MEDError(f"inverse map failed to self-certify: verdict {report.verdict}")
         result = SolveResult(measurement, report, iterations=0)

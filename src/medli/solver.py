@@ -27,6 +27,7 @@ oracle.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,10 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 

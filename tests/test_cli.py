@@ -350,6 +350,23 @@ class TestMapCommand:
         assert doc["measurement"] is not None
         assert doc["ensemble"]["dim"] == 4
 
+    def test_inverse_pairs_the_measurement_once(self, monkeypatch, capsys):
+        # the command reads the inverse map's report and certifies nothing again;
+        # a pairing the maps made themselves would count too
+        calls = []
+        pair = medli.ensembles._pair
+
+        def counting_pair(*args):
+            calls.append(args)
+            return pair(*args)
+
+        for module in (medli.certify, medli.belavkin):
+            monkeypatch.setattr(module, "_pair", counting_pair, raising=False)
+        code = main(["map", RANDOM_D4, "--direction", "inverse", "--quiet"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 1
+
     def test_orthogonal_pair_identity_both_directions(self, capsys):
         original = ensemble_from_doc(load_json(ORTH)[0])
         for direction in ("forward", "inverse"):

@@ -78,6 +78,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             SolveConfig(restarts=restarts)
 
+    @pytest.mark.parametrize("field, value", [("restarts", 2.5), ("seed", 1.5)])
+    def test_config_rejects_non_integers(self, field, value):
+        # a float would fail the solve mid-way, after its first restart, with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolveConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = SolveConfig(restarts=np.int64(2), seed=np.int32(7))
+        assert (config.restarts, config.seed) == (2, 7)
+
     def test_one_coordinate_space_per_solve(self, monkeypatch):
         # an impossible positivity bar leaves every one of the 16 restarts uncertified
         tol = DEFAULT_TOL.replace(tol_psd=0.6)
