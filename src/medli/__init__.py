@@ -7,7 +7,6 @@ independent brute-force oracle.
 """
 
 from .belavkin import (
-    MapArtifacts,
     RoundtripReport,
     forward_map,
     inverse_map,

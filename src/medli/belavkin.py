@@ -16,9 +16,9 @@ Neither map pairs a measurement with states or reads a certificate off its
 own numbers: :mod:`medli.certify` does both. The inverse map's report is
 ``certify_simplified``'s for the pre-image and its measurement, so its Z is
 sym(K), K = sum_i p_i rho_i Pi_i, which equals the paper's
-sigma^{1/2} / sum_j Tr X_j at the optimum. The forward map takes a pair's
-report and refuses it unless the full rule (``certify._full_rule``) says
-Optimal.
+sigma^{1/2} / sum_j Tr X_j at the optimum; the map returns sigma^{1/2} as a
+bare array beside the report. The forward map takes a pair's report and
+refuses it unless the full rule (``certify._full_rule``) says Optimal.
 """
 
 from __future__ import annotations
@@ -32,13 +32,6 @@ from .ensembles import Ensemble, ProjectiveMeasurement, _block_norms2, _from_fac
 from .errors import NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import _measurement, _polar
-
-
-@dataclass(frozen=True, eq=False)
-class MapArtifacts:
-    """Intermediates of the inverse map: sigma^{1/2}."""
-
-    sigma_sqrt: np.ndarray
 
 
 def forward_map(
@@ -93,7 +86,7 @@ def _whitened(frame: np.ndarray, signature) -> np.ndarray:
 
 def inverse_map(
     ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL
-) -> tuple[Ensemble, ProjectiveMeasurement, CertificationReport, MapArtifacts]:
+) -> tuple[Ensemble, ProjectiveMeasurement, CertificationReport, np.ndarray]:
     """Pre-image ensemble whose optimal measurement is this ensemble's PGM.
 
     In the PGM frame G = W^dag sigma^{1/2} W, with W the PGM unitary, the
@@ -111,18 +104,18 @@ def inverse_map(
     lambda_min(A) >= s_min >= s_max 10^-6 > 0, by ``_polar``'s gate on
     cond(sigma) = (s_max / s_min)^2, and its Cholesky factor exists.
 
-    Returns (P, M, R, A): the pre-image, its optimal measurement, the
-    pair's report, and sigma^{1/2}. R is ``certify_simplified`` of the pair,
-    so the pair self-certifies with no solver involved. The X_i are
-    t p_i rho_i with t = sum_j Tr X_j, and the paper's dual operator
-    sigma^{1/2} / t equals R's Z = sym(K) to round-off.
+    Returns (P, M, R, S): the pre-image, its optimal measurement, the
+    pair's report, and the d x d array S = sigma^{1/2}. R is
+    ``certify_simplified`` of the pair, so the pair self-certifies with no
+    solver involved. The X_i are t p_i rho_i with t = sum_j Tr X_j, and the
+    paper's dual operator sigma^{1/2} / t equals R's Z = sym(K) to round-off.
     """
     w, frame, sigma_sqrt = _polar(ensemble)
     measurement = _measurement(w, ensemble, tol)
     factors = w @ _whitened(frame, ensemble.rank_signature)
     pre_image = _from_factors(factors, ensemble.rank_signature, tol)
     report = certify_simplified(pre_image, measurement, tol)
-    return pre_image, measurement, report, MapArtifacts(sigma_sqrt=sigma_sqrt)
+    return pre_image, measurement, report, sigma_sqrt
 
 
 @dataclass(frozen=True)

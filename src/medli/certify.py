@@ -49,11 +49,10 @@ class CertificationReport:
 
     ``stationarity_residual`` is max_i ||(K^dag - p_i rho_i) E_i||_F; for
     projectors it lies between the largest pairwise block norm and sqrt(m - 1)
-    times it. ``min_slack_eig`` is the least of ``slack_min_eigs``, the
-    smallest eigenvalue of Z - p_i rho_i per state, and
-    ``positivity_min_eig`` Z's smallest. ``hermiticity_residual`` is
-    ||K - K^dag||_F: a large value means the measurement is not even
-    stationary, a negative slack that it is, but the dual constraint fails.
+    times it. ``min_slack_eig`` is the least eigenvalue of any slack
+    Z - p_i rho_i, and ``positivity_min_eig`` Z's least. A large
+    ``hermiticity_residual``, ||K - K^dag||_F, means the measurement is not
+    even stationary, a negative slack that it is, but the dual constraint fails.
     ``dual_value`` is Tr Z, and ``success_prob`` is ``success_probability``
     of the pair, bit for bit. ``z`` is the dual operator Z = sym(K) itself.
     """
@@ -66,7 +65,6 @@ class CertificationReport:
     dual_value: float
     success_prob: float
     z: np.ndarray = field(repr=False, compare=False)
-    slack_min_eigs: tuple[float, ...] = field(repr=False, compare=False)
 
 
 def _report(pairing: _Pairing, tol: Tolerances) -> CertificationReport:
@@ -76,23 +74,26 @@ def _report(pairing: _Pairing, tol: Tolerances) -> CertificationReport:
     K^dag L - W L is (K^dag - p_i rho_i) L_i, whose norm is the stationarity
     residual of outcome i: O(d^3) for projectors. Summed over j, the pairwise
     conditions E_j (p_j rho_j - p_i rho_i) E_i = 0 are exactly
-    (K^dag - p_i rho_i) E_i = 0, since the E_j sum to the identity. The
-    slacks are one stacked ``eigvalsh`` of Z - p_i rho_i, and the success
-    probability is clamped by ``tol``.
+    (K^dag - p_i rho_i) E_i = 0, since the E_j sum to the identity. Z's
+    spectrum and every slack's come from one ``eigvalsh`` of the stack
+    [Z; Z - p_1 rho_1; ...; Z - p_m rho_m], and the success probability is
+    clamped by ``tol``.
     """
     z = herm(pairing.k)
+    spectra = np.empty((len(pairing.weighted) + 1, *z.shape), dtype=complex)
+    spectra[0] = z
+    np.subtract(z, pairing.weighted, out=spectra[1:])
+    lowest = np.linalg.eigvalsh(spectra)[:, 0]
     columns = pairing.k.conj().T @ pairing.left - pairing.wl
-    slacks = tuple(float(low) for low in np.linalg.eigvalsh(z - pairing.weighted)[:, 0])
     return CertificationReport(
         stationarity_residual=float(np.sqrt(_block_norms2(columns, pairing.signature).max())),
-        min_slack_eig=min(slacks),
-        positivity_min_eig=float(np.linalg.eigvalsh(z)[0]),
+        min_slack_eig=float(lowest[1:].min()),
+        positivity_min_eig=float(lowest[0]),
         hermiticity_residual=hermiticity_defect(pairing.k),
         verdict=INCONCLUSIVE,
         dual_value=float(np.trace(z).real),
         success_prob=pairing.success(tol),
         z=z,
-        slack_min_eigs=slacks,
     )
 
 

@@ -54,6 +54,7 @@ _EXIT_TABLE = (
     (SolverFailed, EXIT_UNCERTIFIED, "uncertified"),
     (MEDError, EXIT_NUMERICAL, "numerical failure"),
     (np.linalg.LinAlgError, EXIT_NUMERICAL, "numerical failure"),
+    (MemoryError, EXIT_NUMERICAL, "out of memory"),
 )
 
 # Fields every report carries, in order, null when a command has no value.
@@ -205,7 +206,8 @@ def cmd_solve(args):
     if args.oracle:
         with _input_phase():
             check_oracle_size(ensemble)
-        result = solve_oracle(ensemble, seed=args.seed, tol=tol)
+            seed = SolveConfig(seed=args.seed).seed
+        result = solve_oracle(ensemble, seed=seed, tol=tol)
         echo["restarts"] = None
     else:
         result = _solve(args, ensemble, tol)

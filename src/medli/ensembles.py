@@ -7,7 +7,8 @@ always recompute the rank signature rather than trusting the input, since
 everything downstream keys on exact ranks. The validators check all
 matrices as one (m, d, d) stack; ``validate_ensemble`` forms, once, Psi from
 the very range eigenpairs the LI test counted (its polar factor is the PGM,
-:mod:`medli.pgm`) and the stack of weighted states p_i rho_i. Ensembles medli
+:mod:`medli.pgm`). An ensemble holds its states as one read-only stack and
+forms the weighted states p_i rho_i from it on request. Ensembles medli
 builds from known factors, the two maps' outputs, go through ``_from_factors``
 instead, which runs the same rank rule and LI test on the factors, with no
 d x d eigendecomposition.
@@ -76,24 +77,22 @@ class Ensemble:
     ``solve`` are invariant under this block-unitary freedom.
     ``validate_ensemble`` takes the columns sqrt(p_i lambda_ik) v_ik over the
     range eigenpairs its LI test counted; ``_from_factors`` keeps the factors
-    it was given. ``weighted_states`` returns the read-only (m, d, d) stack
-    of p_i rho_i.
+    it was given. ``states`` is the read-only (m, d, d) stack of the rho_i.
     """
 
     dim: int
     priors: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     rank_signature: tuple[int, ...]
     psi: np.ndarray = field(repr=False)
-    _weighted: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
         return len(self.states)
 
     def weighted_states(self) -> np.ndarray:
-        """The read-only (m, d, d) stack of the products p_i * rho_i."""
-        return self._weighted
+        """The read-only (m, d, d) stack of the products p_i * rho_i, formed on each call."""
+        return _frozen(self.priors[:, None, None] * self.states)
 
 
 def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
@@ -345,8 +344,8 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
     The states are copied into one (m, d, d) stack, and each check runs once
     over it: finiteness, hermiticity, one stacked eigendecomposition whose
     eigenvalues feed the PSD gate and the LI test, and the traces. The range
-    eigenpairs the LI test counted build ``psi`` with one gather, next to the
-    stack of p_i rho_i; ``states`` are read-only views of the frozen stack.
+    eigenpairs the LI test counted build ``psi`` with one gather; ``states``
+    is the frozen stack itself.
     Raises PriorsInvalid, StateNotDensity, RankSumMismatch, or
     NotLinearlyIndependent naming the first violated invariant and state.
     """
@@ -373,10 +372,9 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
     return Ensemble(
         dim=dim,
         priors=_frozen(pr),
-        states=tuple(_frozen(stack)),
+        states=_frozen(stack),
         rank_signature=ranks,
         psi=_frozen(psi),
-        _weighted=_frozen(pr[:, None, None] * stack),
     )
 
 
@@ -409,15 +407,12 @@ def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) ->
         states[run] = blocks @ blocks.conj().swapaxes(-2, -1)
     ranks = _li_ranks(ranks, left, dim, tol)
     total = float(norms2.sum())
-    priors = norms2 / total
-    states = herm(states) / norms2[:, None, None]
     return Ensemble(
         dim=dim,
-        priors=_frozen(priors),
-        states=tuple(_frozen(states)),
+        priors=_frozen(norms2 / total),
+        states=_frozen(herm(states) / norms2[:, None, None]),
         rank_signature=ranks,
         psi=_frozen(f / np.sqrt(total)),
-        _weighted=_frozen(priors[:, None, None] * states),
     )
 
 

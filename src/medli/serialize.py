@@ -96,7 +96,10 @@ def _matrix_from_json(rows, dim: int, where: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise FileFormatError(f"{where}[{i}][{j}]: expected a [re, im] pair")
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise FileFormatError(f"{where}[{i}][{j}]: integer literal too large for a float") from None
     return out
 
 
@@ -140,10 +143,14 @@ def ensemble_to_doc(ensemble: Ensemble, label: str | None = None) -> dict:
 
 def ensemble_from_doc(doc, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     states = _matrices(doc, "states", "ensemble")
-    priors = _require(doc, "priors", list, "ensemble")
-    for idx, p in enumerate(priors):
+    priors = []
+    for idx, p in enumerate(_require(doc, "priors", list, "ensemble")):
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise FileFormatError(f"ensemble.priors[{idx}]: expected a number")
+        try:
+            priors.append(float(p))
+        except OverflowError:
+            raise FileFormatError(f"ensemble.priors[{idx}]: integer literal too large for a float") from None
     if len(states) != len(priors):
         raise FileFormatError(
             f"ensemble: {len(priors)} priors but {len(states)} states"

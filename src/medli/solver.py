@@ -66,12 +66,12 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "seed"):
+        for name, least in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -214,9 +214,9 @@ def column_stationarity(ensemble: Ensemble, elements) -> float:
     )
 
 
-def paper_x_ops(pre_image: Ensemble, report, artifacts) -> np.ndarray:
+def paper_x_ops(pre_image: Ensemble, report, sigma_sqrt: np.ndarray) -> np.ndarray:
     """The paper's X_i of an inverse map, t p_i rho_i of its pre-image with t = Tr sigma^{1/2} / Tr Z."""
-    scale = float(np.trace(artifacts.sigma_sqrt).real) / report.dual_value
+    scale = float(np.trace(sigma_sqrt).real) / report.dual_value
     return scale * pre_image.weighted_states()
 
 

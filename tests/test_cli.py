@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import medli.certify
+import medli.cli
 from conftest import (
     FIXED,
     FIXTURES,
@@ -111,6 +112,62 @@ class TestExitCodePartition:
         code, out, err = run_cli(*argv, "--restarts", "0", "--quiet")
         assert code == 0, err
         assert json.loads(out)["verdict"] == "Optimal"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", NEAR_SINGULAR),
+            ("solve", PI6, "--oracle"),
+            ("map", RANDOM_D4, "--direction", "forward"),
+            ("roundtrip", RANDOM_D4),
+        ],
+        ids=["haar-starts", "oracle", "map-forward", "roundtrip"],
+    )
+    def test_negative_seed(self, argv):
+        # past COND_LIMIT every start is a Haar unitary and the oracle draws its
+        # grid at once; every command that may draw refuses the seed up front
+        code, out, err = run_cli(*argv, "--seed", "-1")
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:") and "seed must be at least 0" in err
+
+    @pytest.mark.parametrize(
+        "field, where",
+        [
+            ("states", "ensemble.states[0][1][1]"),
+            ("priors", "ensemble.priors[1]"),
+            ("elements", "measurement.elements[1][0][0]"),
+        ],
+    )
+    def test_oversized_integer_literal(self, tmp_path, field, where):
+        # json reads 10**400 as an int that no float holds; the parser names the field
+        ensemble = json.loads(pathlib.Path(ORTH).read_text())
+        measurement = json.loads((GOLDEN / "solve_orthogonal.json").read_text())["measurement"]
+        if field == "states":
+            ensemble["states"][0][1][1][0] = 10**400
+        elif field == "priors":
+            ensemble["priors"][1] = 10**400
+        else:
+            measurement["elements"][1][0][0][1] = 10**400
+        ensemble_path, measurement_path = tmp_path / "ensemble.json", tmp_path / "measurement.json"
+        ensemble_path.write_text(json.dumps(ensemble))
+        measurement_path.write_text(json.dumps(measurement))
+        code, out, err = run_cli("certify", str(ensemble_path), str(measurement_path))
+        assert code == 2
+        assert out == b""
+        assert err.startswith("input error:") and f"{where}: integer literal too large" in err
+
+    def test_memory_error_is_exit_4(self, monkeypatch, capsys):
+        # an allocation failure ends in the numerical-failure code and one line, not a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(medli.cli, "solve", exhausted)
+        code = main(["solve", ORTH])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err == "out of memory: Unable to allocate 1.00 TiB for an array\n"
 
     @pytest.mark.parametrize(
         "argv", [("certify", ORTH, str(GOLDEN / "solve_orthogonal.json")), ("fixpoint", FIXED)]

@@ -167,16 +167,16 @@ def test_polar_path_matches_ambient_construction(sig):
     for proj, element in zip(meas.projectors, pgm_general(ens).elements):
         assert np.abs(proj - element).max() <= 1e-9
     root, x_ref, delta_ref, residual_ref = _ambient_reference(ens, meas.projectors)
-    pre_image, _, report, arts = inverse_map(ens)
-    assert np.abs(arts.sigma_sqrt - root).max() <= 1e-12
+    pre_image, _, report, sigma_sqrt = inverse_map(ens)
+    assert np.abs(sigma_sqrt - root).max() <= 1e-12
     for x, want, proj, rank, spectrum in zip(
-        paper_x_ops(pre_image, report, arts), x_ref, meas.projectors, ens.rank_signature, delta_ref
+        paper_x_ops(pre_image, report, sigma_sqrt), x_ref, meas.projectors, ens.rank_signature, delta_ref
     ):
         assert np.abs(x - want).max() <= 1e-12
-        assert np.linalg.norm((arts.sigma_sqrt - x) @ proj) <= 1e-13
+        assert np.linalg.norm((sigma_sqrt - x) @ proj) <= 1e-13
         assert rank_eps(x) == rank
         # Delta_i, the Schur complement: what X_i leaves of sigma^{1/2} on the kernel of Pi_i
-        delta = block_decompose(arts.sigma_sqrt - x, proj).c_block
+        delta = block_decompose(sigma_sqrt - x, proj).c_block
         np.testing.assert_allclose(np.linalg.eigvalsh(delta), spectrum, rtol=0, atol=1e-12)
     assert fixpoint_check(ens).residual == pytest.approx(residual_ref, rel=0, abs=1e-14)
 
@@ -204,7 +204,8 @@ def test_frame_stationarity_matches_pairwise(sig):
 
 @SWEEP
 def test_stored_range_pairs_and_stacked_slacks(sig):
-    # Psi and the p_i rho_i stack stored by validation, then the stacked slacks
+    # Psi stored by validation, the p_i rho_i stack formed from the stored
+    # states, then the slacks of one stacked spectrum against a per-state loop
     ens = random_ensemble(sum(sig), sig, seed=700 + sum(sig))
     psi, weighted = ens.psi, ens.weighted_states()
     assert psi.shape == (ens.dim, ens.dim) and weighted.shape == (ens.m, ens.dim, ens.dim)
@@ -225,9 +226,9 @@ def test_stored_range_pairs_and_stacked_slacks(sig):
         (certify_full(ens, pgm(ens)), ens.weighted_states()),
         (image_report, pre_image.weighted_states()),
     ):
-        loop = tuple(float(np.linalg.eigvalsh(report.z - w)[0]) for w in weighted)
-        assert report.slack_min_eigs == loop
+        loop = [float(np.linalg.eigvalsh(report.z - w)[0]) for w in weighted]
         assert report.min_slack_eig == min(loop)
+        assert report.positivity_min_eig == float(np.linalg.eigvalsh(report.z)[0])
 
 
 def _decomposition_counter(monkeypatch):
@@ -253,8 +254,9 @@ def _decomposition_counter(monkeypatch):
 def test_each_state_is_decomposed_once(monkeypatch, sig):
     # validation decomposes the (m, d, d) stack of outside states once; the
     # maps build their outputs from factors and decompose no stack of them:
-    # the inverse map's spectra are its report's, the stacked slacks and Z's
-    # positivity, and the forward map reads its report, decomposing nothing
+    # the inverse map's spectra are its report's, Z's positivity and every
+    # slack in one (m + 1, d, d) stack, and the forward map reads its report,
+    # decomposing nothing
     ens = random_ensemble(sum(sig), sig, seed=13)
     meas = pgm(ens)
     stack = (ens.m, ens.dim, ens.dim)
@@ -262,11 +264,11 @@ def test_each_state_is_decomposed_once(monkeypatch, sig):
     assert calls(validate_ensemble, ens.priors, ens.states) == {"eigh": [stack], "eigvalsh": []}
     assert calls(pgm, ens)["eigh"] == []
     assert calls(fixpoint_check, ens)["eigh"] == []
-    square = (ens.dim, ens.dim)
-    assert calls(inverse_map, ens) == {"eigh": [], "eigvalsh": [stack, square]}
+    spectra = (ens.m + 1, ens.dim, ens.dim)
+    assert calls(inverse_map, ens) == {"eigh": [], "eigvalsh": [spectra]}
     pre_image, measurement, report, _ = inverse_map(ens)
     assert calls(forward_map, pre_image, measurement, report) == {"eigh": [], "eigvalsh": []}
-    assert calls(certify_full, ens, meas) == {"eigh": [], "eigvalsh": [stack, square]}
+    assert calls(certify_full, ens, meas) == {"eigh": [], "eigvalsh": [spectra]}
 
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
@@ -280,12 +282,12 @@ def test_projector_validation_decomposes_the_stack_once(monkeypatch, sig):
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
 def test_solve_builds_its_measurement_without_validation(monkeypatch, sig):
-    # one restart, the PGM start: its only spectra are the stacked slacks and Z's positivity
+    # one restart, the PGM start: its only spectrum is the report's stack of Z and the slacks
     ens = random_ensemble(sum(sig), sig, seed=13)
     results = []
     calls = _decomposition_counter(monkeypatch)
     spectra = calls(lambda: results.append(solve(ens, SolveConfig(restarts=1))))["eigvalsh"]
-    assert spectra == [(ens.m, ens.dim, ens.dim), (ens.dim, ens.dim)]
+    assert spectra == [(ens.m + 1, ens.dim, ens.dim)]
     assert results[0].certified
     assert results[0].measurement.rank_signature == ens.rank_signature
 

@@ -84,6 +84,11 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolveConfig(**{field: value})
 
+    def test_config_rejects_a_negative_seed(self):
+        # numpy's generator would refuse it only once a Haar start is drawn, mid-solve
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            SolveConfig(seed=-1)
+
     def test_config_accepts_numpy_integers(self):
         config = SolveConfig(restarts=np.int64(2), seed=np.int32(7))
         assert (config.restarts, config.seed) == (2, 7)
