@@ -56,7 +56,7 @@ from .errors import (
     SolverFailed,
     StateNotDensity,
 )
-from .linalg import DEFAULT_TOL, Tolerances, rank_eps
+from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import pgm
 from .solver import (
     SolveConfig,

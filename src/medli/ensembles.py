@@ -16,9 +16,10 @@ Each measurement is factored, E_i = L_i R_i^dag with R_i's columns orthonormal:
 (V_i, V_i) for projectors, V their column basis, and (E_i, I) for a general
 POVM. ``_from_basis`` alone builds projective measurements, and its one check,
 V^dag V = Id, is their orthogonality and completeness. ``_pair``, the one
-product of states with measurement elements, forms W L, K = (W L) R^dag and
-the weights Tr(W_i E_i), W_i = p_i rho_i, by one formula for both: O(d^3)
-for projectors, with no (m, d, d) stack formed.
+product of states with measurement elements, forms W L by ``_k_times`` (the
+solver's K U), K = (W L) R^dag and the weights Tr(W_i E_i), W_i = p_i rho_i,
+by one formula for both, O(d^3) for projectors: from the stack of the W_i,
+formed per call, with no projector, product W_i E_i or per-coordinate copy.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    as_square,
     expi_herm,
     haar_unitary,
     herm,
@@ -187,14 +187,21 @@ def check_pair(ensemble: Ensemble, measurement) -> tuple[np.ndarray, np.ndarray,
     )
 
 
-def _k_times(per_coord: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """M = K U for K = sum_i W_i U_i U_i^dag, U_i the column blocks of u.
+def _k_times(weighted: np.ndarray, signature: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """Column block i of x, of ``signature[i]`` columns, times W_i = ``weighted[i]``.
 
-    ``per_coord[a]`` is W_{l(a)}, the weighted state of coordinate a's block,
-    and U_i U_i^dag u_a = u_a exactly when a lies in block i, so column a of M
-    is W_{l(a)} u_a: one batched mat-vec, O(d^3). K~ = U^dag K U is U^dag M.
+    For x = U unitary this is K U, K = sum_i W_i U_i U_i^dag; for x = L, the
+    pairing's W L. Each run of k states of rank r (``_runs``) is one batched
+    mat-vec, W_i broadcast over its r columns, so nothing is gathered by index.
     """
-    return (per_coord @ u.T[..., None])[..., 0].T
+    runs = _runs(signature)
+    if len(runs) == 1:
+        k, r = len(signature), signature[0]
+        return (weighted @ x.reshape(-1, k, r).T[..., None])[..., 0].T.reshape(-1, k * r)
+    out = np.empty(x.shape, dtype=complex)
+    for run, cols, _, _ in runs:
+        out[:, cols] = _k_times(weighted[run], signature[run], x[:, cols])
+    return out
 
 
 class _Pairing(NamedTuple):
@@ -217,14 +224,12 @@ class _Pairing(NamedTuple):
 def _pair(ensemble: Ensemble, measurement) -> _Pairing:
     """The checked measurement's factors E_i = L_i R_i^dag paired with the states.
 
-    Column a of W L is W_{l(a)} l_a: one ``_k_times`` batch per run of blocks
-    (``_runs``), the run's k states broadcast over its columns, not copied.
-    K = (W L) R^dag, and weight i sums Re(r_a^dag (W L)_a) over block i.
+    W L comes from ``_k_times``, K = (W L) R^dag, and weight i sums
+    Re(r_a^dag (W L)_a) over block i.
     """
     left, right, signature = check_pair(ensemble, measurement)
-    weighted, wl = ensemble.weighted_states(), np.empty(left.shape, dtype=complex)
-    for run, cols, k, r in _runs(signature):
-        wl[:, cols] = _k_times(weighted[run], left[:, cols].reshape(-1, k, r)).reshape(-1, k * r)
+    weighted = ensemble.weighted_states()
+    wl = _k_times(weighted, signature, left)
     weights = _block_sums((right.conj() * wl).sum(axis=0).real, signature).tolist()
     return _Pairing(weighted, left, wl, signature, wl @ right.conj().T, weights)
 
@@ -298,12 +303,12 @@ def _first(bad: np.ndarray) -> int | None:
 def _square_stack(items, what: str, nonfinite) -> np.ndarray:
     """A fresh (m, d, d) complex stack of same-shape square matrices.
 
-    The first matrix of another shape raises DimensionMismatch, unless an
-    earlier one has a non-finite entry: that raises ``nonfinite``, the
-    caller's invariant class.
+    The first matrix not of shape (d, d), d the first one's row count, raises
+    DimensionMismatch, unless an earlier one has a non-finite entry: that
+    raises ``nonfinite``, the caller's invariant class.
     """
-    mats = [as_square(x) for x in items]
-    dim = mats[0].shape[0] if mats else 0
+    mats = [np.asarray(x, dtype=complex) for x in items]
+    dim = mats[0].shape[0] if mats and mats[0].ndim else 0
     n = next((idx for idx, mat in enumerate(mats) if mat.shape != (dim, dim)), len(mats))
     stack = np.array(mats[:n], dtype=complex).reshape(n, dim, dim)
     if (idx := _first(~np.isfinite(stack).all(axis=(1, 2)))) is not None:

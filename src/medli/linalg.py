@@ -1,11 +1,11 @@
 """Tolerance-aware linear algebra for dense complex Hermitian matrices.
 
-The helpers here are Hermitian parts and defects, rank tests on Hermitian
-eigenvalues (of one matrix or, row by row, of a stack), seeded random
-unitaries and unitary exponentials. The PGM, sigma^{1/2} and the blocks of
-sigma^{1/2} in the PGM's frame come from one SVD in :mod:`medli.pgm`.
-Matrices are plain complex numpy arrays; domain-level structure is validated
-by the callers in :mod:`medli.ensembles`.
+The helpers here are Hermitian parts and defects, the rank cutoff on
+Hermitian eigenvalues (row by row, for a stack), seeded random unitaries and
+unitary exponentials. The PGM, sigma^{1/2} and the blocks of sigma^{1/2} in
+the PGM's frame come from one SVD in :mod:`medli.pgm`. Matrices are plain
+complex numpy arrays; domain-level structure is validated by the callers in
+:mod:`medli.ensembles`.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ def hermiticity_defect(mat) -> float:
     """Frobenius norm of M - M^dag."""
     arr = as_square(mat)
     return float(np.linalg.norm(arr - arr.conj().T))
-
-
-def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of eigenvalues above the relative cutoff tol_rank * max|eigenvalue|.
-
-    The cutoff scale falls back to 1 for the zero matrix, so rank_eps(0) = 0.
-    """
-    return int(np.sum(rank_cutoff_mask(np.linalg.eigvalsh(herm(as_square(mat))), tol)))
 
 
 def rank_cutoff_mask(eigvals: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

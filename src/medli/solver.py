@@ -3,14 +3,15 @@
 ``solve`` searches the manifold of rank-compatible projective measurements
 (parameterized as column-block partitions of a unitary). Each restart, from
 the PGM and then from seeded Haar unitaries, reads M = K U with
-K = sum_i p_i rho_i Pi_i from one batched mat-vec (``ensembles._k_times``,
-shared with the certificate's pairing): column a of M is W_{l(a)} u_a,
-W_i = p_i rho_i and l(a) the block of coordinate a, so no frame U^dag W_i U of
-every state is formed. Polar steps U <- polar(K U), one d x d SVD each and
-O(d^3) in all, drive K towards Hermitian PSD, the paper's simplified
-optimality condition. A saddle-free Riemannian Newton ascent on Re Tr K~,
-K~ = U^dag K U, finishes, building its Hessian only where the polar steps
-stall; its gradient norm is the certificate's hermiticity residual.
+K = sum_i p_i rho_i Pi_i from ``ensembles._k_times``, which also forms the
+certificate's W L: column block i of M is W_i U_i, W_i = p_i rho_i, one
+batched mat-vec per run of equal ranks, with no W_i copied per coordinate
+and no frame U^dag W_i U formed. Polar steps U <- polar(K U), one d x d SVD
+each and O(d^3) in all, drive K towards Hermitian PSD, the paper's
+simplified optimality condition. A saddle-free Riemannian Newton ascent on
+Re Tr K~, K~ = U^dag K U, finishes, building its Hessian only where the
+polar steps stall; its gradient norm is the certificate's hermiticity
+residual.
 It accepts a result only when the simplified certificate says Optimal: the
 certificate is the acceptance authority, not the optimizer's convergence
 flag, because the simplified condition is an iff for this problem class.
@@ -128,21 +129,21 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
 class _Horizontal:
     """Coordinates of the horizontal directions for one rank signature.
 
-    ``labels[a]`` is the block of coordinate a. The horizontal generators are
-    the Hermitian K with K_ab != 0 only where labels[a] != labels[b]; for each
-    such pair a < b (``rows``, ``cols``) K_ab = (x + i y) / sqrt(2), so the real
-    vector z = [x; y] is orthonormal under the trace inner product. One
-    read-only space is built per signature and shared by every solve.
+    Coordinate a lies in block l(a) of the ``signature``. The horizontal
+    generators are the Hermitian K with K_ab != 0 only where l(a) != l(b);
+    for each such pair a < b (``rows``, ``cols``) K_ab = (x + i y) / sqrt(2),
+    so the real vector z = [x; y] is orthonormal under the trace inner
+    product. One read-only space is built per signature and shared by all.
     """
 
-    labels: np.ndarray
+    signature: tuple[int, ...]
     rows: np.ndarray
     cols: np.ndarray
 
     def generator(self, z: np.ndarray) -> np.ndarray:
         """The Hermitian K with coordinates z."""
         n = len(self.rows)
-        dim = len(self.labels)
+        dim = sum(self.signature)
         k = np.zeros((dim, dim), dtype=complex)
         k[self.rows, self.cols] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
         return k + k.conj().T
@@ -164,11 +165,11 @@ class _Horizontal:
         ``tilde`` is the frame stack W~_i = U^dag W_i U of the weighted states.
         The second-order term is Tr(L(K) K) / 2 with
         L(K) = -sum_i [[K, E_i], W~_i] = -(K (K~^dag - V_a) + (K~ - V_b) K)
-        at entry (a, b), where V_a = W~_{l(a)}. Its matrix S on the
-        horizontal entries is gathered from two (d, d, d) stacks, then mapped
-        to z.
+        at entry (a, b), where V_a = W~_{l(a)}, W~_i repeated r_i times. Its
+        matrix S on the horizontal entries is gathered from two (d, d, d)
+        stacks, then mapped to z.
         """
-        v = tilde[self.labels]
+        v = tilde.repeat(self.signature, axis=0)
         right = k.conj().T[None, :, :] - v
         left = k[None, :, :] - v
         # entries (a, b): the upper ones, then their transposes
@@ -195,7 +196,7 @@ def _horizontal(signature: tuple[int, ...]) -> _Horizontal:
     labels = np.repeat(np.arange(len(signature)), signature)
     rows, cols = np.triu_indices(len(labels), 1)
     keep = labels[rows] != labels[cols]
-    return _Horizontal(_frozen(labels), _frozen(rows[keep]), _frozen(cols[keep]))
+    return _Horizontal(signature, _frozen(rows[keep]), _frozen(cols[keep]))
 
 
 def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, list[float]]:
@@ -206,21 +207,20 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
     step moves U to U exp(iK) along a horizontal generator K (stabilizer
     directions leave every projector fixed and are never parameterized).
     Value, gradient and every line-search trial read only K~ = U^dag (K U),
-    O(d^3) through ``_k_times``; the frame stack U^dag W_i U of the weighted
-    states is formed only when a Hessian is built, once per round. The step
-    divides the gradient by the absolute Hessian eigenvalues, so it ascends
-    at saddles too, and is clamped to norm 0.3. A step is accepted on an
-    Armijo increase, or, once objective increments sink below float
+    K U from ``_k_times`` in O(d^3); the frame stack U^dag W_i U of the
+    weighted states is formed only when a Hessian is built, once per round.
+    The step divides the gradient by the absolute Hessian eigenvalues, so it
+    ascends at saddles too, and is clamped to norm 0.3. A step is accepted on
+    an Armijo increase, or, once objective increments sink below float
     resolution, when the objective holds within 1e-15 and the gradient norm
     falls; otherwise it is halved, at most 30 times.
 
     Returns the final unitary and the objective after each accepted step,
     starting with the initial value.
     """
-    per_coord = stack[space.labels]
 
     def read(mat_u):
-        k = mat_u.conj().T @ _k_times(per_coord, mat_u)
+        k = mat_u.conj().T @ _k_times(stack, space.signature, mat_u)
         return (k, *space.value_and_gradient(k))
 
     k, value, grad = read(u)
@@ -254,10 +254,10 @@ def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.nd
 def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, int]:
     """Move U to polar(K U) until K = sum_i p_i rho_i Pi_i is Hermitian PSD.
 
-    M = K U comes from ``_k_times`` in O(d^3), reading the per-coordinate
-    stack ``stack[space.labels]`` formed once per call. With the SVD
-    M = A S B^dag the step is U <- A B^dag, which equals U polar(K~) for
-    K~ = U^dag M, since polar(U Y) = U polar(Y) for unitary U; its defect
+    M = K U comes from ``_k_times`` in O(d^3), with no per-coordinate copy
+    of the weighted stack. With the SVD M = A S B^dag the step is
+    U <- A B^dag, which equals U polar(K~) for K~ = U^dag M, since
+    polar(U Y) = U polar(Y) for unitary U; its defect
     ||polar(M) - U||_F = ||polar(K~) - I||_F vanishes exactly at the
     measurements the simplified optimality condition accepts. Each new Pi_j
     is the PGM of {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek
@@ -268,11 +268,10 @@ def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[
     takes over), or after POLAR_STEPS steps; an optimal start is never
     moved. Returns the unitary and the number of steps taken.
     """
-    per_coord = stack[space.labels]
     previous = np.inf
     steps = 0
     while steps < POLAR_STEPS:
-        left, _, right = np.linalg.svd(_k_times(per_coord, u))
+        left, _, right = np.linalg.svd(_k_times(stack, space.signature, u))
         moved = left @ right
         defect = float(np.linalg.norm(moved - u))
         if defect < 1e-13 or defect > previous / 2.0:

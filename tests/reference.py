@@ -8,7 +8,8 @@ blocks of sigma^{1/2} in a basis adapted to each projector with the Schur
 complement of the range block. Tests check the frame path against them.
 The package never calls the small helpers here either (the average state,
 the one-matrix hermiticity check, the projector defect, positivity tests and
-the NotPD error they raise); tests use them as independent references.
+the NotPD error they raise, the rank count of one matrix); tests use them as
+independent references.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from medli.linalg import (
     as_square,
     herm,
     hermiticity_defect,
+    rank_cutoff_mask,
 )
 from medli.pgm import COND_LIMIT
 
@@ -49,6 +51,14 @@ def check_hermitian(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if defect > tol.tol_herm * scale:
         raise ValueError(f"matrix is not Hermitian: max entry defect {defect:.3e}")
     return arr
+
+
+def rank_eps(mat, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of eigenvalues above the relative cutoff tol_rank * max|eigenvalue|.
+
+    The cutoff scale falls back to 1 for the zero matrix, so rank_eps(0) = 0.
+    """
+    return int(np.sum(rank_cutoff_mask(np.linalg.eigvalsh(herm(as_square(mat))), tol)))
 
 
 def min_eig(mat) -> float:

@@ -29,10 +29,10 @@ from medli import (
     validate_povm,
     validate_projective,
 )
-from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
+from medli.linalg import DEFAULT_TOL, haar_unitary, herm
 from medli.ensembles import _signature_slices
 from medli.pgm import _measurement, _polar
-from reference import block_decompose, column_stationarity, is_psd, paper_x_ops
+from reference import block_decompose, column_stationarity, is_psd, paper_x_ops, rank_eps
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

@@ -166,6 +166,28 @@ def test_non_finite_state_named_before_a_later_bad_shape():
         validate_ensemble([0.2, 0.3, 0.5], states)
 
 
+def _pair_of(states):
+    return validate_ensemble([0.5, 0.5], states)
+
+
+@pytest.mark.parametrize(
+    "validate, items, message",
+    [
+        (_pair_of, [np.ones((2, 3)), np.eye(2) / 2], r"state 0 has shape \(2, 3\)"),
+        (_pair_of, [np.eye(2) / 2, [1, 2]], r"state 1 has shape \(2,\)"),
+        (_pair_of, [0.5, np.eye(2) / 2], r"state 0 has shape \(\)"),
+        (validate_povm, [np.eye(2), np.ones((2, 3))], r"element 1 has shape \(2, 3\)"),
+        (validate_povm, [np.eye(2), np.ones((1, 2, 2))], r"element 1 has shape \(1, 2, 2\)"),
+        (validate_projective, [np.ones((2, 3)), np.eye(2)], r"element 0 has shape \(2, 3\)"),
+    ],
+    ids=["state-2x3", "state-1d", "state-0d", "povm-2x3", "povm-3d", "projective-2x3"],
+)
+def test_matrices_of_another_shape_raise_dimension_mismatch(validate, items, message):
+    # not square or not 2-D: the package's error, naming the index, not numpy's ValueError
+    with pytest.raises(DimensionMismatch, match=message):
+        validate(items)
+
+
 def test_validated_arrays_are_private_and_read_only():
     # validating from an (m, d, d) ndarray copies it: mutating the input
     # afterwards changes nothing, and every array the records hold is read-only

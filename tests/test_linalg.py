@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from medli.errors import NotProjector, NotPSD
-from medli.linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, rank_eps
+from medli.linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm
 from reference import (
     BlockDecomposition,
     NotPD,
@@ -11,6 +11,7 @@ from reference import (
     is_psd,
     psd_inv_sqrt,
     psd_sqrt,
+    rank_eps,
     schur_complement,
 )
 

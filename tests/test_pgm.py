@@ -19,7 +19,7 @@ from medli import (
     validate_ensemble,
     validate_projective,
 )
-from medli.linalg import DEFAULT_TOL, haar_unitary, herm, rank_eps
+from medli.linalg import DEFAULT_TOL, haar_unitary, herm
 from medli.ensembles import _signature_slices
 from medli.pgm import _measurement
 from reference import (
@@ -30,6 +30,7 @@ from reference import (
     paper_x_ops,
     pgm_general,
     psd_sqrt,
+    rank_eps,
     schur_complement,
 )
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,7 +205,7 @@ class TestSolve:
         slices = _signature_slices(sig)
         u = haar_unitary(dim, np.random.default_rng(dim))
         space = _horizontal(sig)
-        k = u.conj().T @ _k_times(weighted[space.labels], u)
+        k = u.conj().T @ _k_times(weighted, sig, u)
         value, grad = space.value_and_gradient(k)
         hess = space.hessian(u.conj().T @ weighted @ u, k)
         n = dim * dim - sum(r * r for r in sig)
@@ -320,6 +322,7 @@ class TestFrame:
     def test_frame_is_the_certifiers_k(self, dim):
         # K~ = U^dag (sum_i p_i rho_i Pi_i) U and ||grad|| = ||K - K^dag||_F
         sigs = {(1,) * dim, (2,) * (dim // 2) + (1,) * (dim % 2)}
+        sigs |= {sig for sig in ((2, 1, 1), (1, 2, 1), (3, 3, 2)) if sum(sig) == dim}
         for sig in sorted(sig for sig in sigs if len(sig) > 1):
             for seed in range(2):
                 ens = random_ensemble(dim, sig, seed=seed)
@@ -327,7 +330,11 @@ class TestFrame:
                 slices = _signature_slices(sig)
                 u = haar_unitary(dim, np.random.default_rng(seed))
                 space = _horizontal(sig)
-                k = u.conj().T @ _k_times(weighted[space.labels], u)
+                m = _k_times(weighted, sig, u)
+                # one batched mat-vec per run, bit for bit the per-coordinate gather
+                labels = np.repeat(np.arange(len(sig)), sig)
+                assert np.array_equal(m, (weighted[labels] @ u.T[..., None])[..., 0].T)
+                k = u.conj().T @ m
                 projectors = _projectors_from_unitary(u, slices)
                 expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
                 assert np.linalg.norm(k - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -339,8 +346,8 @@ class TestFrame:
         space = _horizontal((2, 1, 1))
         assert _horizontal((2, 1, 1)) is space
         assert _horizontal((1, 2, 1)) is not space
-        np.testing.assert_array_equal(space.labels, [0, 0, 1, 2])
-        for arr in (space.labels, space.rows, space.cols):
+        assert space.signature == (2, 1, 1)
+        for arr in (space.rows, space.cols):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -506,6 +513,22 @@ class TestWork:
         assert result.iterations > 0
         known = success_probability(pre_image, measurement)
         assert abs(result.success_prob - known) <= 1e-12
+
+    def test_neither_phase_copies_the_stack_per_coordinate(self):
+        # K U reads the weighted stack in place, so each phase peaks far below
+        # one (d, d, d) stack (4.19 MB at d = 64); the Newton phase starts at
+        # the optimum, where it builds no Hessian
+        pre_image, measurement, _, _ = inverse_map(random_ensemble(64, (1,) * 64, seed=3))
+        stack, space = pre_image.weighted_states(), _horizontal(pre_image.rank_signature)
+        start = haar_unitary(64, np.random.default_rng(3))
+        for phase, u in ((_polar_steps, start), (_newton, measurement._basis)):
+            tracemalloc.start()
+            try:
+                phase(stack, u, space)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < stack.nbytes / 4
 
     def test_qubit_pair_iterations_do_not_rise(self):
         # 1131 summed iterations before polar steps read K U instead of every frame
