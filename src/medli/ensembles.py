@@ -192,15 +192,16 @@ def _k_times(weighted: np.ndarray, signature: tuple[int, ...], x: np.ndarray) ->
 
     For x = U unitary this is K U, K = sum_i W_i U_i U_i^dag; for x = L, the
     pairing's W L. Each run of k states of rank r (``_runs``) is one batched
-    mat-vec, W_i broadcast over its r columns, so nothing is gathered by index.
+    mat-vec, W_i broadcast over its r columns, so nothing is gathered by index;
+    several runs fill one output, run by run.
     """
     runs = _runs(signature)
     if len(runs) == 1:
         k, r = len(signature), signature[0]
         return (weighted @ x.reshape(-1, k, r).T[..., None])[..., 0].T.reshape(-1, k * r)
     out = np.empty(x.shape, dtype=complex)
-    for run, cols, _, _ in runs:
-        out[:, cols] = _k_times(weighted[run], signature[run], x[:, cols])
+    for run, cols, k, r in runs:
+        out[:, cols] = (weighted[run] @ x[:, cols].reshape(-1, k, r).T[..., None])[..., 0].T.reshape(-1, k * r)
     return out
 
 
@@ -300,19 +301,30 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def _as_array(item) -> np.ndarray | None:
+    """The item as a complex array, or None if numpy cannot read it as one (ragged, text)."""
+    try:
+        return np.asarray(item, dtype=complex)
+    except (TypeError, ValueError):
+        return None
+
+
 def _square_stack(items, what: str, nonfinite) -> np.ndarray:
     """A fresh (m, d, d) complex stack of same-shape square matrices.
 
-    The first matrix not of shape (d, d), d the first one's row count, raises
-    DimensionMismatch, unless an earlier one has a non-finite entry: that
-    raises ``nonfinite``, the caller's invariant class.
+    The first item that is no complex array, or not of shape (d, d), d the
+    first one's row count, raises DimensionMismatch, unless an earlier
+    matrix has a non-finite entry: that raises ``nonfinite``, the caller's
+    invariant class.
     """
-    mats = [np.asarray(x, dtype=complex) for x in items]
-    dim = mats[0].shape[0] if mats and mats[0].ndim else 0
-    n = next((idx for idx, mat in enumerate(mats) if mat.shape != (dim, dim)), len(mats))
+    mats = [_as_array(x) for x in items]
+    dim = mats[0].shape[0] if mats and mats[0] is not None and mats[0].ndim else 0
+    n = next((idx for idx, mat in enumerate(mats) if mat is None or mat.shape != (dim, dim)), len(mats))
     stack = np.array(mats[:n], dtype=complex).reshape(n, dim, dim)
     if (idx := _first(~np.isfinite(stack).all(axis=(1, 2)))) is not None:
         raise nonfinite(f"{what} {idx} has non-finite entries")
+    if n < len(mats) and mats[n] is None:
+        raise DimensionMismatch(f"{what} {n} is not an array of numbers")
     if n < len(mats):
         raise DimensionMismatch(f"{what} {n} has shape {mats[n].shape}, expected {(dim, dim)}")
     return stack

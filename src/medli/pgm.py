@@ -8,8 +8,12 @@ whose column blocks span the projectors, sigma^{1/2} = U S U^dag, and the
 frame matrix W^dag sigma^{1/2} W = V S V^dag, without inverting sigma. Psi
 is ``Ensemble.psi``: any factor of each p_i rho_i, formed by validation
 from the range eigenpairs its LI test counted or kept from the factors a
-map built the ensemble from, so no state is eigendecomposed here. The one test on sigma is
-cond(sigma) <= COND_LIMIT, read off the same SVD, not a verdict tolerance.
+map built the ensemble from, so no state is eigendecomposed here. Psi is
+read-only, so ``_psi_svd`` decomposes it once per ensemble, on first use,
+and holds the three read-only d x d factors while the ensemble lives:
+``pgm``, solve's PGM start, ``inverse_map`` and ``fixpoint_check`` on one
+ensemble share one SVD. The one test on sigma is cond(sigma) <= COND_LIMIT,
+read off the held singular values on every call, not a verdict tolerance.
 Every measurement medli builds, the PGM and each solver restart's, comes
 from a unitary through ``_measurement`` and is that unitary, with no
 projector stack; outside input is validated by ``ensembles.rank_matched``.
@@ -17,9 +21,11 @@ projector stack; outside input is validated by ``ensembles.rank_matched``.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from .ensembles import Ensemble, ProjectiveMeasurement, _from_basis
+from .ensembles import Ensemble, ProjectiveMeasurement, _from_basis, _frozen
 from .errors import NotProjectiveAfterPGM, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, herm
 
@@ -27,15 +33,25 @@ from .linalg import DEFAULT_TOL, Tolerances, herm
 # are outside the stable regime: the one gate on sigma.
 COND_LIMIT = 1e12
 
+# Each live ensemble's read-only SVD factors (U, S, V^dag) of Psi, keyed by
+# the ensemble itself: an entry goes when its ensemble does.
+_SVDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 def _psi_svd(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The SVD Psi = U S V^dag, behind the one gate on sigma.
 
-    Psi is ``Ensemble.psi``, whose column blocks factor the p_i rho_i.
-    Raises SigmaSingular when s_max^2 > COND_LIMIT s_min^2, a test with no
-    division, so an exactly zero s_min is refused too.
+    Psi is ``Ensemble.psi``, whose column blocks factor the p_i rho_i. It is
+    decomposed on the ensemble's first call, the one place medli decomposes
+    Psi, and the read-only factors are held for later calls (``_SVDS``), so
+    every call returns the same arrays. Each call raises SigmaSingular when
+    s_max^2 > COND_LIMIT s_min^2, a test with no division, so an exactly
+    zero s_min is refused too, every time.
     """
-    u, s, vh = np.linalg.svd(ensemble.psi)
+    if (factors := _SVDS.get(ensemble)) is None:
+        u, s, vh = np.linalg.svd(ensemble.psi)
+        factors = _SVDS[ensemble] = (_frozen(u), _frozen(s), _frozen(vh))
+    u, s, vh = factors
     smallest, largest = float(s[-1]) ** 2, float(s[0]) ** 2
     if largest > COND_LIMIT * smallest:
         eigs = f"eigenvalues {largest:.3e} and {smallest:.3e}"

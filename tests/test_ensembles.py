@@ -159,11 +159,13 @@ def test_first_offending_state_is_named(case):
 
 
 def test_non_finite_state_named_before_a_later_bad_shape():
-    states = _orth_d3()
-    states[0] = np.diag([1.0, np.nan, 0.0])
-    states[1] = np.eye(2)
-    with pytest.raises(StateNotDensity, match=r"state 0 has non-finite entries"):
-        validate_ensemble([0.2, 0.3, 0.5], states)
+    # also when the later item is no array at all (ragged, text)
+    for later in (np.eye(2), [[1, 0], [0]], "ab"):
+        states = _orth_d3()
+        states[0] = np.diag([1.0, np.nan, 0.0])
+        states[1] = later
+        with pytest.raises(StateNotDensity, match=r"state 0 has non-finite entries"):
+            validate_ensemble([0.2, 0.3, 0.5], states)
 
 
 def _pair_of(states):
@@ -179,11 +181,21 @@ def _pair_of(states):
         (validate_povm, [np.eye(2), np.ones((2, 3))], r"element 1 has shape \(2, 3\)"),
         (validate_povm, [np.eye(2), np.ones((1, 2, 2))], r"element 1 has shape \(1, 2, 2\)"),
         (validate_projective, [np.ones((2, 3)), np.eye(2)], r"element 0 has shape \(2, 3\)"),
+        (_pair_of, [np.eye(2) / 2, [[1, 0], [0]]], r"state 1 is not an array of numbers"),
+        (_pair_of, ["ab", np.eye(2) / 2], r"state 0 is not an array of numbers"),
+        (validate_povm, [np.eye(2), [[1, 0], [0]]], r"element 1 is not an array of numbers"),
+        (validate_povm, ["ab", np.eye(2)], r"element 0 is not an array of numbers"),
+        (validate_projective, [[[1, 0], [0]], np.eye(2)], r"element 0 is not an array of numbers"),
+        (validate_projective, [np.eye(2), "ab"], r"element 1 is not an array of numbers"),
     ],
-    ids=["state-2x3", "state-1d", "state-0d", "povm-2x3", "povm-3d", "projective-2x3"],
+    ids=[
+        "state-2x3", "state-1d", "state-0d", "povm-2x3", "povm-3d", "projective-2x3",
+        "state-ragged", "state-text", "povm-ragged", "povm-text", "projective-ragged", "projective-text",
+    ],
 )
 def test_matrices_of_another_shape_raise_dimension_mismatch(validate, items, message):
-    # not square or not 2-D: the package's error, naming the index, not numpy's ValueError
+    # not square, not 2-D, or no array at all (ragged, text): the package's
+    # error, naming the index, not numpy's ValueError
     with pytest.raises(DimensionMismatch, match=message):
         validate(items)
 

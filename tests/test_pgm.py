@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from medli import (
     inverse_map,
     pgm,
     random_ensemble,
+    roundtrip_check,
     solve,
     validate_ensemble,
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
 from medli.ensembles import _signature_slices
-from medli.pgm import _measurement
+from medli.pgm import COND_LIMIT, _measurement, _psi_svd
 from reference import (
     average_state,
     block_decompose,
@@ -109,11 +112,16 @@ def test_pgm_general_completeness_and_psd():
 
 def test_sigma_conditioning_guard():
     # nearly coincident pure states pass the LI cutoff but exceed the
-    # condition limit of the average state
+    # condition limit of the average state; the held singular values are
+    # gated on every call, not only on the one that decomposed Psi
     theta = 1e-6
     ens = pure_pair(theta)
-    with pytest.raises(SigmaSingular, match="condition number"):
-        pgm(ens)
+    _, s, _ = np.linalg.svd(ens.psi)
+    assert s[0] ** 2 > COND_LIMIT * s[-1] ** 2
+    for _ in range(3):
+        for build in (_psi_svd, pgm, fixpoint_check, inverse_map):
+            with pytest.raises(SigmaSingular, match="condition number"):
+                build(ens)
 
 
 def test_exactly_singular_psi_is_refused_without_division():
@@ -127,6 +135,46 @@ def test_exactly_singular_psi_is_refused_without_division():
     for build in (pgm, fixpoint_check, inverse_map):
         with pytest.raises(SigmaSingular, match="condition number"):
             build(ens)
+
+
+def test_psi_is_decomposed_once_per_ensemble(monkeypatch):
+    # pgm, fixpoint_check, inverse_map, solve's PGM start and roundtrip_check
+    # on one ensemble share one SVD of its Psi, held with the ensemble
+    ens = random_ensemble(5, (2, 2, 1), seed=13)
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a is ens.psi)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    one_restart = SolveConfig(restarts=1)
+    pgm(ens)
+    fixpoint_check(ens)
+    inverse_map(ens)
+    assert solve(ens, one_restart).certified
+    roundtrip_check(ens, lambda e: solve(e, one_restart))
+    assert calls.count(True) == 1
+
+
+def test_held_factors_are_read_only_and_shared():
+    ens = random_ensemble(4, (2, 1, 1), seed=21)
+    factors = _psi_svd(ens)
+    assert all(a is b for a, b in zip(factors, _psi_svd(ens)))
+    u, s, vh = factors
+    assert u.shape == vh.shape == (4, 4) and s.shape == (4,)
+    for arr in factors:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    # the held factors are the SVD of Psi itself, bit for bit
+    for held, fresh in zip(factors, np.linalg.svd(ens.psi)):
+        np.testing.assert_array_equal(held, fresh)
+    # they live as long as their ensemble, no longer
+    gone = weakref.ref(u)
+    del ens, factors, u, s, vh, arr
+    gc.collect()
+    assert gone() is None
 
 
 def _ambient_reference(ensemble, projectors):
