@@ -9,7 +9,11 @@ projectors it lies between the largest pairwise block norm and sqrt(m - 1)
 times it), the slack spectra of Z - p_i rho_i (Eldar-Megretski-Verghese,
 IEEE TIT 49, 1007 (2003)), the positivity of Z, the hermiticity residual of
 K, the dual value Tr Z and the success probability. Every report comes from
-it: both certifiers', each solver restart's and the inverse map's.
+it: both certifiers', each solver restart's and the inverse map's. The
+report of an ensemble with a projective measurement is made once per
+tolerances and held while both live (``_held_report``), so the inverse
+map's report, or a restart's, is the one both certifiers read off that
+pair; its ``z`` is read-only, as every reader shares it.
 
 Two rules read verdicts off a report. The full one (``_full_rule``) checks
 the general optimality conditions, stationarity plus PSD slacks; the forward
@@ -28,11 +32,21 @@ certification on ill-conditioned instances fails loudly rather than silently.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import Ensemble, _block_norms2, _pair, _Pairing, _signature_slices, rank_matched
+from .ensembles import (
+    Ensemble,
+    ProjectiveMeasurement,
+    _block_norms2,
+    _frozen,
+    _pair,
+    _Pairing,
+    _signature_slices,
+    rank_matched,
+)
 from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
 from .pgm import _frame, _psi_svd
 
@@ -41,6 +55,11 @@ NOT_OPTIMAL = "NotOptimal"
 INCONCLUSIVE = "Inconclusive"
 
 _VERDICT_BAND = 10.0
+
+# Each live projective measurement's unverdicted reports, keyed by the
+# measurement, then its ensemble, then the tolerances: an entry goes when
+# its measurement or its ensemble does.
+_REPORTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -54,7 +73,8 @@ class CertificationReport:
     ``hermiticity_residual``, ||K - K^dag||_F, means the measurement is not
     even stationary, a negative slack that it is, but the dual constraint fails.
     ``dual_value`` is Tr Z, and ``success_prob`` is ``success_probability``
-    of the pair, bit for bit. ``z`` is the dual operator Z = sym(K) itself.
+    of the pair, bit for bit. ``z`` is the dual operator Z = sym(K) itself,
+    read-only.
     """
 
     stationarity_residual: float
@@ -93,8 +113,27 @@ def _report(pairing: _Pairing, tol: Tolerances) -> CertificationReport:
         verdict=INCONCLUSIVE,
         dual_value=float(np.trace(z).real),
         success_prob=pairing.success(tol),
-        z=z,
+        z=_frozen(z),
     )
+
+
+def _held_report(ensemble: Ensemble, measurement, tol: Tolerances) -> CertificationReport:
+    """``_report(_pair(ensemble, measurement), tol)``, made once per projective pair.
+
+    A ProjectiveMeasurement holds a read-only V (``_from_basis``) and an
+    ensemble read-only arrays, so the pair's report is made on its first
+    call and held (``_REPORTS``) while both live; ``tol`` is part of the key,
+    as the success probability's clamp reads it. A GeneralPOVM may be built
+    by hand from writable arrays, so it is paired on every call. Threads that
+    miss together each make the report, but ``setdefault`` keeps the first,
+    so every call on a pair returns the one held report.
+    """
+    if not isinstance(measurement, ProjectiveMeasurement):
+        return _report(_pair(ensemble, measurement), tol)
+    by_tol = _REPORTS.setdefault(measurement, weakref.WeakKeyDictionary()).setdefault(ensemble, {})
+    if (report := by_tol.get(tol)) is None:
+        report = by_tol.setdefault(tol, _report(_pair(ensemble, measurement), tol))
+    return report
 
 
 def _three_tier(report: CertificationReport, ok: bool, borderline: bool) -> CertificationReport:
@@ -120,7 +159,7 @@ def certify_full(ensemble: Ensemble, measurement, tol: Tolerances = DEFAULT_TOL)
     stays within tol_recon and every slack eigenvalue of Z - p_i rho_i,
     Z = sym(K), is above -tol_psd.
     """
-    return _full_rule(_report(_pair(ensemble, measurement), tol), tol)
+    return _full_rule(_held_report(ensemble, measurement, tol), tol)
 
 
 def _simplified_rule(report: CertificationReport, tol: Tolerances) -> CertificationReport:
@@ -141,12 +180,13 @@ def certify_simplified(
 
     Optimal iff sum_i p_i rho_i Pi_i is Hermitian within tol_recon and PD
     above tol_psd. The full stationarity residual and slack spectrum are
-    still computed for the report, but only hermiticity and positivity drive
-    the verdict. ``rank_matched`` checks the measurement, which the report
-    pairs as given, as ``certify_full`` does, not as validation rebuilds it.
+    read off the held report (``_held_report``), but only hermiticity and
+    positivity drive the verdict. ``rank_matched`` checks the measurement on
+    every call; the report pairs it as given, as ``certify_full`` does, not
+    as validation rebuilds it.
     """
     rank_matched(ensemble, measurement, tol)
-    return _simplified_rule(_report(_pair(ensemble, measurement), tol), tol)
+    return _simplified_rule(_held_report(ensemble, measurement, tol), tol)
 
 
 @dataclass(frozen=True)

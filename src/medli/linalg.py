@@ -11,6 +11,7 @@ complex numpy arrays; domain-level structure is validated by the callers in
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in _TOL_FIELDS:
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not isinstance(value, numbers.Real) or not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
     def replace(self, **overrides) -> "Tolerances":

@@ -69,7 +69,8 @@ class SolveConfig:
     def __post_init__(self):
         for name, least in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            # bool is an Integral, but True is no count of restarts nor a seed
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -1,6 +1,12 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+import medli
 from conftest import angle_measurement, pure_pair, qubit_angle_oracle
 from medli import (
     INCONCLUSIVE,
@@ -25,6 +31,8 @@ from medli import (
     validate_povm,
     validate_projective,
 )
+from medli.certify import _REPORTS, _held_report, _report
+from medli.ensembles import _pair
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
 from medli.pgm import _measurement
 
@@ -144,6 +152,153 @@ class TestCertifySimplified:
         squeezed = DEFAULT_TOL.replace(tol_recon=max(residual / 5.0, 1e-18))
         report = certify_simplified(ens, result.measurement, squeezed)
         assert report.verdict == INCONCLUSIVE
+
+
+NUMBERS = ("stationarity_residual", "min_slack_eig", "positivity_min_eig",
+           "hermiticity_residual", "dual_value", "success_prob")
+
+
+def assert_bit_equal(report, fresh):
+    for name in NUMBERS:
+        assert getattr(report, name) == getattr(fresh, name), name
+    np.testing.assert_array_equal(report.z, fresh.z)
+
+
+class TestHeldReport:
+    @pytest.fixture
+    def paired(self, monkeypatch):
+        calls = []
+
+        def spy(ensemble, measurement, _pair=medli.ensembles._pair):
+            calls.append(measurement)
+            return _pair(ensemble, measurement)
+
+        monkeypatch.setattr(medli.certify, "_pair", spy)
+        return calls
+
+    def test_inverse_maps_report_serves_both_certifiers(self, paired, monkeypatch):
+        # README's library flow: the pre-image and its measurement are paired
+        # once, by inverse_map, and both certifiers read that report; the
+        # simplified one still checks the measurement on every call
+        matched = []
+
+        def spy(ensemble, measurement, tol, _rank_matched=medli.certify.rank_matched):
+            matched.append(measurement)
+            return _rank_matched(ensemble, measurement, tol)
+
+        monkeypatch.setattr(medli.certify, "rank_matched", spy)
+        q = random_ensemble(4, (2, 1, 1), seed=61)
+        pre, meas, report, _ = inverse_map(q)
+        simplified = certify_simplified(pre, meas)
+        full = certify_full(pre, meas)
+        assert paired == [meas]
+        assert matched == [meas, meas]
+        assert report.verdict == simplified.verdict == OPTIMAL
+        assert_bit_equal(simplified, report)
+        assert_bit_equal(full, report)
+
+    def test_solver_restart_report_is_held(self, paired):
+        ens = random_ensemble(3, (2, 1), seed=62)
+        result = solve(ens)
+        paired.clear()
+        assert_bit_equal(certify_simplified(ens, result.measurement), result.report)
+        assert paired == []
+
+    @pytest.mark.parametrize("sig", [(1, 1), (2, 1, 1), (2, 2, 1)])
+    def test_held_report_is_a_fresh_reports_bit_for_bit(self, sig):
+        ens = random_ensemble(sum(sig), sig, seed=63)
+        haar = _measurement(haar_unitary(ens.dim, np.random.default_rng(63)), ens, DEFAULT_TOL)
+        for meas in (pgm(ens), haar, validate_projective(haar.projectors)):
+            for _ in range(2):
+                fresh = _report(_pair(ens, meas), DEFAULT_TOL)
+                held = _held_report(ens, meas, DEFAULT_TOL)
+                assert held == fresh
+                assert_bit_equal(held, fresh)
+                assert_bit_equal(certify_full(ens, meas), fresh)
+                assert_bit_equal(certify_simplified(ens, meas), fresh)
+
+    def test_each_tolerance_gets_its_own_report(self, paired):
+        # the traces sum to 1 + 4e-16: clamped to 1 within tol_recon, not at 0
+        u = haar_unitary(2, np.random.default_rng(10))
+        states = [herm(np.outer(col, col.conj())) for col in u.T]
+        ens, meas = validate_ensemble([0.5, 0.5], states), validate_projective(states)
+        exact = DEFAULT_TOL.replace(tol_recon=0.0)
+        assert certify_full(ens, meas).success_prob == 1.0
+        assert certify_full(ens, meas, exact).success_prob > 1.0
+        assert certify_simplified(ens, meas).success_prob == 1.0
+        assert certify_simplified(ens, meas, exact).success_prob > 1.0
+        assert paired == [meas, meas]
+
+    def test_general_povm_is_paired_on_every_call(self, paired):
+        # a hand-built POVM holds the caller's writable arrays: an edit made
+        # between two calls shows in the second report
+        ens = random_ensemble(2, (1, 1), seed=64)
+        povm = GeneralPOVM(dim=2, elements=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        before = certify_full(ens, povm)
+        povm.elements[0][:] = np.diag([0.0, 1.0])
+        povm.elements[1][:] = np.diag([1.0, 0.0])
+        after = certify_full(ens, povm)
+        assert paired == [povm, povm]
+        assert after.success_prob != before.success_prob
+        assert_bit_equal(after, _report(_pair(ens, povm), DEFAULT_TOL))
+
+    def test_held_z_is_read_only(self):
+        ens = random_ensemble(3, (1, 1, 1), seed=65)
+        meas = pgm(ens)
+        for report in (certify_full(ens, meas), certify_simplified(ens, meas)):
+            assert report.z is _held_report(ens, meas, DEFAULT_TOL).z
+            with pytest.raises(ValueError):
+                report.z[0, 0] = 0.0
+
+    def test_table_keeps_neither_the_ensemble_nor_the_measurement_alive(self):
+        ens = random_ensemble(3, (2, 1), seed=66)
+        meas = pgm(ens)
+        certify_full(ens, meas)
+        assert ens in _REPORTS[meas]
+        gone = [weakref.ref(ens), weakref.ref(meas), weakref.ref(_REPORTS[meas])]
+        del ens, meas
+        gc.collect()
+        # the measurement's entry goes with it
+        assert [ref() for ref in gone] == [None] * 3
+
+    def test_threads_share_the_held_reports(self):
+        # 8 threads on 2 cores, switching every microsecond, certify the same
+        # fresh pairs: every report is the serial one, and every call on a
+        # pair read the one held report, so no thread's entry replaced another's
+        pairs = []
+        for seed, sig in enumerate([(1, 1), (2, 1), (1, 1, 1), (2, 2, 1)]):
+            ens = random_ensemble(sum(sig), sig, seed=70 + seed)
+            pairs.append((ens, pgm(ens)))
+        serial = [_report(_pair(ens, meas), DEFAULT_TOL) for ens, meas in pairs]
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(20):
+                    for ens, meas in pairs:
+                        results.append((meas, certify_full(ens, meas)))
+                        results.append((meas, certify_simplified(ens, meas)))
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8 * 20 * 2 * len(pairs)
+        expected = {id(meas): fresh for (_, meas), fresh in zip(pairs, serial)}
+        held = {id(meas): _held_report(ens, meas, DEFAULT_TOL).z for ens, meas in pairs}
+        for meas, report in results:
+            assert_bit_equal(report, expected[id(meas)])
+            assert report.z is held[id(meas)]
 
 
 class TestFixpointCheck:

@@ -16,6 +16,7 @@ from medli import (
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
+    NotProjectiveAfterPGM,
     NotProjector,
     NotPSD,
     PriorsInvalid,
@@ -32,6 +33,7 @@ from medli import (
 )
 from medli.ensembles import (
     PERTURBATION,
+    _from_basis,
     _from_factors,
     _hermitian_part,
     _pair,
@@ -342,6 +344,15 @@ class TestNonFiniteRejected:
     def test_projector(self, bad):
         with pytest.raises(NotProjector):
             validate_projective([np.diag([1.0, bad]), np.diag([0.0, 1.0])])
+
+
+def test_nan_basis_fails_the_unitarity_check():
+    # ||V^dag V - Id||_F of a NaN basis is NaN, which passes every "> bound" test
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(NotComplete, match="unitarity"):
+        _from_basis(nan, (1, 1), NotComplete, DEFAULT_TOL)
+    with pytest.raises(NotProjectiveAfterPGM, match="unitarity"):
+        _measurement(nan, random_ensemble(2, (1, 1), seed=3), DEFAULT_TOL)
 
 
 class TestValidateProjective:

@@ -203,6 +203,12 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(tol_recon=float("nan"))
 
+    @pytest.mark.parametrize("value", ["x", None, [1e-9]])
+    def test_rejects_non_numbers_naming_the_field(self, value):
+        # numpy's isfinite would raise its own TypeError, naming no field
+        with pytest.raises(ValueError, match="tol_psd must be finite and nonnegative"):
+            Tolerances(tol_psd=value)
+
     def test_replace(self):
         tol = DEFAULT_TOL.replace(tol_psd=1e-6)
         assert tol.tol_psd == 1e-6

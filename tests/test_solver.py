@@ -80,9 +80,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             SolveConfig(restarts=restarts)
 
-    @pytest.mark.parametrize("field, value", [("restarts", 2.5), ("seed", 1.5)])
+    @pytest.mark.parametrize(
+        "field, value", [("restarts", 2.5), ("seed", 1.5), ("restarts", True), ("seed", False)]
+    )
     def test_config_rejects_non_integers(self, field, value):
-        # a float would fail the solve mid-way, after its first restart, with a TypeError
+        # a float would fail the solve mid-way, after its first restart, with a
+        # TypeError; a bool is an Integral, but would pass as one restart or seed 0
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolveConfig(**{field: value})
 
