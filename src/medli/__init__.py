@@ -40,7 +40,6 @@ from .errors import (
     FileFormatError,
     InvalidSignature,
     MEDError,
-    NoConvergence,
     NotComplete,
     NotLinearlyIndependent,
     NotOptimalPair,
@@ -59,7 +58,6 @@ from .errors import (
 from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import pgm
 from .solver import (
-    SolveConfig,
     SolveResult,
     generate_fixed_point,
     helstrom_comparator,

@@ -9,11 +9,11 @@ projectors it lies between the largest pairwise block norm and sqrt(m - 1)
 times it), the slack spectra of Z - p_i rho_i (Eldar-Megretski-Verghese,
 IEEE TIT 49, 1007 (2003)), the positivity of Z, the hermiticity residual of
 K, the dual value Tr Z and the success probability. Every report comes from
-it: both certifiers', each solver restart's and the inverse map's. The
-report of an ensemble with a projective measurement is made once per
-tolerances and held while both live (``_held_report``), so the inverse
-map's report, or a restart's, is the one both certifiers read off that
-pair; its ``z`` is read-only, as every reader shares it.
+it: both certifiers', each solve's and the inverse map's. The report of an
+ensemble with a projective measurement is made once per tolerances and
+held while both live (``_held_report``), so the inverse map's report, or a
+solve's, is the one both certifiers read off that pair; its ``z`` is
+read-only, as every reader shares it.
 
 Two rules read verdicts off a report. The full one (``_full_rule``) checks
 the general optimality conditions, stationarity plus PSD slacks; the forward

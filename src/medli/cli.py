@@ -31,7 +31,7 @@ from .serialize import (
     measurement_to_doc,
     povm_from_doc,
 )
-from .solver import SolveConfig, SolveResult, check_oracle_size, generate_fixed_point, solve, solve_oracle
+from .solver import SolveResult, check_oracle_size, generate_fixed_point, solve, solve_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, *positionals, solves=False):
+    def command(name, help_text, *positionals):
         p = sub.add_parser(name, help=help_text)
         for positional in positionals:
             p.add_argument(positional)
@@ -78,17 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress stderr diagnostics")
         for flag in _TOL_FLAGS:
             p.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None, dest=flag)
-        if solves:
-            p.add_argument("--seed", type=int, default=SolveConfig.seed)
-            p.add_argument("--restarts", type=int, default=SolveConfig.restarts)
         return p
 
-    p = command("solve", "find and certify the optimal measurement", "input", solves=True)
+    p = command("solve", "find and certify the optimal measurement", "input")
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle (dim<=4, m<=3)")
+    p.add_argument("--seed", type=int, default=0, help="seed of the oracle's sample grid")
     command("certify", "check optimality of a measurement for an ensemble", "input", "povm")
-    p = command("map", "apply the ensemble transform or its inverse", "input", solves=True)
+    p = command("map", "apply the ensemble transform or its inverse", "input")
     p.add_argument("--direction", choices=("forward", "inverse"), required=True)
-    command("roundtrip", "deviations of both transform compositions", "input", solves=True)
+    command("roundtrip", "deviations of both transform compositions", "input")
     p = command("gen", "generate a random or fixed-point ensemble file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, required=True)
@@ -184,10 +182,11 @@ def _report_fields(report) -> dict:
     }
 
 
-def _solve(args, ensemble, tol):
-    with _input_phase():
-        config = SolveConfig(restarts=args.restarts, seed=args.seed)
-    return solve(ensemble, config, tol=tol)
+def _seed(args) -> int:
+    """The --seed flag of ``solve`` and ``gen``, refused before any computation when negative."""
+    if args.seed < 0:
+        raise _BadInput(f"seed must be at least 0, got {args.seed}")
+    return args.seed
 
 
 def _result_fields(result) -> dict:
@@ -201,20 +200,18 @@ def _result_fields(result) -> dict:
 
 def cmd_solve(args):
     tol, ensemble, digest = _load(args)
-    echo = _echo(args, "seed", "restarts", "oracle")
+    seed = _seed(args)
     started = time.perf_counter()
     if args.oracle:
         with _input_phase():
             check_oracle_size(ensemble)
-            seed = SolveConfig(seed=args.seed).seed
         result = solve_oracle(ensemble, seed=seed, tol=tol)
-        echo["restarts"] = None
     else:
-        result = _solve(args, ensemble, tol)
+        result = solve(ensemble, tol=tol)
     _diag(args, f"solve finished in {time.perf_counter() - started:.3f}s")
     doc = _report(
         "solve",
-        echo,
+        _echo(args, "seed", "oracle"),
         digest,
         measurement=measurement_to_doc(result.measurement),
         **_result_fields(result),
@@ -245,9 +242,9 @@ def cmd_certify(args):
 
 def cmd_map(args):
     tol, ensemble, digest = _load(args)
-    echo = _echo(args, "direction", "seed", "restarts")
+    echo = _echo(args, "direction")
     if args.direction == "forward":
-        result = _solve(args, ensemble, tol)
+        result = solve(ensemble, tol=tol)
         if not result.certified:
             _diag(args, "forward map requires a certified optimum; solve was uncertified")
             return _report("map", echo, digest, **_result_fields(result)), EXIT_UNCERTIFIED
@@ -270,10 +267,10 @@ def cmd_map(args):
 
 def cmd_roundtrip(args):
     tol, ensemble, digest = _load(args)
-    report = roundtrip_check(ensemble, lambda e: _solve(args, e, tol), tol)
+    report = roundtrip_check(ensemble, lambda e: solve(e, tol=tol), tol)
     doc = _report(
         "roundtrip",
-        _echo(args, "seed", "restarts"),
+        _echo(args),
         digest,
         residuals={
             "forward_then_inverse": report.p_deviation,
@@ -289,9 +286,10 @@ def cmd_gen(args):
     except ValueError:
         raise _BadInput(f"cannot parse signature {args.signature!r}") from None
     tol = _tolerances(args)
+    seed = _seed(args)
     generate = generate_fixed_point if args.fixed_point else random_ensemble
     with _input_phase():
-        ensemble = generate(args.dim, signature, args.seed, tol)
+        ensemble = generate(args.dim, signature, seed, tol)
     kind = "fixed-point" if args.fixed_point else "random"
     label = f"{kind} d={args.dim} signature={args.signature} seed={args.seed}"
     return ensemble_to_doc(ensemble, label=label), EXIT_OK

@@ -131,14 +131,16 @@ def _from_basis(basis: np.ndarray, signature: tuple[int, ...], error, tol: Toler
     """The measurement Pi_i = V_i V_i^dag, V_i column block i of ``basis``: its one constructor.
 
     Its one check raises the caller's ``error`` unless V is d x d, d the sum
-    of the ranks, and ||V^dag V - Id||_F <= tol_recon, which a NaN defect
-    fails: then the projectors are orthogonal and complete. The measurement
-    holds a read-only copy of V.
+    of the ranks, finite, and ||V^dag V - Id||_F <= tol_recon: then the
+    projectors are orthogonal and complete. The measurement holds a
+    read-only copy of V.
     """
     v = np.array(basis, dtype=complex)
     dim = sum(signature)
     if v.shape != (dim, dim):
         raise error(f"ranks {signature} sum to {dim}, but the basis is {v.shape[0]} x {v.shape[1]}")
+    if not np.isfinite(v).all():
+        raise error("basis fails unitarity: it has a non-finite entry")
     defect = float(np.linalg.norm(v.conj().T @ v - np.eye(dim)))
     if not defect <= tol.tol_recon:
         raise error(f"basis fails unitarity by {defect:.3e}")

@@ -64,7 +64,7 @@ class SigmaSingular(MEDError):
 
 
 class NotProjectiveAfterPGM(MEDError):
-    """A unitary medli built, the PGM's or a restart's, failed ||W^dag W - Id||_F <= tol_recon."""
+    """A unitary medli built, the PGM's or a solve's, failed ||W^dag W - Id||_F <= tol_recon."""
 
 
 class NotOptimalPair(MEDError):
@@ -84,6 +84,3 @@ class NotTwoState(MEDError):
 class BudgetExceeded(MEDError):
     """The search budget was exhausted before convergence."""
 
-
-class NoConvergence(MEDError):
-    """Every solver restart failed numerically."""

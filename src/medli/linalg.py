@@ -38,7 +38,9 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in _TOL_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value) or value < 0:
+            # bool is an Integral, but True is no tolerance: it would be a margin of 1
+            numeric = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not numeric or not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
     def replace(self, **overrides) -> "Tolerances":

@@ -14,7 +14,7 @@ and holds the three read-only d x d factors while the ensemble lives:
 ``pgm``, solve's PGM start, ``inverse_map`` and ``fixpoint_check`` on one
 ensemble share one SVD. The one test on sigma is cond(sigma) <= COND_LIMIT,
 read off the held singular values on every call, not a verdict tolerance.
-Every measurement medli builds, the PGM and each solver restart's, comes
+Every measurement medli builds, the PGM and each solve's, comes
 from a unitary through ``_measurement`` and is that unitary, with no
 projector stack; outside input is validated by ``ensembles.rank_matched``.
 """
@@ -93,6 +93,6 @@ def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurem
 def _measurement(w: np.ndarray, ensemble: Ensemble, tol: Tolerances) -> ProjectiveMeasurement:
     """The projective measurement of W's column blocks, with the ensemble's ranks.
 
-    W is a unitary medli built, the PGM's or a restart's: ``_from_basis`` checks it.
+    W is a unitary medli built, the PGM's or a solve's: ``_from_basis`` checks it.
     """
     return _from_basis(w, ensemble.rank_signature, NotProjectiveAfterPGM, tol)

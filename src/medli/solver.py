@@ -1,20 +1,21 @@
 """Certified solvers for the discrimination optimum.
 
 ``solve`` searches the manifold of rank-compatible projective measurements
-(parameterized as column-block partitions of a unitary). Each restart, from
-the PGM and then from seeded Haar unitaries, reads M = K U with
-K = sum_i p_i rho_i Pi_i from ``ensembles._k_times``, which also forms the
-certificate's W L: column block i of M is W_i U_i, W_i = p_i rho_i, one
-batched mat-vec per run of equal ranks, with no W_i copied per coordinate
-and no frame U^dag W_i U formed. Polar steps U <- polar(K U), one d x d SVD
-each and O(d^3) in all, drive K towards Hermitian PSD, the paper's
-simplified optimality condition. A saddle-free Riemannian Newton ascent on
-Re Tr K~, K~ = U^dag K U, finishes, building its Hessian only where the
-polar steps stall; its gradient norm is the certificate's hermiticity
-residual.
-It accepts a result only when the simplified certificate says Optimal: the
+(parameterized as column-block partitions of a unitary) from one
+deterministic start, the PGM, or the identity past COND_LIMIT. It reads
+M = K U with K = sum_i p_i rho_i Pi_i from ``ensembles._k_times``, which
+also forms the certificate's W L: column block i of M is W_i U_i,
+W_i = p_i rho_i, one batched mat-vec per run of equal ranks, with no W_i
+copied per coordinate and no frame U^dag W_i U formed. Polar steps
+U <- polar(K U), one d x d SVD each and O(d^3) in all, drive K towards
+Hermitian PSD, the paper's simplified optimality condition. A saddle-free
+Riemannian Newton ascent on Re Tr K~, K~ = U^dag K U, finishes, building
+its Hessian only where the polar steps stall; its gradient norm is the
+certificate's hermiticity residual.
+A result is certified only when the simplified certificate says Optimal: the
 certificate is the acceptance authority, not the optimizer's convergence
 flag, because the simplified condition is an iff for this problem class.
+The optimum is unique, so an uncertified result gets no second start.
 
 ``solve_oracle`` is an independent brute-force check for tiny instances: a
 seeded sample grid over unitaries plus derivative-free coordinate pattern
@@ -28,7 +29,6 @@ oracle.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +44,15 @@ from .ensembles import (
     check_signature,
     validate_ensemble,
 )
-from .errors import BudgetExceeded, MEDError, NoConvergence, NotTwoState
+from .errors import BudgetExceeded, NotTwoState, SigmaSingular
 from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian
 from .pgm import _measurement, _pgm_unitary
 
-# Each restart takes at most this many polar steps before Newton.
+# A start takes at most this many polar steps before Newton.
 POLAR_STEPS = 30
 
-# Newton ascent runs at most this many rounds per restart.
-NEWTON_ROUNDS = 60
+# Newton ascent runs at most this many rounds from a start.
+NEWTON_ROUNDS = 200
 
 # The oracle's sampled-quadratic endgame takes this many Newton steps.
 REFINE_ROUNDS = 3
@@ -61,29 +61,14 @@ REFINE_ROUNDS = 3
 ORACLE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    restarts: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, least in (("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            # bool is an Integral, but True is no count of restarts nor a seed
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """A candidate optimum; its report alone holds the verdict, dual operator and success probability.
 
     ``certified`` reads the report: True exactly when the simplified
     certificate reports Optimal. For ``solve``, ``iterations`` counts the
-    polar steps plus the accepted Newton steps of the restart that returned
-    it (``_restart``); for ``solve_oracle`` it counts objective evaluations.
+    polar steps plus the accepted Newton steps of its one start
+    (``_restart``); for ``solve_oracle`` it counts objective evaluations.
     """
 
     measurement: ProjectiveMeasurement
@@ -291,60 +276,33 @@ def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances)
 
 
 def _restart(ensemble: Ensemble, stack, space: _Horizontal, u0, tol: Tolerances) -> SolveResult:
-    """One restart from u0: polar steps, then Newton ascent, then the certificate."""
+    """One start from u0: polar steps, then Newton ascent, then the certificate.
+
+    ``solve`` makes one, from the PGM or the identity. Any unitary u0 is a
+    start: the optimum is unique, so every certified start reaches it.
+    """
     u, steps = _polar_steps(stack, u0, space)
     u, values = _newton(stack, u, space)
     return _finish(ensemble, u, steps + len(values) - 1, tol)
 
 
-def _starts(ensemble: Ensemble, cfg: SolveConfig):
-    """The PGM start, then seeded Haar unitaries.
-
-    Yields cfg.restarts starts, each built only when a restart uses it. Past
-    COND_LIMIT ``_pgm_unitary`` refuses sigma, so every start is a Haar unitary.
-    """
-    try:
-        starts = [_pgm_unitary(ensemble)]
-    except MEDError:
-        starts = []
-    yield from starts
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts - len(starts)):
-        yield haar_unitary(ensemble.dim, rng)
-
-
-def solve(ensemble: Ensemble, config: SolveConfig | None = None, tol: Tolerances = DEFAULT_TOL) -> SolveResult:
+def solve(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> SolveResult:
     """Certified optimum over rank-compatible projective measurements.
 
-    Each restart (``_restart``) takes polar steps, then Newton ascent, and
-    certifies the result; all restarts share one weighted-state stack and one
-    coordinate space. The first start is the PGM of the ensemble (exact at
-    fixed points, near-optimal elsewhere), the rest seeded random unitaries.
-    Stops at the first certified restart; an uncertified best-effort result
-    is returned when no restart certifies.
+    One deterministic start (``_restart``): polar steps, then Newton ascent,
+    then the certificate. For an LI ensemble the optimum is unique and the
+    simplified condition is an iff, so another start could only reach the
+    same point. The start is the PGM of the ensemble (exact at fixed points,
+    near-optimal elsewhere); past COND_LIMIT, where ``_pgm_unitary`` refuses
+    sigma, it is the identity. The result is returned certified or not, and a
+    MEDError of the start propagates.
     """
-    cfg = config or SolveConfig()
+    try:
+        u0 = _pgm_unitary(ensemble)
+    except SigmaSingular:
+        u0 = np.eye(ensemble.dim, dtype=complex)
     stack = ensemble.weighted_states()
-    space = _horizontal(ensemble.rank_signature)
-
-    best: SolveResult | None = None
-    failure = ""
-    for u0 in _starts(ensemble, cfg):
-        try:
-            result = _restart(ensemble, stack, space, u0, tol)
-        except MEDError as exc:
-            failure = str(exc)
-            continue
-        if best is None or (result.certified, result.success_prob) > (
-            best.certified,
-            best.success_prob,
-        ):
-            best = result
-        if result.certified:
-            break
-    if best is None:
-        raise NoConvergence(f"every restart failed numerically: {failure}")
-    return best
+    return _restart(ensemble, stack, _horizontal(ensemble.rank_signature), u0, tol)
 
 
 def check_oracle_size(ensemble: Ensemble) -> None:

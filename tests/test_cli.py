@@ -91,41 +91,38 @@ class TestExitCodePartition:
         assert err.startswith("input error:") and "tol_psd" in err
 
     @pytest.mark.parametrize(
-        "command, value",
-        [("solve", "0"), ("solve", "-3"), ("map", "0"), ("roundtrip", "0")],
-        ids=["0", "-3", "map-forward", "roundtrip"],
+        "argv",
+        [
+            ("solve", RANDOM_D4),
+            ("solve", PI6, "--oracle"),
+            ("certify", ORTH, str(GOLDEN / "solve_orthogonal.json")),
+            ("map", RANDOM_D4, "--direction", "forward"),
+            ("map", RANDOM_D4, "--direction", "inverse"),
+            ("roundtrip", RANDOM_D4),
+            ("gen", "--dim", "2", "--signature", "1,1"),
+            ("fixpoint", FIXED),
+        ],
+        ids=["solve", "oracle", "certify", "map-forward", "map-inverse", "roundtrip", "gen", "fixpoint"],
     )
-    def test_restarts_below_one(self, command, value):
-        extra = ("--direction", "forward") if command == "map" else ()
-        code, out, err = run_cli(command, RANDOM_D4, *extra, "--restarts", value)
+    def test_no_command_takes_restarts(self, argv):
+        # solve runs one deterministic start, so there is no count of starts to set
+        code, out, err = run_cli(*argv, "--restarts", "1")
         assert code == 2
         assert out == b""
-        assert err.startswith("input error:") and "restarts must be at least 1" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [("map", RANDOM_D4, "--direction", "inverse"), ("solve", PI6, "--oracle")],
-        ids=["map-inverse", "solve-oracle"],
-    )
-    def test_restarts_unread_without_solve(self, argv):
-        # neither the inverse map nor the oracle reads --restarts
-        code, out, err = run_cli(*argv, "--restarts", "0", "--quiet")
-        assert code == 0, err
-        assert json.loads(out)["verdict"] == "Optimal"
+        assert "unrecognized arguments: --restarts" in err
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("solve", NEAR_SINGULAR),
             ("solve", PI6, "--oracle"),
-            ("map", RANDOM_D4, "--direction", "forward"),
-            ("roundtrip", RANDOM_D4),
+            ("gen", "--dim", "2", "--signature", "1,1"),
         ],
-        ids=["haar-starts", "oracle", "map-forward", "roundtrip"],
+        ids=["solve", "oracle", "gen"],
     )
     def test_negative_seed(self, argv):
-        # past COND_LIMIT every start is a Haar unitary and the oracle draws its
-        # grid at once; every command that may draw refuses the seed up front
+        # the oracle draws its grid at once and gen its ensemble; solve and gen
+        # refuse the seed up front, whether or not the command reads it
         code, out, err = run_cli(*argv, "--seed", "-1")
         assert code == 2
         assert out == b""
@@ -170,10 +167,18 @@ class TestExitCodePartition:
         assert err == "out of memory: Unable to allocate 1.00 TiB for an array\n"
 
     @pytest.mark.parametrize(
-        "argv", [("certify", ORTH, str(GOLDEN / "solve_orthogonal.json")), ("fixpoint", FIXED)]
+        "argv",
+        [
+            ("certify", ORTH, str(GOLDEN / "solve_orthogonal.json")),
+            ("fixpoint", FIXED),
+            ("map", RANDOM_D4, "--direction", "forward"),
+            ("map", RANDOM_D4, "--direction", "inverse"),
+            ("roundtrip", RANDOM_D4),
+        ],
     )
     def test_seed_only_where_read(self, argv):
-        # certify and fixpoint draw no random numbers, so they take no --seed
+        # certify, fixpoint, map and roundtrip draw no random numbers, so they
+        # take no --seed
         code, out, err = run_cli(*argv, "--seed", "3")
         assert code == 2
         assert out == b""

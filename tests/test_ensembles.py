@@ -355,6 +355,18 @@ def test_nan_basis_fails_the_unitarity_check():
         _measurement(nan, random_ensemble(2, (1, 1), seed=3), DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_basis_raises_the_callers_error_before_any_product(bad):
+    # an infinite entry would make V^dag V warn "invalid value encountered in
+    # matmul", which the suite's warnings-as-errors setting turns into the raise
+    basis = np.eye(2, dtype=complex)
+    basis[1, 0] = bad
+    with pytest.raises(NotComplete, match="non-finite"):
+        _from_basis(basis, (1, 1), NotComplete, DEFAULT_TOL)
+    with pytest.raises(NotProjectiveAfterPGM, match="non-finite"):
+        _measurement(basis, random_ensemble(2, (1, 1), seed=3), DEFAULT_TOL)
+
+
 class TestValidateProjective:
     def test_computational_basis(self):
         meas = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

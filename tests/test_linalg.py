@@ -203,9 +203,10 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(tol_recon=float("nan"))
 
-    @pytest.mark.parametrize("value", ["x", None, [1e-9]])
+    @pytest.mark.parametrize("value", ["x", None, [1e-9], True])
     def test_rejects_non_numbers_naming_the_field(self, value):
-        # numpy's isfinite would raise its own TypeError, naming no field
+        # numpy's isfinite would raise its own TypeError, naming no field; a
+        # bool is an Integral, and True would pass as a margin of 1
         with pytest.raises(ValueError, match="tol_psd must be finite and nonnegative"):
             Tolerances(tol_psd=value)
 

@@ -10,7 +10,6 @@ from conftest import pure_pair, range_projectors
 from medli import (
     NotProjectiveAfterPGM,
     SigmaSingular,
-    SolveConfig,
     certify_full,
     fixpoint_check,
     forward_map,
@@ -149,12 +148,11 @@ def test_psi_is_decomposed_once_per_ensemble(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    one_restart = SolveConfig(restarts=1)
     pgm(ens)
     fixpoint_check(ens)
     inverse_map(ens)
-    assert solve(ens, one_restart).certified
-    roundtrip_check(ens, lambda e: solve(e, one_restart))
+    assert solve(ens).certified
+    roundtrip_check(ens, solve)
     assert calls.count(True) == 1
 
 
@@ -331,18 +329,18 @@ def test_projector_validation_decomposes_the_stack_once(monkeypatch, sig):
 
 @pytest.mark.parametrize("sig", [(1,) * 8, (2, 2, 2, 1, 1)])
 def test_solve_builds_its_measurement_without_validation(monkeypatch, sig):
-    # one restart, the PGM start: its only spectrum is the report's stack of Z and the slacks
+    # one start, the PGM: its only spectrum is the report's stack of Z and the slacks
     ens = random_ensemble(sum(sig), sig, seed=13)
     results = []
     calls = _decomposition_counter(monkeypatch)
-    spectra = calls(lambda: results.append(solve(ens, SolveConfig(restarts=1))))["eigvalsh"]
+    spectra = calls(lambda: results.append(solve(ens)))["eigvalsh"]
     assert spectra == [(ens.m + 1, ens.dim, ens.dim)]
     assert results[0].certified
     assert results[0].measurement.rank_signature == ens.rank_signature
 
 
 def test_solve_pairs_its_measurement_with_the_states_once(monkeypatch):
-    # one restart: the certifier's one pairing also gives the success probability,
+    # one start: the certifier's one pairing also gives the success probability,
     # and no public reader forms the product stack again
     ens = random_ensemble(5, (2, 2, 1), seed=13)
     calls = {"_pair": 0, "success_probability": 0, "detection_profile": 0}
@@ -356,7 +354,7 @@ def test_solve_pairs_its_measurement_with_the_states_once(monkeypatch):
         for module in (medli.ensembles, medli.belavkin, medli.certify, medli.solver):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    result = solve(ens, SolveConfig(restarts=1))
+    result = solve(ens)
     assert result.certified
     assert calls == {"_pair": 1, "success_probability": 0, "detection_profile": 0}
 

@@ -3,15 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import RANDOM_D4, haar_restart, near_collinear, pure_pair, qubit_angle_oracle
+from conftest import (
+    NEAR_SINGULAR,
+    RANDOM_D4,
+    haar_restart,
+    near_collinear,
+    pure_pair,
+    qubit_angle_oracle,
+)
 from medli import (
     BudgetExceeded,
     InvalidSignature,
-    NoConvergence,
     NotProjectiveAfterPGM,
     NotTwoState,
     SigmaSingular,
-    SolveConfig,
     certify_simplified,
     fixpoint_check,
     generate_fixed_point,
@@ -27,7 +32,7 @@ from medli import (
 from medli.certify import OPTIMAL
 from medli.ensembles import _signature_slices
 from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
-from medli.pgm import COND_LIMIT, _measurement, _polar
+from medli.pgm import COND_LIMIT, _measurement, _pgm_unitary, _polar
 from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
     _finish,
@@ -37,6 +42,7 @@ from medli.solver import (
     _objective,
     _polar_steps,
     _projectors_from_unitary,
+    _restart,
 )
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -75,31 +81,8 @@ class TestSolveOracle:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("restarts", [0, -3])
-    def test_config_rejects_restarts_below_one(self, restarts):
-        with pytest.raises(ValueError, match="restarts must be at least 1"):
-            SolveConfig(restarts=restarts)
-
-    @pytest.mark.parametrize(
-        "field, value", [("restarts", 2.5), ("seed", 1.5), ("restarts", True), ("seed", False)]
-    )
-    def test_config_rejects_non_integers(self, field, value):
-        # a float would fail the solve mid-way, after its first restart, with a
-        # TypeError; a bool is an Integral, but would pass as one restart or seed 0
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            SolveConfig(**{field: value})
-
-    def test_config_rejects_a_negative_seed(self):
-        # numpy's generator would refuse it only once a Haar start is drawn, mid-solve
-        with pytest.raises(ValueError, match="seed must be at least 0"):
-            SolveConfig(seed=-1)
-
-    def test_config_accepts_numpy_integers(self):
-        config = SolveConfig(restarts=np.int64(2), seed=np.int32(7))
-        assert (config.restarts, config.seed) == (2, 7)
-
     def test_one_coordinate_space_per_solve(self, monkeypatch):
-        # an impossible positivity bar leaves every one of the 16 restarts uncertified
+        # an impossible positivity bar leaves the solve uncertified
         tol = DEFAULT_TOL.replace(tol_psd=0.6)
         ens = ensemble_from_doc(load_json(RANDOM_D4)[0], tol)
         built = []
@@ -171,32 +154,50 @@ class TestSolve:
         assert np.all(np.diff(np.array(values)) >= -1e-15)
         assert _finish(ens, u, len(values) - 1, DEFAULT_TOL).certified
 
-    def test_failed_restart_is_skipped(self, monkeypatch):
-        ens = random_ensemble(4, (2, 1, 1), seed=18)
-        calls = []
-
-        def fails_first(*args):
-            calls.append(args)
-            if len(calls) == 1:
-                raise NotProjectiveAfterPGM("first restart failed")
-            return _finish(*args)
-
-        monkeypatch.setattr("medli.solver._finish", fails_first)
-        result = solve(ens)
-        assert result.certified
-        assert len(calls) == 2
-
-    def test_every_restart_failing_raises(self, monkeypatch):
+    def test_a_failing_start_propagates(self, monkeypatch):
+        # one start: its error is the solve's, with no second start and no wrapper
         calls = []
 
         def fails(*args):
             calls.append(args)
-            raise NotProjectiveAfterPGM(f"restart {len(calls)} failed")
+            raise NotProjectiveAfterPGM("the start failed")
 
         monkeypatch.setattr("medli.solver._finish", fails)
-        with pytest.raises(NoConvergence, match="restart 3 failed$"):
-            solve(random_ensemble(4, (2, 1, 1), seed=18), SolveConfig(restarts=3))
-        assert len(calls) == 3
+        with pytest.raises(NotProjectiveAfterPGM, match="^the start failed$"):
+            solve(random_ensemble(4, (2, 1, 1), seed=18))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("certifiable", [True, False])
+    def test_one_start_and_no_haar_draw(self, monkeypatch, certifiable):
+        # an impossible positivity bar leaves the solve uncertified: still one
+        # start, from the PGM, and no random unitary
+        tol = DEFAULT_TOL if certifiable else DEFAULT_TOL.replace(tol_psd=0.6)
+        ens = ensemble_from_doc(load_json(RANDOM_D4)[0], tol)
+        starts, draws = [], []
+
+        def counted_start(*args):
+            starts.append(args[3])
+            return _restart(*args)
+
+        def counted_draw(*args):
+            draws.append(args)
+            return haar_unitary(*args)
+
+        monkeypatch.setattr("medli.solver._restart", counted_start)
+        monkeypatch.setattr("medli.solver.haar_unitary", counted_draw)
+        result = solve(ens, tol=tol)
+        assert result.certified is certifiable
+        assert len(starts) == 1 and draws == []
+        np.testing.assert_array_equal(starts[0], _pgm_unitary(ens))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pgm_start_reaches_the_stiff_d10_optimum(self, seed):
+        # near-collinear pure Q at d = 10, noise 1e-3: from the PGM start the
+        # solve takes 69 and 78 iterations, which NEWTON_ROUNDS must allow
+        ens = near_collinear(10, (1,) * 10, 1e-3, seed)
+        space = _horizontal(ens.rank_signature)
+        result = _restart(ens, ens.weighted_states(), space, _pgm_unitary(ens), DEFAULT_TOL)
+        assert result.report.hermiticity_residual <= 1e-12
 
     @pytest.mark.parametrize(
         "sig", [(1, 1, 1, 1), (2, 1, 1), (1, 1, 1, 1, 1), (3, 2), (2, 2, 2), (1, 2, 3)]
@@ -280,6 +281,20 @@ class TestSolve:
         ens = pure_pair(1e-6)
         with pytest.raises(SigmaSingular):
             pgm(ens)
+        for seed in range(3):
+            result = haar_restart(ens, seed)
+            assert result.certified
+            assert result.success_prob == pytest.approx(helstrom_comparator(ens), abs=1e-12)
+
+    @pytest.mark.parametrize("source", ["pure_pair", "fixture"])
+    def test_identity_start_certifies_beyond_the_condition_limit(self, source):
+        # cond(sigma) 4.0e12: the PGM is refused, so solve starts from the identity
+        if source == "fixture":
+            ens = ensemble_from_doc(load_json(NEAR_SINGULAR)[0])
+        else:
+            ens = pure_pair(1e-6)
+        with pytest.raises(SigmaSingular):
+            _pgm_unitary(ens)
         result = solve(ens)
         assert result.certified
         assert result.success_prob == pytest.approx(helstrom_comparator(ens), abs=1e-12)
@@ -287,9 +302,9 @@ class TestSolve:
     def test_uncertified_best_effort_returned(self):
         ens = random_ensemble(3, (1, 1, 1), seed=15)
         # an impossible positivity bar makes certification fail but the
-        # solver still returns its best value
+        # solver still returns its start's value
         tol = DEFAULT_TOL.replace(tol_psd=0.9)
-        result = solve(ens, SolveConfig(restarts=2), tol=tol)
+        result = solve(ens, tol=tol)
         assert not result.certified
         assert 0.0 < result.success_prob <= 1.0
 
@@ -306,10 +321,10 @@ class TestSolve:
         ens = validate_ensemble(
             [0.5 + 2.5e-7] * 2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], tol
         )
-        restarts = []
+        reports = []
 
         def counted(*args):
-            restarts.append(args)
+            reports.append(args)
             return certify_simplified(*args)
 
         monkeypatch.setattr("medli.solver.certify_simplified", counted)
@@ -317,7 +332,7 @@ class TestSolve:
         assert result.report.verdict == OPTIMAL
         assert result.certified
         assert result.success_prob == 1.0
-        assert len(restarts) == 1
+        assert len(reports) == 1
 
 
 class TestFrame:
@@ -363,7 +378,7 @@ class TestPolarSteps:
         # the paper's optimum is unique: one Haar start must reach the PGM start's
         sig = (2,) * (dim // 2) if pairs else (1,) * dim
         ens = random_ensemble(dim, sig, seed=dim + pairs)
-        warm = solve(ens, SolveConfig(restarts=1))
+        warm = solve(ens)
         cold = haar_restart(ens, 0)
         assert warm.certified and cold.certified
         for a, b in zip(warm.measurement.projectors, cold.measurement.projectors):
@@ -553,7 +568,7 @@ class TestWork:
                     except SigmaSingular:
                         continue
                     built += 1
-                    result = solve(pre_image, SolveConfig(restarts=2))
+                    result = solve(pre_image)
                     assert result.certified
                     known = success_probability(pre_image, measurement)
                     assert abs(result.success_prob - known) <= 1e-12
