@@ -32,6 +32,7 @@ from .ensembles import Ensemble, ProjectiveMeasurement, _block_norms2, _from_fac
 from .errors import NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import _measurement, _polar
+from .solver import solve
 
 
 def forward_map(
@@ -134,14 +135,14 @@ def _max_weighted_deviation(first: Ensemble, second: Ensemble) -> float:
     return float(np.abs(first.weighted_states() - second.weighted_states()).max())
 
 
-def roundtrip_check(ensemble: Ensemble, solver, tol: Tolerances = DEFAULT_TOL) -> RoundtripReport:
+def roundtrip_check(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> RoundtripReport:
     """Both compositions of the transform and its inverse on one input.
 
-    ``solver`` is a callable producing a certified SolveResult for an
-    ensemble; it is only used for the forward direction.
+    The forward direction starts from ``solve``'s optimum, and raises
+    SolverFailed unless the solve certifies.
     """
-    result = solver(ensemble)
-    if not getattr(result, "certified", False):
+    result = solve(ensemble, tol)
+    if not result.certified:
         raise SolverFailed("solver did not produce a certified optimum")
     derived = forward_map(ensemble, result.measurement, result.report, tol)
     reconstructed, _, _, _ = inverse_map(derived, tol)

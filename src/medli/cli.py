@@ -267,7 +267,7 @@ def cmd_map(args):
 
 def cmd_roundtrip(args):
     tol, ensemble, digest = _load(args)
-    report = roundtrip_check(ensemble, lambda e: solve(e, tol=tol), tol)
+    report = roundtrip_check(ensemble, tol)
     doc = _report(
         "roundtrip",
         _echo(args),

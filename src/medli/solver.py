@@ -1,17 +1,14 @@
 """Certified solvers for the discrimination optimum.
 
-``solve`` searches the manifold of rank-compatible projective measurements
-(parameterized as column-block partitions of a unitary) from one
-deterministic start, the PGM, or the identity past COND_LIMIT. It reads
-M = K U with K = sum_i p_i rho_i Pi_i from ``ensembles._k_times``, which
-also forms the certificate's W L: column block i of M is W_i U_i,
-W_i = p_i rho_i, one batched mat-vec per run of equal ranks, with no W_i
-copied per coordinate and no frame U^dag W_i U formed. Polar steps
-U <- polar(K U), one d x d SVD each and O(d^3) in all, drive K towards
-Hermitian PSD, the paper's simplified optimality condition. A saddle-free
-Riemannian Newton ascent on Re Tr K~, K~ = U^dag K U, finishes, building
-its Hessian only where the polar steps stall; its gradient norm is the
-certificate's hermiticity residual.
+``solve`` searches the rank-compatible projective measurements (the
+column-block partitions of a unitary U) from one deterministic start, the
+PGM, or the identity past COND_LIMIT. Polar steps U <- polar(K U),
+K = sum_i p_i rho_i Pi_i, each one d x d SVD of K U from
+``ensembles._k_times``, drive K towards Hermitian PSD, the paper's
+simplified optimality condition. Where they stall, Newton finishes in the
+paper's coordinates: the optimum is the PGM of a reweighted ensemble
+{Psi_i A_i Psi_i^dag} (Mochon, PRA 73, 032328 (2006)), a polar step is
+such a reweighting, and Newton solves for it (``_residual``).
 A result is certified only when the simplified certificate says Optimal: the
 certificate is the acceptance authority, not the optimizer's convergence
 flag, because the simplified condition is an iff for this problem class.
@@ -51,7 +48,7 @@ from .pgm import _measurement, _pgm_unitary
 # A start takes at most this many polar steps before Newton.
 POLAR_STEPS = 30
 
-# Newton ascent runs at most this many rounds from a start.
+# Newton on the reweighting of Psi takes at most this many steps from a start.
 NEWTON_ROUNDS = 200
 
 # The oracle's sampled-quadratic endgame takes this many Newton steps.
@@ -67,8 +64,9 @@ class SolveResult:
 
     ``certified`` reads the report: True exactly when the simplified
     certificate reports Optimal. For ``solve``, ``iterations`` counts the
-    polar steps plus the accepted Newton steps of its one start
-    (``_restart``); for ``solve_oracle`` it counts objective evaluations.
+    polar steps plus the accepted Newton steps on the reweighting of Psi of
+    its one start (``_restart``); for ``solve_oracle`` it counts objective
+    evaluations.
     """
 
     measurement: ProjectiveMeasurement
@@ -112,132 +110,120 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Horizontal:
-    """Coordinates of the horizontal directions for one rank signature.
+class _Blocks:
+    """The entries of the diagonal blocks of one rank signature: Newton's coordinates.
 
-    Coordinate a lies in block l(a) of the ``signature``. The horizontal
-    generators are the Hermitian K with K_ab != 0 only where l(a) != l(b);
-    for each such pair a < b (``rows``, ``cols``) K_ab = (x + i y) / sqrt(2),
-    so the real vector z = [x; y] is orthonormal under the trace inner
-    product. One read-only space is built per signature and shared by all.
+    Entry q is (``rows[q]``, ``cols[q]``), row-major, and ``flip[q]`` is its
+    transpose. A block-diagonal Hermitian X has one real coordinate per
+    entry: z_q = Re X_ab for a <= b, Im X_ba for a > b. Its entries are
+    ``coef`` z + (conj(``coef``) z)[``flip``].
     """
 
     signature: tuple[int, ...]
     rows: np.ndarray
     cols: np.ndarray
+    flip: np.ndarray
+    coef: np.ndarray
 
-    def generator(self, z: np.ndarray) -> np.ndarray:
-        """The Hermitian K with coordinates z."""
-        n = len(self.rows)
-        dim = sum(self.signature)
-        k = np.zeros((dim, dim), dtype=complex)
-        k[self.rows, self.cols] = (z[:n] + 1j * z[n:]) / np.sqrt(2.0)
-        return k + k.conj().T
-
-    def value_and_gradient(self, k: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective Re Tr K~ and its gradient in z, from K~ = U^dag K U.
-
-        Moving to U exp(iK) changes the objective at first order by Tr(G K), with
-        G = i (K~^dag - K~) off the diagonal blocks: Hermitian, zero exactly at
-        stationary points.
-        """
-        value = float(k.diagonal().real.sum())
-        g = 1j * (k[self.cols, self.rows].conj() - k[self.rows, self.cols])
-        return value, np.sqrt(2.0) * np.concatenate([g.real, g.imag])
-
-    def hessian(self, tilde: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Hessian in z of the objective along U exp(iK), from the frame and K~.
-
-        ``tilde`` is the frame stack W~_i = U^dag W_i U of the weighted states.
-        The second-order term is Tr(L(K) K) / 2 with
-        L(K) = -sum_i [[K, E_i], W~_i] = -(K (K~^dag - V_a) + (K~ - V_b) K)
-        at entry (a, b), where V_a = W~_{l(a)}, W~_i repeated r_i times. Its
-        matrix S on the horizontal entries is gathered from two (d, d, d)
-        stacks, then mapped to z.
-        """
-        v = tilde.repeat(self.signature, axis=0)
-        right = k.conj().T[None, :, :] - v
-        left = k[None, :, :] - v
-        # entries (a, b): the upper ones, then their transposes
-        ra = np.concatenate([self.rows, self.cols])
-        rb = np.concatenate([self.cols, self.rows])
-        a, b = ra[:, None], rb[:, None]
-        c, e = ra[None, :], rb[None, :]
-        s = -np.where(a == c, right[a, e, b], 0.0) - np.where(b == e, left[b, a, c], 0.0)
-        n = len(self.rows)
-        s11, s12, s21, s22 = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
-        # Re(A^dag S A) with A = [[I, iI], [I, -iI]] / sqrt(2) mapping z to the entries
-        hess = 0.5 * np.block(
-            [
-                [(s11 + s12 + s21 + s22).real, (1j * (s11 - s12 + s21 - s22)).real],
-                [(1j * (s21 + s22 - s11 - s12)).real, (s11 - s12 - s21 + s22).real],
-            ]
-        )
-        return (hess + hess.T) / 2.0
+    def real(self, entries: np.ndarray) -> np.ndarray:
+        """The coordinates of block-diagonal Hermitian matrices, from their entries along axis 0."""
+        return np.where(self.rows <= self.cols, entries.T.real, -entries.T.imag).T
 
 
 @functools.lru_cache(maxsize=None)
-def _horizontal(signature: tuple[int, ...]) -> _Horizontal:
-    """The coordinate space of one rank signature, built once and shared read-only."""
+def _blocks(signature: tuple[int, ...]) -> _Blocks:
+    """The block entries of one rank signature, O(d^2) indices, built once and shared read-only."""
     labels = np.repeat(np.arange(len(signature)), signature)
-    rows, cols = np.triu_indices(len(labels), 1)
-    keep = labels[rows] != labels[cols]
-    return _Horizontal(signature, _frozen(rows[keep]), _frozen(cols[keep]))
+    rows, cols = np.nonzero(labels[:, None] == labels)
+    coef = np.where(rows < cols, 1.0, np.where(rows > cols, -1j, 0.5))
+    return _Blocks(signature, *map(_frozen, (rows, cols, np.lexsort((rows, cols)), coef)))
 
 
-def _newton(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, list[float]]:
-    """Saddle-free Riemannian Newton ascent over rank-compatible measurements.
+def _residual(psi: np.ndarray, blocks: _Blocks, b: np.ndarray):
+    """(U, R, J) at the block-diagonal reweighting B of Psi.
 
-    Works in the frame of the current unitary: the projectors are
-    U E_i U^dag with E_i the coordinate projectors of the signature, and each
-    step moves U to U exp(iK) along a horizontal generator K (stabilizer
-    directions leave every projector fixed and are never parameterized).
-    Value, gradient and every line-search trial read only K~ = U^dag (K U),
-    K U from ``_k_times`` in O(d^3); the frame stack U^dag W_i U of the
-    weighted states is formed only when a Hessian is built, once per round.
-    The step divides the gradient by the absolute Hessian eigenvalues, so it
-    ascends at saddles too, and is clamped to norm 0.3. A step is accepted on
-    an Armijo increase, or, once objective increments sink below float
-    resolution, when the objective holds within 1e-15 and the gradient norm
-    falls; otherwise it is halved, at most 30 times.
+    One SVD Psi B = W Sigma V^dag gives U = W V^dag and S = V Sigma V^dag =
+    (B^dag Psi^dag Psi B)^{1/2}. Column block i of K U is Psi_i C_ii,
+    C = Psi^dag U = B^{-dag} S, so column block i of K~ = U^dag K U is
+    S_{:,i} (B_i^dag B_i)^{-1} S_ii. R holds the block entries of
+    R_i = T_i / tau - I, T_i = B_i^{-dag} S_ii B_i^{-1}, tau = sum_i Tr T_i / d.
+    At R = 0, S_ii = tau B_i^dag B_i, so K~ = tau S is Hermitian and PD: the
+    simplified condition, at the PGM of {Psi_i B_i B_i^dag Psi_i^dag}.
 
-    Returns the final unitary and the objective after each accepted step,
-    starting with the initial value.
+    J() is the Jacobian of R's coordinates in those of X along the chart
+    B exp(X / 2): dS = V ((V^dag X V / 2) o H) V^dag, H_kl = (s_k^2 + s_l^2) /
+    (s_k + s_l), and dT_i = B_i^{-dag} (dS_ii - (X_i S_ii + S_ii X_i) / 2) B_i^{-1}.
+    Both are complex-linear in X's entries, so J is formed on unit entries,
+    with one (N, d^2) product, N = sum_i r_i^2, and then made Hermitian.
     """
+    rows, cols, diag = blocks.rows, blocks.cols, blocks.rows == blocks.cols
+    w, sigma, vh = np.linalg.svd(psi @ b)
+    s = (vh.conj().T * sigma) @ vh
+    inv = np.linalg.inv(b)
+    t = (inv.conj().T @ s @ inv)[rows, cols]
+    tau = float(t[diag].real.sum()) / len(b)
 
-    def read(mat_u):
-        k = mat_u.conj().T @ _k_times(stack, space.signature, mat_u)
-        return (k, *space.value_and_gradient(k))
+    def jacobian() -> np.ndarray:
+        v = vh.conj().T
+        h = (sigma[:, None] ** 2 + sigma**2) / (sigma[:, None] + sigma)
+        p = (v[rows, :, None] * v[cols, None, :].conj()).reshape(len(rows), -1)
+        ds = 0.5 * (p * h.ravel()) @ p.conj().T
+        xs = (rows[:, None] == rows) * s[cols, cols[:, None]] + (cols[:, None] == cols) * s[rows[:, None], rows]
+        dt = (inv[rows, rows[:, None]].conj() * inv[cols, cols[:, None]]) @ (ds - 0.5 * xs)
+        dt = dt * blocks.coef + dt[:, blocks.flip] * blocks.coef.conj()
+        dtau = dt[diag].real.sum(axis=0) / len(b)
+        return blocks.real(dt / tau - np.outer(t, dtau) / tau**2)
 
-    k, value, grad = read(u)
-    values = [value]
+    return w @ vh, t / tau - diag, jacobian
+
+
+def _chart(b: np.ndarray, blocks: _Blocks, z: np.ndarray) -> np.ndarray:
+    """B exp(X / 2) for the block-diagonal Hermitian X of coordinates z."""
+    x = np.zeros_like(b)
+    x[blocks.rows, blocks.cols] = blocks.coef * z + (blocks.coef.conj() * z)[blocks.flip]
+    w, v = np.linalg.eigh(x)
+    return b @ _diagonal_blocks((v * np.exp(w / 2.0)) @ v.conj().T, blocks)
+
+
+def _diagonal_blocks(c: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """The diagonal blocks of C. For C = Psi^dag U, polar(Psi B) is U's next polar step."""
+    b = np.zeros_like(c)
+    b[blocks.rows, blocks.cols] = c[blocks.rows, blocks.cols]
+    return b
+
+
+def _newton(psi: np.ndarray, blocks: _Blocks, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Newton on the reweighting B of Psi (``_residual``), in the chart B exp(X / 2).
+
+    X is Hermitian and block-diagonal, sum_i r_i^2 reals: log b_i^2 for pure
+    states. X = I only scales B, an exact null direction, so the step is a
+    least-squares one, scaled to a max-norm of at most 2 and halved, at most
+    30 times, until ||R||_F falls. Stops at ||R||_F <= 1e-13, at a step that
+    cannot lower it, or after NEWTON_ROUNDS steps. Returns polar(Psi B) at
+    the last B and ||R||_F after each accepted step, starting with B's own.
+    """
+    u, r, jacobian = _residual(psi, blocks, b)
+    norms = [float(np.linalg.norm(r))]
     for _ in range(NEWTON_ROUNDS):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-13:
+        if norms[-1] <= 1e-13:
             break
-        eigvals, eigvecs = np.linalg.eigh(space.hessian(u.conj().T @ stack @ u, k))
-        scale = np.maximum(np.abs(eigvals), 1e-12 * float(np.abs(eigvals).max()))
-        step = eigvecs @ ((eigvecs.T @ grad) / scale)
-        norm = float(np.linalg.norm(step))
-        if norm > 0.3:
-            step *= 0.3 / norm
+        step = np.linalg.lstsq(jacobian(), -blocks.real(r), rcond=None)[0]
+        step *= 2.0 / max(2.0, float(np.abs(step).max()))
         for _ in range(31):
-            candidate = u @ expi_herm(space.generator(step))
-            cand_k, cand_value, cand_grad = read(candidate)
-            rise = cand_value - value
-            if rise >= 1e-4 * float(grad @ step) or (
-                rise >= -1e-15 and float(np.linalg.norm(cand_grad)) < gnorm
-            ):
-                u, k, value, grad = candidate, cand_k, cand_value, cand_grad
-                values.append(value)
+            candidate = _chart(b, blocks, step)
+            cand_u, cand_r, cand_jacobian = _residual(psi, blocks, candidate)
+            norm = float(np.linalg.norm(cand_r))
+            if norm < norms[-1]:
+                b, u, r, jacobian = candidate, cand_u, cand_r, cand_jacobian
+                norms.append(norm)
                 break
             step /= 2.0
         else:
             break
-    return u, values
+    return u, norms
 
 
-def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[np.ndarray, int]:
+def _polar_steps(stack: np.ndarray, u: np.ndarray, signature: tuple[int, ...]) -> tuple[np.ndarray, int, bool]:
     """Move U to polar(K U) until K = sum_i p_i rho_i Pi_i is Hermitian PSD.
 
     M = K U comes from ``_k_times`` in O(d^3), with no per-coordinate copy
@@ -247,25 +233,27 @@ def _polar_steps(stack: np.ndarray, u: np.ndarray, space: _Horizontal) -> tuple[
     ||polar(M) - U||_F = ||polar(K~) - I||_F vanishes exactly at the
     measurements the simplified optimality condition accepts. Each new Pi_j
     is the PGM of {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek
-    iteration).
+    iteration), a reweighting of Psi (``_diagonal_blocks``).
 
-    Stops before a step once the defect is below 1e-13, once it exceeds
-    half the previous one (the iteration has slowed to a crawl and Newton
-    takes over), or after POLAR_STEPS steps; an optimal start is never
-    moved. Returns the unitary and the number of steps taken.
+    Stops before a step once the defect is below 1e-13 (then the third
+    value returned is True), once it exceeds half the previous one (the
+    iteration has slowed to a crawl and Newton takes over), or after
+    POLAR_STEPS steps; an optimal start is never moved.
     """
     previous = np.inf
     steps = 0
     while steps < POLAR_STEPS:
-        left, _, right = np.linalg.svd(_k_times(stack, space.signature, u))
+        left, _, right = np.linalg.svd(_k_times(stack, signature, u))
         moved = left @ right
         defect = float(np.linalg.norm(moved - u))
-        if defect < 1e-13 or defect > previous / 2.0:
+        if defect < 1e-13:
+            return u, steps, True
+        if defect > previous / 2.0:
             break
         u = moved
         previous = defect
         steps += 1
-    return u, steps
+    return u, steps, False
 
 
 def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances) -> SolveResult:
@@ -275,34 +263,38 @@ def _finish(ensemble: Ensemble, u: np.ndarray, iterations: int, tol: Tolerances)
     return SolveResult(measurement, report, iterations)
 
 
-def _restart(ensemble: Ensemble, stack, space: _Horizontal, u0, tol: Tolerances) -> SolveResult:
-    """One start from u0: polar steps, then Newton ascent, then the certificate.
+def _restart(ensemble: Ensemble, u0, tol: Tolerances) -> SolveResult:
+    """One start from u0: polar steps, then Newton on the reweighting of Psi, then the certificate.
 
-    ``solve`` makes one, from the PGM or the identity. Any unitary u0 is a
-    start: the optimum is unique, so every certified start reaches it.
+    Newton runs only if the polar steps stop short of a defect of 1e-13, from
+    the reweighting of their next step. Any unitary u0 is a start: the
+    optimum is unique, so every certified start reaches it.
     """
-    u, steps = _polar_steps(stack, u0, space)
-    u, values = _newton(stack, u, space)
-    return _finish(ensemble, u, steps + len(values) - 1, tol)
+    u, steps, settled = _polar_steps(ensemble.weighted_states(), u0, ensemble.rank_signature)
+    if not settled:
+        blocks = _blocks(ensemble.rank_signature)
+        u, norms = _newton(ensemble.psi, blocks, _diagonal_blocks(ensemble.psi.conj().T @ u, blocks))
+        steps += len(norms) - 1
+    return _finish(ensemble, u, steps, tol)
 
 
 def solve(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> SolveResult:
     """Certified optimum over rank-compatible projective measurements.
 
-    One deterministic start (``_restart``): polar steps, then Newton ascent,
-    then the certificate. For an LI ensemble the optimum is unique and the
-    simplified condition is an iff, so another start could only reach the
-    same point. The start is the PGM of the ensemble (exact at fixed points,
-    near-optimal elsewhere); past COND_LIMIT, where ``_pgm_unitary`` refuses
-    sigma, it is the identity. The result is returned certified or not, and a
-    MEDError of the start propagates.
+    One deterministic start (``_restart``): polar steps, then Newton on the
+    reweighting of Psi where they stall, then the certificate. For an
+    LI ensemble the optimum is unique and the simplified condition is an
+    iff, so another start could only reach the same point. The start is the
+    PGM of the ensemble (exact at fixed points, near-optimal elsewhere);
+    past COND_LIMIT, where ``_pgm_unitary`` refuses sigma, it is the
+    identity. The result is returned certified or not, and a MEDError of
+    the start propagates.
     """
     try:
         u0 = _pgm_unitary(ensemble)
     except SigmaSingular:
         u0 = np.eye(ensemble.dim, dtype=complex)
-    stack = ensemble.weighted_states()
-    return _restart(ensemble, stack, _horizontal(ensemble.rank_signature), u0, tol)
+    return _restart(ensemble, u0, tol)
 
 
 def check_oracle_size(ensemble: Ensemble) -> None:

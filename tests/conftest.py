@@ -11,7 +11,7 @@ if str(SRC) not in sys.path:
 
 from medli import validate_ensemble, validate_projective  # noqa: E402
 from medli.linalg import DEFAULT_TOL, haar_unitary  # noqa: E402
-from medli.solver import _horizontal, _restart  # noqa: E402
+from medli.solver import _restart  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -130,9 +130,8 @@ def gu_mixed(dim, m, rank, seed):
 
 def haar_restart(ensemble, seed):
     """One ``solve`` restart from the first Haar unitary of ``default_rng(seed)``."""
-    space = _horizontal(ensemble.rank_signature)
     u0 = haar_unitary(ensemble.dim, np.random.default_rng(seed))
-    return _restart(ensemble, np.asarray(ensemble.weighted_states()), space, u0, DEFAULT_TOL)
+    return _restart(ensemble, u0, DEFAULT_TOL)
 
 
 def angle_measurement(phi):

@@ -43,7 +43,7 @@ from medli.ensembles import (
 from medli.linalg import DEFAULT_TOL, Tolerances, haar_unitary, herm, rank_cutoff_mask
 from medli.pgm import _measurement
 from medli.serialize import measurement_to_doc
-from medli.solver import _horizontal
+from medli.solver import _blocks
 from reference import (
     average_state,
     check_hermitian,
@@ -512,7 +512,7 @@ def test_projective_measurements_never_form_their_projectors(monkeypatch):
     image = forward_map(pre_image, measurement, report)
     assert np.abs(image.weighted_states() - ens.weighted_states()).max() <= 1e-12
     forward_map(ens, result.measurement, result.report)
-    report = roundtrip_check(ens, solve)
+    report = roundtrip_check(ens)
     assert max(report.p_deviation, report.q_deviation) <= 1e-10
     with pytest.raises(AssertionError, match="projector stack"):
         measurement_to_doc(result.measurement)
@@ -579,8 +579,8 @@ def test_array_records_compare_and_hash_by_identity():
     twin = random_ensemble(4, (2, 1, 1), seed=1)
     result = solve(ens)
     povm = GeneralPOVM(dim=4, elements=result.measurement.projectors)
-    space = _horizontal(ens.rank_signature)
-    records = [ens, twin, result, result.measurement, result.report, povm, space]
+    blocks = _blocks(ens.rank_signature)
+    records = [ens, twin, result, result.measurement, result.report, povm, blocks]
     for record in records:
         assert record == record
         assert hash(record) == hash(record)

@@ -152,7 +152,7 @@ def test_psi_is_decomposed_once_per_ensemble(monkeypatch):
     fixpoint_check(ens)
     inverse_map(ens)
     assert solve(ens).certified
-    roundtrip_check(ens, solve)
+    roundtrip_check(ens)
     assert calls.count(True) == 1
 
 

@@ -31,17 +31,20 @@ from medli import (
 )
 from medli.certify import OPTIMAL
 from medli.ensembles import _signature_slices
-from medli.linalg import DEFAULT_TOL, expi_herm, haar_unitary
+from medli.linalg import DEFAULT_TOL, haar_unitary
 from medli.pgm import COND_LIMIT, _measurement, _pgm_unitary, _polar
 from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
+    _blocks,
+    _chart,
+    _diagonal_blocks,
     _finish,
-    _horizontal,
     _k_times,
     _newton,
     _objective,
     _polar_steps,
     _projectors_from_unitary,
+    _residual,
     _restart,
 )
 
@@ -80,22 +83,42 @@ class TestSolveOracle:
             solve_oracle(ens)
 
 
+def _haar_weights(ens, seed):
+    """The block index of ens's signature and the reweighting of a Haar unitary's next polar step."""
+    blocks = _blocks(ens.rank_signature)
+    u = haar_unitary(ens.dim, np.random.default_rng(seed))
+    return blocks, _diagonal_blocks(ens.psi.conj().T @ u, blocks)
+
+
 class TestSolve:
     def test_one_coordinate_space_per_solve(self, monkeypatch):
-        # an impossible positivity bar leaves the solve uncertified
+        # the polar steps stall on this pre-image, so Newton runs; an
+        # impossible positivity bar leaves the solve uncertified
         tol = DEFAULT_TOL.replace(tol_psd=0.6)
-        ens = ensemble_from_doc(load_json(RANDOM_D4)[0], tol)
-        built = []
-        original = _horizontal
+        ens = inverse_map(near_collinear(6, (2, 2, 1, 1), 1e-2, 1))[0]
+        built, newton = [], []
+        original = _blocks
 
         def counted(signature):
             built.append(signature)
             return original(signature)
 
-        monkeypatch.setattr("medli.solver._horizontal", counted)
+        def counted_newton(*args):
+            newton.append(args[1])
+            return _newton(*args)
+
+        monkeypatch.setattr("medli.solver._blocks", counted)
+        monkeypatch.setattr("medli.solver._newton", counted_newton)
         result = solve(ens, tol=tol)
         assert not result.certified
         assert built == [ens.rank_signature]
+        assert newton == [original(ens.rank_signature)]
+
+    def test_a_settled_polar_phase_skips_newton(self, monkeypatch):
+        # the polar steps reach a defect below 1e-13, so no residual SVD is taken
+        monkeypatch.setattr("medli.solver._newton", None)
+        monkeypatch.setattr("medli.solver._blocks", None)
+        assert solve(ensemble_from_doc(load_json(RANDOM_D4)[0])).certified
 
     def test_pgm_start_on_fixed_point_takes_zero_steps(self):
         ens = generate_fixed_point(3, (2, 1), seed=12)
@@ -129,30 +152,38 @@ class TestSolve:
             assert np.abs(a - b).max() <= 1e-7
 
     def test_monotone_ascent(self):
-        ens = random_ensemble(4, (2, 2), seed=14)
-        u0 = haar_unitary(4, np.random.default_rng(0))
-        space = _horizontal(ens.rank_signature)
-        _, values = _newton(np.asarray(ens.weighted_states()), u0, space)
-        assert len(values) > 1
-        diffs = np.diff(np.array(values))
-        assert np.all(diffs >= -1e-12)
+        # Newton alone, from Haar starts: ||R||_F falls at every accepted step
+        # and ends at solve's optimum
+        for sig in ((2, 2), (1, 1, 1, 1), (2, 1, 1), (3, 2, 1)):
+            ens = random_ensemble(sum(sig), sig, seed=14)
+            optimum = solve(ens)
+            for seed in range(3):
+                blocks, b = _haar_weights(ens, seed)
+                u, norms = _newton(ens.psi, blocks, b)
+                assert len(norms) > 1 and norms[-1] <= 1e-13
+                assert np.all(np.diff(np.array(norms)) < 0.0)
+                result = _finish(ens, u, len(norms) - 1, DEFAULT_TOL)
+                assert result.certified
+                assert result.success_prob == pytest.approx(optimum.success_prob, abs=1e-14)
+                for a, c in zip(result.measurement.projectors, optimum.measurement.projectors):
+                    assert np.abs(a - c).max() <= 1e-7
 
     def test_rejected_step_is_halved(self, monkeypatch):
         # the first trial step is reversed, so Newton must reject it and halve
         ens = inverse_map(near_collinear(4, (1, 1, 1, 1), 0.03, 1))[0]
-        u0 = haar_unitary(4, np.random.default_rng(0))
-        space = _horizontal(ens.rank_signature)
+        blocks, b = _haar_weights(ens, 0)
         trials = []
 
-        def reversed_once(h, t=1.0):
-            trials.append(t)
-            return expi_herm(h, -t if len(trials) == 1 else t)
+        def reversed_once(b, blocks, z):
+            trials.append(z.copy())
+            return _chart(b, blocks, -z if len(trials) == 1 else z)
 
-        monkeypatch.setattr("medli.solver.expi_herm", reversed_once)
-        u, values = _newton(np.asarray(ens.weighted_states()), u0, space)
-        assert len(trials) > len(values) - 1
-        assert np.all(np.diff(np.array(values)) >= -1e-15)
-        assert _finish(ens, u, len(values) - 1, DEFAULT_TOL).certified
+        monkeypatch.setattr("medli.solver._chart", reversed_once)
+        u, norms = _newton(ens.psi, blocks, b)
+        assert len(trials) > len(norms) - 1
+        np.testing.assert_array_equal(trials[1], trials[0] / 2.0)
+        assert np.all(np.diff(np.array(norms)) < 0.0)
+        assert _finish(ens, u, len(norms) - 1, DEFAULT_TOL).certified
 
     def test_a_failing_start_propagates(self, monkeypatch):
         # one start: its error is the solve's, with no second start and no wrapper
@@ -176,7 +207,7 @@ class TestSolve:
         starts, draws = [], []
 
         def counted_start(*args):
-            starts.append(args[3])
+            starts.append(args[1])
             return _restart(*args)
 
         def counted_draw(*args):
@@ -192,49 +223,35 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_pgm_start_reaches_the_stiff_d10_optimum(self, seed):
-        # near-collinear pure Q at d = 10, noise 1e-3: from the PGM start the
-        # solve takes 69 and 78 iterations, which NEWTON_ROUNDS must allow
+        # near-collinear pure Q at d = 10, noise 1e-3: from the PGM start a
+        # Newton on the horizontal generators of U took 69 and 78 iterations,
+        # Newton on the reweighting of Psi takes 9 and 13
         ens = near_collinear(10, (1,) * 10, 1e-3, seed)
-        space = _horizontal(ens.rank_signature)
-        result = _restart(ens, ens.weighted_states(), space, _pgm_unitary(ens), DEFAULT_TOL)
+        result = _restart(ens, _pgm_unitary(ens), DEFAULT_TOL)
         assert result.report.hermiticity_residual <= 1e-12
 
     @pytest.mark.parametrize(
         "sig", [(1, 1, 1, 1), (2, 1, 1), (1, 1, 1, 1, 1), (3, 2), (2, 2, 2), (1, 2, 3)]
     )
     def test_analytic_derivatives_match_central_differences(self, sig):
-        dim = sum(sig)
-        ens = random_ensemble(dim, sig, seed=17)
-        weighted = ens.weighted_states()
-        slices = _signature_slices(sig)
-        u = haar_unitary(dim, np.random.default_rng(dim))
-        space = _horizontal(sig)
-        k = u.conj().T @ _k_times(weighted, sig, u)
-        value, grad = space.value_and_gradient(k)
-        hess = space.hessian(u.conj().T @ weighted @ u, k)
-        n = dim * dim - sum(r * r for r in sig)
-        assert grad.shape == (n,) and hess.shape == (n, n)
+        # the Jacobian of R's coordinates along the chart B exp(t X / 2)
+        ens = random_ensemble(sum(sig), sig, seed=17)
+        blocks, b = _haar_weights(ens, sum(sig))
+        n = sum(r * r for r in sig)
+        _, r, jacobian = _residual(ens.psi, blocks, b)
+        jac = jacobian()
+        assert r.shape == (n,) and jac.shape == (n, n)
 
         def f(z):
-            moved = u @ expi_herm(space.generator(z))
-            return _objective(weighted, _projectors_from_unitary(moved, slices))
+            return blocks.real(_residual(ens.psi, blocks, _chart(b, blocks, z))[1])
 
-        assert value == pytest.approx(f(np.zeros(n)), abs=1e-14)
-        unit = np.eye(n)
-        h = 1e-5
-        fd_grad = np.array([(f(h * e) - f(-h * e)) / (2 * h) for e in unit])
-        np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-9)
-        h = 1e-4
-        fd_hess = np.array(
-            [
-                [
-                    (f(h * (a + b)) - f(h * (a - b)) - f(h * (b - a)) + f(-h * (a + b))) / (4 * h * h)
-                    for b in unit
-                ]
-                for a in unit
-            ]
-        )
-        np.testing.assert_allclose(hess, fd_hess, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(f(np.zeros(n)), blocks.real(r), rtol=0, atol=1e-15)
+        h = 1e-6
+        fd = np.array([(f(h * e) - f(-h * e)) / (2 * h) for e in np.eye(n)]).T
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-8)
+        # X = I only rescales B, so R does not move along it
+        ones = np.where(blocks.rows == blocks.cols, 1.0, 0.0)
+        assert np.abs(jac @ ones).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "dim, noise, seed",
@@ -347,7 +364,6 @@ class TestFrame:
                 weighted = ens.weighted_states()
                 slices = _signature_slices(sig)
                 u = haar_unitary(dim, np.random.default_rng(seed))
-                space = _horizontal(sig)
                 m = _k_times(weighted, sig, u)
                 # one batched mat-vec per run, bit for bit the per-coordinate gather
                 labels = np.repeat(np.arange(len(sig)), sig)
@@ -356,16 +372,31 @@ class TestFrame:
                 projectors = _projectors_from_unitary(u, slices)
                 expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
                 assert np.linalg.norm(k - expected) <= 1e-13 * np.linalg.norm(expected)
-                _, grad = space.value_and_gradient(k)
-                report = certify_simplified(ens, _measurement(u, ens, DEFAULT_TOL))
-                assert np.linalg.norm(grad) == pytest.approx(report.hermiticity_residual, rel=1e-12)
+                # B = blockdiag(C_ii): polar(Psi B) is the polar step polar(K U), and
+                # column block i of K~ there is S_{:,i} (B_i^dag B_i)^{-1} S_ii
+                left, _, right = np.linalg.svd(m)
+                blocks = _blocks(sig)
+                b = _diagonal_blocks(ens.psi.conj().T @ u, blocks)
+                moved, _, _ = _residual(ens.psi, blocks, b)
+                assert np.linalg.norm(moved - left @ right) <= 1e-12 * np.sqrt(dim)
+                k = moved.conj().T @ _k_times(weighted, sig, moved)
+                s = moved.conj().T @ ens.psi @ b
+                for block in slices:
+                    bb = b[block, block].conj().T @ b[block, block]
+                    formed = s[:, block] @ np.linalg.solve(bb, s[block, block])
+                    assert np.linalg.norm(k[:, block] - formed) <= 1e-11 * np.linalg.norm(k)
 
     def test_one_shared_read_only_space_per_signature(self):
-        space = _horizontal((2, 1, 1))
-        assert _horizontal((2, 1, 1)) is space
-        assert _horizontal((1, 2, 1)) is not space
-        assert space.signature == (2, 1, 1)
-        for arr in (space.rows, space.cols):
+        blocks = _blocks((2, 1, 1))
+        assert _blocks((2, 1, 1)) is blocks
+        assert _blocks((1, 2, 1)) is not blocks
+        assert blocks.signature == (2, 1, 1)
+        # O(d^2) indices: the entries of the diagonal blocks, and no direction basis
+        np.testing.assert_array_equal(blocks.rows, [0, 0, 1, 1, 2, 3])
+        np.testing.assert_array_equal(blocks.cols, [0, 1, 0, 1, 2, 3])
+        np.testing.assert_array_equal(blocks.flip, [0, 2, 1, 3, 4, 5])
+        for arr in (blocks.rows, blocks.cols, blocks.flip, blocks.coef):
+            assert arr.shape == (6,)
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -394,8 +425,8 @@ class TestPolarSteps:
             weighted = ens.weighted_states()
             slices = _signature_slices(sig)
             u = haar_unitary(dim, np.random.default_rng(dim))
-            moved, steps = _polar_steps(weighted, u, _horizontal(sig))
-            assert steps == 1
+            moved, steps, settled = _polar_steps(weighted, u, sig)
+            assert steps == 1 and not settled
             projectors = _projectors_from_unitary(u, slices)
             left, _, right = np.linalg.svd(u.conj().T @ (weighted @ projectors).sum(axis=0) @ u)
             expected = u @ left @ right
@@ -408,9 +439,8 @@ class TestPolarSteps:
             for seed in range(2):
                 ens = generate_fixed_point(dim, sig, seed=seed)
                 u, _, _ = _polar(ens)
-                space = _horizontal(sig)
-                moved, steps = _polar_steps(np.asarray(ens.weighted_states()), u, space)
-                assert steps == 0
+                moved, steps, settled = _polar_steps(np.asarray(ens.weighted_states()), u, sig)
+                assert steps == 0 and settled
                 assert moved is u
 
     @pytest.mark.parametrize(
@@ -428,14 +458,14 @@ class TestPolarSteps:
             ens = inverse_map(near_collinear(dim, sig, noise, seed=1))[0]
         weighted = ens.weighted_states()
         slices = _signature_slices(sig)
-        stack, space = np.asarray(weighted), _horizontal(sig)
+        stack = np.asarray(weighted)
         rng = np.random.default_rng(dim)
         taken = 0
         for _ in range(3):
             u = haar_unitary(dim, rng)
             value = _objective(weighted, _projectors_from_unitary(u, slices))
             for _ in range(30):
-                u, steps = _polar_steps(stack, u, space)
+                u, steps, _ = _polar_steps(stack, u, sig)
                 if steps == 0:
                     break
                 taken += 1
@@ -532,21 +562,43 @@ class TestWork:
         known = success_probability(pre_image, measurement)
         assert abs(result.success_prob - known) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [32, 64])
+    def test_certifies_stiff_pure_known_answers_at_scale(self, dim):
+        # near-collinear P, noise 1e-2: a Newton on the d^2 - d horizontal
+        # generators of U took 7.0 s at d = 32 and 503 s at d = 64
+        pre_image, measurement, _, _ = inverse_map(near_collinear(dim, (1,) * dim, 1e-2, 1))
+        result = solve(pre_image)
+        assert result.certified
+        assert result.iterations <= 15
+        known = success_probability(pre_image, measurement)
+        assert abs(result.success_prob - known) <= 1e-12
+
     def test_neither_phase_copies_the_stack_per_coordinate(self):
-        # K U reads the weighted stack in place, so each phase peaks far below
-        # one (d, d, d) stack (4.19 MB at d = 64); the Newton phase starts at
-        # the optimum, where it builds no Hessian
-        pre_image, measurement, _, _ = inverse_map(random_ensemble(64, (1,) * 64, seed=3))
-        stack, space = pre_image.weighted_states(), _horizontal(pre_image.rank_signature)
+        # K U reads the weighted stack in place, so the polar phase peaks far
+        # below one (d, d, d) stack (4.19 MB at d = 64). The Newton phase, run
+        # on the stiff d = 64 P where it builds Jacobians, stays below 16 such
+        # stacks; a Hessian over the horizontal generators of U needs ~1 GB there
+        pre_image = inverse_map(random_ensemble(64, (1,) * 64, seed=3))[0]
+        stack, sig = pre_image.weighted_states(), pre_image.rank_signature
         start = haar_unitary(64, np.random.default_rng(3))
-        for phase, u in ((_polar_steps, start), (_newton, measurement._basis)):
+        stiff = inverse_map(near_collinear(64, (1,) * 64, 1e-2, 1))[0]
+        u, _, settled = _polar_steps(stiff.weighted_states(), _pgm_unitary(stiff), sig)
+        assert not settled
+        blocks = _blocks(sig)
+        b = _diagonal_blocks(stiff.psi.conj().T @ u, blocks)
+        phases = (
+            (_polar_steps, (stack, start, sig), stack.nbytes / 4),
+            (_newton, (stiff.psi, blocks, b), 16 * stack.nbytes),
+        )
+        for phase, args, bound in phases:
             tracemalloc.start()
             try:
-                phase(stack, u, space)
+                out = phase(*args)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < stack.nbytes / 4
+            assert peak < bound
+        assert len(out[1]) > 1
 
     def test_qubit_pair_iterations_do_not_rise(self):
         # 1131 summed iterations before polar steps read K U instead of every frame
@@ -556,7 +608,8 @@ class TestWork:
 
     def test_near_collinear_known_answer_iterations_do_not_rise(self):
         # 48 of the 60 Q's are inside COND_LIMIT; their solves summed 495
-        # iterations before polar steps read K U instead of every frame
+        # iterations with a Newton on the horizontal generators of U, and 347
+        # with Newton on the block reweighting of Psi
         total = built = 0
         for dim in (4, 6, 8, 12, 16):
             for noise in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5):
@@ -574,4 +627,4 @@ class TestWork:
                     assert abs(result.success_prob - known) <= 1e-12
                     total += result.iterations
         assert built == 48
-        assert total <= 495
+        assert total <= 347
