@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import OPTIMAL, CertificationReport, _full_rule, certify_simplified
-from .ensembles import Ensemble, ProjectiveMeasurement, _block_norms2, _from_factors, _runs, rank_matched
+from .ensembles import Ensemble, ProjectiveMeasurement, _block_norms2, _from_factors, _layout, rank_matched
 from .errors import NotOptimalPair, SolverFailed
 from .linalg import DEFAULT_TOL, Tolerances
 from .pgm import _measurement, _polar
@@ -75,10 +75,10 @@ def _whitened(frame: np.ndarray, signature) -> np.ndarray:
 
     Column block i, H_i = G[:, i] L_i^{-dag}, has H_i H_i^dag =
     G[:, i] A_i^{-1} G[i, :]. G is Hermitian, so H_i^dag = L_i^{-1} G[i, :]:
-    one batched Cholesky and one batched solve per run of equal ranks (``_runs``).
+    one batched Cholesky and one batched solve per run of equal ranks (``_Layout.runs``).
     """
     out = np.empty_like(frame)
-    for _, cols, k, r in _runs(signature):
+    for _, cols, k, r in _layout(signature).runs:
         rows = frame[cols].reshape(k, r, -1)
         chol = np.linalg.cholesky(np.einsum("iaib->iab", rows[..., cols].reshape(k, r, k, r)))
         out[:, cols] = np.linalg.solve(chol, rows).conj().transpose(2, 0, 1).reshape(-1, k * r)

@@ -42,9 +42,9 @@ from .ensembles import (
     ProjectiveMeasurement,
     _block_norms2,
     _frozen,
+    _layout,
     _pair,
     _Pairing,
-    _signature_slices,
     rank_matched,
 )
 from .linalg import DEFAULT_TOL, Tolerances, herm, hermiticity_defect
@@ -203,15 +203,13 @@ def fixpoint_check(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Fixpoin
     the average state. c is estimated as the trace mean, which minimizes the
     Frobenius residual and makes the test sharpest. The test is read in the
     PGM's block frame, G = W^dag rho^{1/2} W with W the PGM unitary: there the
-    pinching keeps the diagonal blocks G_ii, and the Frobenius residual is
-    unchanged by the unitary change of frame. G comes alone from the gated
-    SVD of Psi (``pgm._frame``); neither W nor rho^{1/2} is formed.
+    pinching keeps the diagonal blocks G_ii (``_Layout.diagonal``), and the
+    Frobenius residual is unchanged by the unitary change of frame. G comes
+    alone from the gated SVD of Psi (``pgm._frame``); neither W nor rho^{1/2} is formed.
     """
     _, s, vh = _psi_svd(ensemble)
     frame = _frame(s, vh)
-    pinched = np.zeros_like(frame)
-    for block in _signature_slices(ensemble.rank_signature):
-        pinched[block, block] = frame[block, block]
+    pinched = _layout(ensemble.rank_signature).diagonal(frame)
     c_estimate = float(np.trace(frame).real) / ensemble.dim
     residual = float(np.linalg.norm(pinched - c_estimate * np.eye(ensemble.dim)))
     return FixpointResult(

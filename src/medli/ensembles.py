@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,8 +52,10 @@ from .linalg import (
     expi_herm,
     haar_unitary,
     herm,
+    is_number,
     random_hermitian,
     rank_cutoff_mask,
+    seeded_rng,
 )
 
 
@@ -95,9 +98,9 @@ class Ensemble:
         return _frozen(self.priors[:, None, None] * self.states)
 
 
-def _projectors_from_unitary(u: np.ndarray, slices) -> np.ndarray:
-    """The (m, d, d) stack of projectors U_i U_i^dag onto a unitary's column blocks."""
-    return herm(np.array([u[:, s] @ u[:, s].conj().T for s in slices]))
+def _projectors_from_unitary(u: np.ndarray, signature: tuple[int, ...]) -> np.ndarray:
+    """The (m, d, d) stack of projectors U_i U_i^dag onto a unitary's column blocks of the signature."""
+    return herm(np.array([u[:, s] @ u[:, s].conj().T for s in _layout(signature).slices]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +124,7 @@ class ProjectiveMeasurement:
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(_frozen(_projectors_from_unitary(self._basis, _signature_slices(self.rank_signature))))
+        return tuple(_frozen(_projectors_from_unitary(self._basis, self.rank_signature)))
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         return self._basis, self._basis, self.rank_signature
@@ -194,16 +197,12 @@ def _k_times(weighted: np.ndarray, signature: tuple[int, ...], x: np.ndarray) ->
     """Column block i of x, of ``signature[i]`` columns, times W_i = ``weighted[i]``.
 
     For x = U unitary this is K U, K = sum_i W_i U_i U_i^dag; for x = L, the
-    pairing's W L. Each run of k states of rank r (``_runs``) is one batched
-    mat-vec, W_i broadcast over its r columns, so nothing is gathered by index;
-    several runs fill one output, run by run.
+    pairing's W L. Each run of k states of rank r (``_Layout.runs``) is one
+    batched mat-vec, W_i broadcast over its r columns, so nothing is gathered
+    by index; the runs fill one output, run by run.
     """
-    runs = _runs(signature)
-    if len(runs) == 1:
-        k, r = len(signature), signature[0]
-        return (weighted @ x.reshape(-1, k, r).T[..., None])[..., 0].T.reshape(-1, k * r)
     out = np.empty(x.shape, dtype=complex)
-    for run, cols, k, r in runs:
+    for run, cols, k, r in _layout(signature).runs:
         out[:, cols] = (weighted[run] @ x[:, cols].reshape(-1, k, r).T[..., None])[..., 0].T.reshape(-1, k * r)
     return out
 
@@ -239,38 +238,66 @@ def _pair(ensemble: Ensemble, measurement) -> _Pairing:
 
 
 def check_signature(dim: int, rank_signature) -> tuple[int, ...]:
-    """The signature as a tuple of ints: at least two positive ranks summing to dim."""
-    sig = tuple(int(r) for r in rank_signature)
-    if len(sig) < 2 or any(r < 1 for r in sig) or sum(sig) != dim:
-        raise InvalidSignature(f"signature {sig} is invalid for dim {dim}")
-    return sig
+    """The signature as a tuple of ints: at least two positive integer ranks summing to dim."""
+    ranks = tuple(rank_signature) if np.iterable(rank_signature) else ()
+    if len(ranks) < 2 or not all(is_number(r, numbers.Integral) and r >= 1 for r in ranks) or sum(ranks) != dim:
+        raise InvalidSignature(f"signature {rank_signature!r} is invalid for dim {dim}")
+    return tuple(int(r) for r in ranks)
 
 
-def _signature_slices(signature) -> list[slice]:
-    """Consecutive coordinate blocks of sizes r_1, r_2, ..., one per state."""
-    ends = itertools.accumulate(signature)
-    return [slice(end - r, end) for r, end in zip(signature, ends)]
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The blocks of one rank signature, shared read-only: ``_layout`` makes one per signature.
+
+    ``slices`` holds each state's coordinates, and ``runs`` (states, coordinates,
+    k, r) for each maximal run of k states of rank r, as slices, so a run's blocks
+    are a reshape. The ``entries`` of the diagonal blocks are built on first use.
+    """
+
+    signature: tuple[int, ...]
+    slices: tuple[slice, ...]
+    runs: tuple[tuple[slice, slice, int, int], ...]
+
+    @functools.cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, flip, coef): diagonal-block entry q is (rows[q], cols[q]), row-major.
+
+        flip[q] is its transpose. A block-diagonal Hermitian X has the real coordinates
+        z_q = Re X_ab for a <= b, Im X_ba for a > b, and entries coef z + (conj(coef) z)[flip].
+        """
+        labels = np.repeat(np.arange(len(self.signature)), self.signature)
+        rows, cols = np.nonzero(labels[:, None] == labels)
+        coef = np.where(rows < cols, 1.0, np.where(rows > cols, -1j, 0.5))
+        return tuple(map(_frozen, (rows, cols, np.lexsort((rows, cols)), coef)))
+
+    def diagonal(self, mat: np.ndarray) -> np.ndarray:
+        """The pinching of ``mat``: its diagonal blocks, and zeros elsewhere."""
+        out = np.zeros_like(mat)
+        out[self.entries[:2]] = mat[self.entries[:2]]
+        return out
+
+    def real(self, values: np.ndarray) -> np.ndarray:
+        """The coordinates of block-diagonal Hermitian matrices, from their entries along axis 0."""
+        rows, cols, _, _ = self.entries
+        return np.where(rows <= cols, values.T.real, -values.T.imag).T
 
 
 @functools.lru_cache(maxsize=None)
-def _runs(signature: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int], ...]:
-    """(states, coordinates, k, r) for each maximal run of k consecutive states of rank r.
-
-    The states and their k r coordinates are slices, so a run's blocks are a
-    reshape, and one batched call serves its states with nothing gathered.
-    """
+def _layout(signature: tuple[int, ...]) -> _Layout:
+    """The one ``_Layout`` of a rank signature."""
     runs, state, col = [], 0, 0
     for r, run in itertools.groupby(signature):
         k = len(list(run))
         runs.append((slice(state, state + k), slice(col, col + k * r), k, r))
         state, col = state + k, col + k * r
-    return tuple(runs)
+    slices = tuple(slice(c, c + r) for _, cols, _, r in runs for c in range(cols.start, cols.stop, r))
+    return _Layout(signature, slices, tuple(runs))
 
 
 def _block_sums(columns: np.ndarray, signature) -> np.ndarray:
     """Per-column values summed over each column block of the signature's sizes."""
     sums = np.empty(len(signature))
-    for run, cols, k, r in _runs(signature):
+    for run, cols, k, r in _layout(signature).runs:
         sums[run] = columns[cols].reshape(k, r).sum(axis=1)
     return sums
 
@@ -304,10 +331,10 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _as_array(item) -> np.ndarray | None:
-    """The item as a complex array, or None if numpy cannot read it as one (ragged, text)."""
+def _as_array(item, dtype=complex) -> np.ndarray | None:
+    """The item as an array of ``dtype``, or None if numpy cannot read it as one (ragged, text)."""
     try:
-        return np.asarray(item, dtype=complex)
+        return np.asarray(item, dtype=dtype)
     except (TypeError, ValueError):
         return None
 
@@ -369,7 +396,10 @@ def validate_ensemble(priors, states, tol: Tolerances = DEFAULT_TOL) -> Ensemble
     Raises PriorsInvalid, StateNotDensity, RankSumMismatch, or
     NotLinearlyIndependent naming the first violated invariant and state.
     """
-    pr = np.asarray(priors, dtype=float).flatten()
+    pr = _as_array(priors, object)
+    if pr is None or not all(is_number(x, numbers.Real) for x in pr.flat):
+        raise PriorsInvalid(f"priors must be real numbers, got {priors!r}")
+    pr = pr.astype(float).flatten()
     stack = _square_stack(states, "state", StateNotDensity)
     m, dim = stack.shape[0], stack.shape[-1]
     if m < 2:
@@ -405,7 +435,7 @@ def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) ->
     maps; outside input goes through ``validate_ensemble``. No d x d matrix
     is eigendecomposed. The priors are ||F_i||_F^2 / ||F||_F^2, and the
     states F_i F_i^dag / ||F_i||_F^2 come from one batched product per run
-    of equal ranks (``_runs``). One thin SVD per run, O(d r_i^2) per state,
+    of equal ranks (``_Layout.runs``). One thin SVD per run, O(d r_i^2) per state,
     gives the ranks, by ``validate_ensemble``'s ``tol_rank`` rule on the
     squared singular values, and the left singular vectors, on which
     ``_li_ranks`` runs the same LI test. ``psi`` is f / ||F||_F. Raises
@@ -419,7 +449,7 @@ def _from_factors(f: np.ndarray, signature: tuple[int, ...], tol: Tolerances) ->
     ranks = np.empty(len(signature), dtype=int)
     left = np.empty_like(f)
     states = np.empty((len(signature), dim, dim), dtype=complex)
-    for run, cols, k, r in _runs(signature):
+    for run, cols, k, r in _layout(signature).runs:
         blocks = f[:, cols].reshape(dim, k, r).transpose(1, 0, 2)
         u, s, _ = np.linalg.svd(blocks, full_matrices=False)
         ranks[run] = rank_cutoff_mask(s * s, tol).sum(axis=1)
@@ -525,10 +555,10 @@ def random_ensemble(dim: int, rank_signature, seed: int, tol: Tolerances = DEFAU
     ``validate_ensemble``, may raise NotLinearlyIndependent.
     """
     sig = check_signature(dim, rank_signature)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     u = haar_unitary(dim, rng)
     states = []
-    for block in _signature_slices(sig):
+    for block in _layout(sig).slices:
         cols = u[:, block]
         lam = rng.uniform(0.25, 1.0, size=cols.shape[1])
         lam /= lam.sum()

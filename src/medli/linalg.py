@@ -19,6 +19,11 @@ import numpy as np
 _TOL_FIELDS = ("tol_herm", "tol_psd", "tol_rank", "tol_recon", "tol_fixpoint")
 
 
+def is_number(value, kind) -> bool:
+    """Whether value is of the ``numbers`` class ``kind`` and no bool: True is no tolerance, rank or seed."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared across the package.
@@ -38,9 +43,7 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in _TOL_FIELDS:
             value = getattr(self, name)
-            # bool is an Integral, but True is no tolerance: it would be a margin of 1
-            numeric = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not numeric or not np.isfinite(value) or value < 0:
+            if not is_number(value, numbers.Real) or not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
     def replace(self, **overrides) -> "Tolerances":
@@ -83,6 +86,13 @@ def orthonormalize(mat: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(mat)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for the seed of a seeded entry point, a nonnegative integer, else ValueError."""
+    if not is_number(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -68,17 +68,16 @@ def _pgm_unitary(ensemble: Ensemble) -> np.ndarray:
 def _frame(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """G = W^dag sigma^{1/2} W = V S V^dag, from the factors S and V^dag of ``_psi_svd``.
 
-    Column block i of the PGM unitary W (``_signature_slices``) spans PGM
-    projector i, so G is sigma^{1/2} in the PGM's block frame.
+    Column block i of the PGM unitary W (``_Layout.slices``) spans PGM projector
+    i, so G is sigma^{1/2} in the PGM's block frame; of Psi B, it is Newton's S.
     """
     return herm((vh.conj().T * s) @ vh)
 
 
 def _polar(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, G, sigma^{1/2}) from one SVD of Psi; ``_measurement`` checks W when it builds from it."""
+    """(W, G, sigma^{1/2}) from one SVD of Psi, the last two by ``_frame``; ``_measurement`` checks W."""
     u, s, vh = _psi_svd(ensemble)
-    sigma_sqrt = herm((u * s) @ u.conj().T)
-    return u @ vh, _frame(s, vh), sigma_sqrt
+    return u @ vh, _frame(s, vh), _frame(s, u.conj().T)
 
 
 def pgm(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> ProjectiveMeasurement:

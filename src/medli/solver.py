@@ -25,7 +25,6 @@ oracle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +33,16 @@ from .certify import OPTIMAL, CertificationReport, certify_simplified
 from .ensembles import (
     Ensemble,
     ProjectiveMeasurement,
-    _frozen,
     _k_times,
+    _Layout,
+    _layout,
     _projectors_from_unitary,
-    _signature_slices,
     check_signature,
     validate_ensemble,
 )
 from .errors import BudgetExceeded, NotTwoState, SigmaSingular
-from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian
-from .pgm import _measurement, _pgm_unitary
+from .linalg import DEFAULT_TOL, Tolerances, expi_herm, haar_unitary, herm, random_hermitian, seeded_rng
+from .pgm import _frame, _measurement, _pgm_unitary
 
 # A start takes at most this many polar steps before Newton.
 POLAR_STEPS = 30
@@ -109,46 +108,17 @@ def _hermitian_generators(dim: int) -> list[np.ndarray]:
     return gens
 
 
-@dataclass(frozen=True, eq=False)
-class _Blocks:
-    """The entries of the diagonal blocks of one rank signature: Newton's coordinates.
-
-    Entry q is (``rows[q]``, ``cols[q]``), row-major, and ``flip[q]`` is its
-    transpose. A block-diagonal Hermitian X has one real coordinate per
-    entry: z_q = Re X_ab for a <= b, Im X_ba for a > b. Its entries are
-    ``coef`` z + (conj(``coef``) z)[``flip``].
-    """
-
-    signature: tuple[int, ...]
-    rows: np.ndarray
-    cols: np.ndarray
-    flip: np.ndarray
-    coef: np.ndarray
-
-    def real(self, entries: np.ndarray) -> np.ndarray:
-        """The coordinates of block-diagonal Hermitian matrices, from their entries along axis 0."""
-        return np.where(self.rows <= self.cols, entries.T.real, -entries.T.imag).T
-
-
-@functools.lru_cache(maxsize=None)
-def _blocks(signature: tuple[int, ...]) -> _Blocks:
-    """The block entries of one rank signature, O(d^2) indices, built once and shared read-only."""
-    labels = np.repeat(np.arange(len(signature)), signature)
-    rows, cols = np.nonzero(labels[:, None] == labels)
-    coef = np.where(rows < cols, 1.0, np.where(rows > cols, -1j, 0.5))
-    return _Blocks(signature, *map(_frozen, (rows, cols, np.lexsort((rows, cols)), coef)))
-
-
-def _residual(psi: np.ndarray, blocks: _Blocks, b: np.ndarray):
-    """(U, R, J) at the block-diagonal reweighting B of Psi.
+def _residual(psi: np.ndarray, layout: _Layout, b: np.ndarray):
+    """(U, R, tau, J) at the block-diagonal reweighting B of Psi.
 
     One SVD Psi B = W Sigma V^dag gives U = W V^dag and S = V Sigma V^dag =
-    (B^dag Psi^dag Psi B)^{1/2}. Column block i of K U is Psi_i C_ii,
+    (B^dag Psi^dag Psi B)^{1/2} (``pgm._frame``). Column block i of K U is Psi_i C_ii,
     C = Psi^dag U = B^{-dag} S, so column block i of K~ = U^dag K U is
     S_{:,i} (B_i^dag B_i)^{-1} S_ii. R holds the block entries of
     R_i = T_i / tau - I, T_i = B_i^{-dag} S_ii B_i^{-1}, tau = sum_i Tr T_i / d.
     At R = 0, S_ii = tau B_i^dag B_i, so K~ = tau S is Hermitian and PD: the
-    simplified condition, at the PGM of {Psi_i B_i B_i^dag Psi_i^dag}.
+    simplified condition, at the PGM of {Psi_i B_i B_i^dag Psi_i^dag}. At
+    B = I, the PGM, tau and tau ||R||_F are ``fixpoint_check``'s c and residual.
 
     J() is the Jacobian of R's coordinates in those of X along the chart
     B exp(X / 2): dS = V ((V^dag X V / 2) o H) V^dag, H_kl = (s_k^2 + s_l^2) /
@@ -156,9 +126,10 @@ def _residual(psi: np.ndarray, blocks: _Blocks, b: np.ndarray):
     Both are complex-linear in X's entries, so J is formed on unit entries,
     with one (N, d^2) product, N = sum_i r_i^2, and then made Hermitian.
     """
-    rows, cols, diag = blocks.rows, blocks.cols, blocks.rows == blocks.cols
+    rows, cols, flip, coef = layout.entries
+    diag = rows == cols
     w, sigma, vh = np.linalg.svd(psi @ b)
-    s = (vh.conj().T * sigma) @ vh
+    s = _frame(sigma, vh)
     inv = np.linalg.inv(b)
     t = (inv.conj().T @ s @ inv)[rows, cols]
     tau = float(t[diag].real.sum()) / len(b)
@@ -170,29 +141,23 @@ def _residual(psi: np.ndarray, blocks: _Blocks, b: np.ndarray):
         ds = 0.5 * (p * h.ravel()) @ p.conj().T
         xs = (rows[:, None] == rows) * s[cols, cols[:, None]] + (cols[:, None] == cols) * s[rows[:, None], rows]
         dt = (inv[rows, rows[:, None]].conj() * inv[cols, cols[:, None]]) @ (ds - 0.5 * xs)
-        dt = dt * blocks.coef + dt[:, blocks.flip] * blocks.coef.conj()
+        dt = dt * coef + dt[:, flip] * coef.conj()
         dtau = dt[diag].real.sum(axis=0) / len(b)
-        return blocks.real(dt / tau - np.outer(t, dtau) / tau**2)
+        return layout.real(dt / tau - np.outer(t, dtau) / tau**2)
 
-    return w @ vh, t / tau - diag, jacobian
+    return w @ vh, t / tau - diag, tau, jacobian
 
 
-def _chart(b: np.ndarray, blocks: _Blocks, z: np.ndarray) -> np.ndarray:
+def _chart(b: np.ndarray, layout: _Layout, z: np.ndarray) -> np.ndarray:
     """B exp(X / 2) for the block-diagonal Hermitian X of coordinates z."""
+    rows, cols, flip, coef = layout.entries
     x = np.zeros_like(b)
-    x[blocks.rows, blocks.cols] = blocks.coef * z + (blocks.coef.conj() * z)[blocks.flip]
+    x[rows, cols] = coef * z + (coef.conj() * z)[flip]
     w, v = np.linalg.eigh(x)
-    return b @ _diagonal_blocks((v * np.exp(w / 2.0)) @ v.conj().T, blocks)
+    return b @ layout.diagonal((v * np.exp(w / 2.0)) @ v.conj().T)
 
 
-def _diagonal_blocks(c: np.ndarray, blocks: _Blocks) -> np.ndarray:
-    """The diagonal blocks of C. For C = Psi^dag U, polar(Psi B) is U's next polar step."""
-    b = np.zeros_like(c)
-    b[blocks.rows, blocks.cols] = c[blocks.rows, blocks.cols]
-    return b
-
-
-def _newton(psi: np.ndarray, blocks: _Blocks, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _newton(psi: np.ndarray, layout: _Layout, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Newton on the reweighting B of Psi (``_residual``), in the chart B exp(X / 2).
 
     X is Hermitian and block-diagonal, sum_i r_i^2 reals: log b_i^2 for pure
@@ -202,16 +167,16 @@ def _newton(psi: np.ndarray, blocks: _Blocks, b: np.ndarray) -> tuple[np.ndarray
     cannot lower it, or after NEWTON_ROUNDS steps. Returns polar(Psi B) at
     the last B and ||R||_F after each accepted step, starting with B's own.
     """
-    u, r, jacobian = _residual(psi, blocks, b)
+    u, r, _, jacobian = _residual(psi, layout, b)
     norms = [float(np.linalg.norm(r))]
     for _ in range(NEWTON_ROUNDS):
         if norms[-1] <= 1e-13:
             break
-        step = np.linalg.lstsq(jacobian(), -blocks.real(r), rcond=None)[0]
+        step = np.linalg.lstsq(jacobian(), -layout.real(r), rcond=None)[0]
         step *= 2.0 / max(2.0, float(np.abs(step).max()))
         for _ in range(31):
-            candidate = _chart(b, blocks, step)
-            cand_u, cand_r, cand_jacobian = _residual(psi, blocks, candidate)
+            candidate = _chart(b, layout, step)
+            cand_u, cand_r, _, cand_jacobian = _residual(psi, layout, candidate)
             norm = float(np.linalg.norm(cand_r))
             if norm < norms[-1]:
                 b, u, r, jacobian = candidate, cand_u, cand_r, cand_jacobian
@@ -233,7 +198,7 @@ def _polar_steps(stack: np.ndarray, u: np.ndarray, signature: tuple[int, ...]) -
     ||polar(M) - U||_F = ||polar(K~) - I||_F vanishes exactly at the
     measurements the simplified optimality condition accepts. Each new Pi_j
     is the PGM of {p_j rho_j Pi_j rho_j p_j} (the Jezek-Rehacek-Fiurasek
-    iteration), a reweighting of Psi (``_diagonal_blocks``).
+    iteration), polar(Psi B) for the diagonal blocks B of Psi^dag U (``_Layout.diagonal``).
 
     Stops before a step once the defect is below 1e-13 (then the third
     value returned is True), once it exceeds half the previous one (the
@@ -272,8 +237,8 @@ def _restart(ensemble: Ensemble, u0, tol: Tolerances) -> SolveResult:
     """
     u, steps, settled = _polar_steps(ensemble.weighted_states(), u0, ensemble.rank_signature)
     if not settled:
-        blocks = _blocks(ensemble.rank_signature)
-        u, norms = _newton(ensemble.psi, blocks, _diagonal_blocks(ensemble.psi.conj().T @ u, blocks))
+        layout = _layout(ensemble.rank_signature)
+        u, norms = _newton(ensemble.psi, layout, layout.diagonal(ensemble.psi.conj().T @ u))
         steps += len(norms) - 1
     return _finish(ensemble, u, steps, tol)
 
@@ -318,9 +283,8 @@ def solve_oracle(
     deliberately independent of the Newton machinery in ``solve``.
     """
     check_oracle_size(ensemble)
-    slices = _signature_slices(ensemble.rank_signature)
     weighted = ensemble.weighted_states()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     evals = 0
 
     def value_of(u: np.ndarray) -> float:
@@ -328,7 +292,7 @@ def solve_oracle(
         if evals >= ORACLE_BUDGET:
             raise BudgetExceeded(f"oracle budget of {ORACLE_BUDGET} evaluations exhausted")
         evals += 1
-        return _objective(weighted, _projectors_from_unitary(u, slices))
+        return _objective(weighted, _projectors_from_unitary(u, ensemble.rank_signature))
 
     grid_size = max(64, 40 * ensemble.dim * ensemble.dim)
     grid = [np.eye(ensemble.dim, dtype=complex)]
@@ -418,17 +382,15 @@ def generate_fixed_point(dim: int, rank_signature, seed: int, tol: Tolerances = 
     structure.
     """
     sig = check_signature(dim, rank_signature)
-    rng = np.random.default_rng(seed)
-    slices = _signature_slices(sig)
+    rng = seeded_rng(seed)
     off = random_hermitian(dim, rng)
-    for s in slices:
-        off[s, s] = 0.0
+    off -= _layout(sig).diagonal(off)
     # off != 0 (two or more blocks); scaled to norm 0.5, base's eigenvalues lie in [0.5, 1.5]
     spectral = float(np.abs(np.linalg.eigvalsh(off)).max())
     base = np.eye(dim, dtype=complex) + (0.5 / spectral) * off
     root = base / np.sqrt(float(np.trace(base @ base).real))
     w = haar_unitary(dim, rng)
-    coords = _projectors_from_unitary(np.eye(dim), slices)
+    coords = _projectors_from_unitary(np.eye(dim), sig)
     weighted = herm(w @ (root @ coords @ root) @ w.conj().T)
     priors = np.trace(weighted, axis1=1, axis2=2).real
     return validate_ensemble(priors, weighted / priors[:, None, None], tol)

@@ -30,7 +30,7 @@ from medli import (
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
-from medli.ensembles import _signature_slices
+from medli.ensembles import _layout
 from medli.pgm import _measurement, _polar
 from reference import block_decompose, column_stationarity, is_psd, paper_x_ops, rank_eps
 
@@ -222,7 +222,7 @@ class TestInverseMap:
         for ens in cases:
             _, g, _ = _polar(ens)
             low = np.linalg.eigvalsh(g)[0]
-            for block in _signature_slices(ens.rank_signature):
+            for block in _layout(ens.rank_signature).slices:
                 assert np.linalg.eigvalsh(g[block, block])[0] >= low - 1e-15
 
 
@@ -310,7 +310,7 @@ def test_stacked_maps_match_per_state_loops(dim, sig):
     # number agrees to the bit
     q = random_ensemble(dim, sig, seed=dim)
     w, frame, sigma_sqrt = _polar(q)
-    slices = _signature_slices(sig)
+    slices = _layout(sig).slices
     # F = W G blockdiag(L_i^{-dag}), A_i = G[i, i] = L_i L_i^dag
     whitened = [np.linalg.solve(np.linalg.cholesky(frame[s, s]), frame[s]).conj().T for s in slices]
     factors = w @ np.hstack(whitened)
@@ -353,7 +353,7 @@ def test_factored_maps_match_the_paper_formulas(dim, sig):
     q = random_ensemble(dim, sig, seed=dim)
     w, frame, _ = _polar(q)
     pre_image, measurement, report, sigma_sqrt = inverse_map(q)
-    for s, x in zip(_signature_slices(sig), paper_x_ops(pre_image, report, sigma_sqrt)):
+    for s, x in zip(_layout(sig).slices, paper_x_ops(pre_image, report, sigma_sqrt)):
         col = frame[:, s]
         want = w @ (col @ np.linalg.solve(col[s], col.conj().T)) @ w.conj().T
         assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)

@@ -32,9 +32,10 @@ from medli import (
     validate_projective,
 )
 from medli.certify import _REPORTS, _held_report, _report
-from medli.ensembles import _pair
+from medli.ensembles import _layout, _pair
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
 from medli.pgm import _measurement
+from medli.solver import _residual
 
 ORTH = validate_ensemble([0.5, 0.5], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 ORTH_MEAS = validate_projective([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -329,6 +330,21 @@ class TestFixpointCheck:
         assert eigs[1] - eigs[0] > DEFAULT_TOL.tol_fixpoint
         result = fixpoint_check(ens)
         assert not result.is_fixed
+
+
+    @pytest.mark.parametrize("sig", [(1, 1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 1)])
+    @pytest.mark.parametrize("make", [random_ensemble, generate_fixed_point])
+    def test_newtons_residual_at_the_pgm_is_the_fixed_point_test(self, sig, make):
+        # the paper's fixed-point theorem read by two code paths: at B = I,
+        # the PGM, Newton's S is the PGM frame G, its tau is the trace mean c
+        # and tau ||R||_F is the pinching residual ||sum_i G_ii - c Id||_F
+        for seed in range(3):
+            ens = make(sum(sig), sig, seed=seed)
+            result = fixpoint_check(ens)
+            _, r, tau, _ = _residual(ens.psi, _layout(sig), np.eye(ens.dim, dtype=complex))
+            assert abs(result.c_estimate - tau) <= 1e-15
+            assert abs(result.residual - tau * np.linalg.norm(r)) <= 1e-15
+            assert result.is_fixed == (make is generate_fixed_point)
 
 
 class TestDetectionProfile:

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from medli import (
     certify_simplified,
     detection_profile,
     forward_map,
+    generate_fixed_point,
     roundtrip_check,
+    solve_oracle,
     InvalidSignature,
     NotComplete,
     NotLinearlyIndependent,
@@ -36,14 +40,15 @@ from medli.ensembles import (
     _from_basis,
     _from_factors,
     _hermitian_part,
+    _Layout,
+    _layout,
     _pair,
-    _signature_slices,
+    check_signature,
     measurement_elements,
 )
 from medli.linalg import DEFAULT_TOL, Tolerances, haar_unitary, herm, rank_cutoff_mask
 from medli.pgm import _measurement
 from medli.serialize import measurement_to_doc
-from medli.solver import _blocks
 from reference import (
     average_state,
     check_hermitian,
@@ -79,6 +84,26 @@ class TestValidateEnsemble:
             validate_ensemble([0.5, -0.5], ORTH_STATES)
         with pytest.raises(PriorsInvalid):
             validate_ensemble([0.6, 0.6], ORTH_STATES)
+
+    @pytest.mark.parametrize(
+        "priors",
+        [[[0.5], 0.5], ["a", "b"], [0.5 + 0.1j, 0.5 - 0.1j], ["0.5", "0.5"], [True, False],
+         np.array([0.5, 0.5], dtype=complex), np.array([True, True]), [None, None]],
+        ids=["ragged", "text", "complex", "numeric-text", "bool", "complex-array", "bool-array", "none"],
+    )
+    def test_priors_that_are_not_real_numbers_are_refused(self, priors):
+        with pytest.raises(PriorsInvalid, match="priors must be real numbers, got"):
+            validate_ensemble(priors, ORTH_STATES)
+
+    @pytest.mark.parametrize(
+        "priors",
+        [[0.5, 0.5], (0.5, 0.5), np.array([0.5, 0.5]), np.array([0.5, 0.5], dtype=np.float32),
+         [[0.5, 0.5]], [Fraction(1, 2), Fraction(1, 2)], [np.float64(0.25), 0.75]],
+    )
+    def test_real_priors_keep_their_results(self, priors):
+        ens = validate_ensemble(priors, ORTH_STATES)
+        assert ens.priors.dtype == float
+        np.testing.assert_array_equal(ens.priors, np.asarray(priors, dtype=float).ravel())
 
     def test_state_not_density(self):
         with pytest.raises(StateNotDensity):
@@ -245,7 +270,7 @@ def _block_rotated(psi, sig, seed):
     """Psi with each column block times a Haar unitary: another factor of the same p_i rho_i."""
     rng = np.random.default_rng(seed)
     out = np.array(psi)
-    for s in _signature_slices(sig):
+    for s in _layout(sig).slices:
         out[:, s] = out[:, s] @ haar_unitary(s.stop - s.start, rng)
     return out
 
@@ -266,7 +291,7 @@ def test_from_factors_matches_validation(psi, sig):
     f = 3.0 * _block_rotated(psi, sig, seed=len(sig))
     built = _from_factors(f, sig, DEFAULT_TOL)
     total = float(np.linalg.norm(f)) ** 2
-    weighted = [f[:, s] @ f[:, s].conj().T / total for s in _signature_slices(sig)]
+    weighted = [f[:, s] @ f[:, s].conj().T / total for s in _layout(sig).slices]
     priors = [float(np.trace(w).real) for w in weighted]
     checked = validate_ensemble(np.array(priors) / sum(priors), [w / p for w, p in zip(weighted, priors)])
     assert built.rank_signature == checked.rank_signature == sig
@@ -292,7 +317,7 @@ def test_from_factors_refuses_what_validation_refuses():
     dependent[:, 3] = deficient[:, 0] + deficient[:, 2]
     cases = ((deficient, RankSumMismatch), (below_cutoff, RankSumMismatch), (dependent, NotLinearlyIndependent))
     for f, error in cases:
-        weighted = [f[:, s] @ f[:, s].conj().T for s in _signature_slices((2, 1, 1))]
+        weighted = [f[:, s] @ f[:, s].conj().T for s in _layout((2, 1, 1)).slices]
         priors = np.array([np.trace(w).real for w in weighted])
         with pytest.raises(error):
             validate_ensemble(priors / priors.sum(), [w / p for w, p in zip(weighted, priors)])
@@ -388,11 +413,11 @@ class TestValidateProjective:
         rng = np.random.default_rng(8)
         u = haar_unitary(6, rng)
         sig = (3, 1, 2)
-        meas = validate_projective([herm(u[:, s] @ u[:, s].conj().T) for s in _signature_slices(sig)])
+        meas = validate_projective([herm(u[:, s] @ u[:, s].conj().T) for s in _layout(sig).slices])
         basis = meas._basis
         assert meas.rank_signature == sig and not basis.flags.writeable
         assert np.abs(basis.conj().T @ basis - np.eye(6)).max() <= 1e-14
-        for s, proj in zip(_signature_slices(sig), meas.projectors):
+        for s, proj in zip(_layout(sig).slices, meas.projectors):
             assert np.abs(basis[:, s] @ basis[:, s].conj().T - proj).max() <= 1e-14
 
     def test_overlapping_ranges_fail_the_basis_gate(self):
@@ -518,6 +543,23 @@ def test_projective_measurements_never_form_their_projectors(monkeypatch):
         measurement_to_doc(result.measurement)
 
 
+def test_general_povm_pairing_forms_no_diagonal_block_entries(monkeypatch):
+    # a GeneralPOVM pairs as (E_i, I), of signature (d,) * m: the runs of its
+    # layout serve the pairing, and its m d^2 diagonal-block entries are never formed
+    ens = random_ensemble(4, (2, 1, 1), seed=17)
+    povm = validate_povm([0.9 * p + 0.1 / ens.m * np.eye(ens.dim) for p in pgm(ens).projectors])
+
+    def unread(layout):
+        raise AssertionError(f"entries of {layout.signature} formed")
+
+    monkeypatch.setattr(_Layout, "entries", property(unread))
+    pairing = _pair(ens, povm)
+    assert pairing.signature == (4, 4, 4)
+    assert certify_full(ens, povm).stationarity_residual > 0.0
+    assert detection_profile(ens, povm) == pairing.weights
+    assert success_probability(ens, povm) == pairing.success(DEFAULT_TOL)
+
+
 class TestAverageState:
     def test_orthogonal_pair_is_maximally_mixed(self):
         ens = validate_ensemble([0.5, 0.5], ORTH_STATES)
@@ -554,6 +596,39 @@ class TestRandomEnsemble:
         with pytest.raises(InvalidSignature):
             random_ensemble(3, (2, 2), seed=0)
 
+    @pytest.mark.parametrize(
+        "sig, shown",
+        [((2.7, 1.2), "(2.7, 1.2)"), ((1.5, 0.5), "(1.5, 0.5)"), ((2.0, 1.0), "(2.0, 1.0)"),
+         ((True, True), "(True, True)"), ("21", "'21'"), ((np.bool_(True), 2), None), (3, "3")],
+    )
+    @pytest.mark.parametrize("make", [random_ensemble, generate_fixed_point])
+    def test_ranks_that_are_not_integers_are_refused(self, sig, shown, make):
+        dim = 2 if sig == (True, True) else 3
+        with pytest.raises(InvalidSignature, match=re.escape(f"signature {shown or repr(sig)} is invalid")):
+            make(dim, sig, seed=1)
+
+    def test_numpy_integer_ranks_are_accepted(self):
+        sig = (np.int64(2), np.int32(1))
+        ens = random_ensemble(3, sig, seed=1)
+        assert ens.rank_signature == (2, 1) and all(type(r) is int for r in ens.rank_signature)
+        assert check_signature(3, np.array([2, 1])) == (2, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "1"])
+    def test_seeded_entry_points_refuse_a_bad_seed(self, seed):
+        ens = random_ensemble(2, (1, 1), seed=1)
+        calls = (
+            lambda: random_ensemble(2, (1, 1), seed=seed),
+            lambda: generate_fixed_point(2, (1, 1), seed=seed),
+            lambda: solve_oracle(ens, seed=seed),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+                call()
+
+    def test_numpy_integer_seeds_draw_as_their_value(self):
+        first, second = random_ensemble(3, (2, 1), seed=np.int64(5)), random_ensemble(3, (2, 1), seed=5)
+        assert np.array_equal(first.psi, second.psi)
+
     def test_stacked_range_vectors_meet_the_weyl_bound(self):
         # each exp(i PERTURBATION H) moves one state's range basis by at most
         # PERTURBATION from Haar columns, so s_min / s_max of the stacked
@@ -579,8 +654,8 @@ def test_array_records_compare_and_hash_by_identity():
     twin = random_ensemble(4, (2, 1, 1), seed=1)
     result = solve(ens)
     povm = GeneralPOVM(dim=4, elements=result.measurement.projectors)
-    blocks = _blocks(ens.rank_signature)
-    records = [ens, twin, result, result.measurement, result.report, povm, blocks]
+    layout = _layout(ens.rank_signature)
+    records = [ens, twin, result, result.measurement, result.report, povm, layout]
     for record in records:
         assert record == record
         assert hash(record) == hash(record)

@@ -22,7 +22,7 @@ from medli import (
     validate_projective,
 )
 from medli.linalg import DEFAULT_TOL, haar_unitary, herm
-from medli.ensembles import _signature_slices
+from medli.ensembles import _layout
 from medli.pgm import COND_LIMIT, _measurement, _psi_svd
 from reference import (
     average_state,
@@ -258,7 +258,7 @@ def test_stored_range_pairs_and_stacked_slacks(sig):
     assert psi.shape == (ens.dim, ens.dim) and weighted.shape == (ens.m, ens.dim, ens.dim)
     assert not psi.flags.writeable and not weighted.flags.writeable
     assert np.abs(psi @ psi.conj().T - average_state(ens)).max() <= 1e-12
-    blocks = _signature_slices(ens.rank_signature)
+    blocks = _layout(ens.rank_signature).slices
     for i, (block, rho, r, support) in enumerate(
         zip(blocks, ens.states, ens.rank_signature, range_projectors(ens))
     ):

@@ -30,14 +30,12 @@ from medli import (
     validate_ensemble,
 )
 from medli.certify import OPTIMAL
-from medli.ensembles import _signature_slices
+from medli.ensembles import _Layout, _layout
 from medli.linalg import DEFAULT_TOL, haar_unitary
 from medli.pgm import COND_LIMIT, _measurement, _pgm_unitary, _polar
 from medli.serialize import ensemble_from_doc, load_json
 from medli.solver import (
-    _blocks,
     _chart,
-    _diagonal_blocks,
     _finish,
     _k_times,
     _newton,
@@ -85,9 +83,9 @@ class TestSolveOracle:
 
 def _haar_weights(ens, seed):
     """The block index of ens's signature and the reweighting of a Haar unitary's next polar step."""
-    blocks = _blocks(ens.rank_signature)
+    layout = _layout(ens.rank_signature)
     u = haar_unitary(ens.dim, np.random.default_rng(seed))
-    return blocks, _diagonal_blocks(ens.psi.conj().T @ u, blocks)
+    return layout, layout.diagonal(ens.psi.conj().T @ u)
 
 
 class TestSolve:
@@ -96,28 +94,26 @@ class TestSolve:
         # impossible positivity bar leaves the solve uncertified
         tol = DEFAULT_TOL.replace(tol_psd=0.6)
         ens = inverse_map(near_collinear(6, (2, 2, 1, 1), 1e-2, 1))[0]
-        built, newton = [], []
-        original = _blocks
-
-        def counted(signature):
-            built.append(signature)
-            return original(signature)
+        newton = []
 
         def counted_newton(*args):
             newton.append(args[1])
             return _newton(*args)
 
-        monkeypatch.setattr("medli.solver._blocks", counted)
         monkeypatch.setattr("medli.solver._newton", counted_newton)
         result = solve(ens, tol=tol)
         assert not result.certified
-        assert built == [ens.rank_signature]
-        assert newton == [original(ens.rank_signature)]
+        assert newton == [_layout(ens.rank_signature)]
+        assert newton[0] is _layout(ens.rank_signature)
 
     def test_a_settled_polar_phase_skips_newton(self, monkeypatch):
-        # the polar steps reach a defect below 1e-13, so no residual SVD is taken
+        # the polar steps reach a defect below 1e-13, so no residual SVD is
+        # taken and no diagonal-block entry is read
+        def unread(layout):
+            raise AssertionError(f"entries of {layout.signature} read")
+
         monkeypatch.setattr("medli.solver._newton", None)
-        monkeypatch.setattr("medli.solver._blocks", None)
+        monkeypatch.setattr(_Layout, "entries", property(unread))
         assert solve(ensemble_from_doc(load_json(RANDOM_D4)[0])).certified
 
     def test_pgm_start_on_fixed_point_takes_zero_steps(self):
@@ -158,8 +154,8 @@ class TestSolve:
             ens = random_ensemble(sum(sig), sig, seed=14)
             optimum = solve(ens)
             for seed in range(3):
-                blocks, b = _haar_weights(ens, seed)
-                u, norms = _newton(ens.psi, blocks, b)
+                layout, b = _haar_weights(ens, seed)
+                u, norms = _newton(ens.psi, layout, b)
                 assert len(norms) > 1 and norms[-1] <= 1e-13
                 assert np.all(np.diff(np.array(norms)) < 0.0)
                 result = _finish(ens, u, len(norms) - 1, DEFAULT_TOL)
@@ -171,15 +167,15 @@ class TestSolve:
     def test_rejected_step_is_halved(self, monkeypatch):
         # the first trial step is reversed, so Newton must reject it and halve
         ens = inverse_map(near_collinear(4, (1, 1, 1, 1), 0.03, 1))[0]
-        blocks, b = _haar_weights(ens, 0)
+        layout, b = _haar_weights(ens, 0)
         trials = []
 
-        def reversed_once(b, blocks, z):
+        def reversed_once(b, layout, z):
             trials.append(z.copy())
-            return _chart(b, blocks, -z if len(trials) == 1 else z)
+            return _chart(b, layout, -z if len(trials) == 1 else z)
 
         monkeypatch.setattr("medli.solver._chart", reversed_once)
-        u, norms = _newton(ens.psi, blocks, b)
+        u, norms = _newton(ens.psi, layout, b)
         assert len(trials) > len(norms) - 1
         np.testing.assert_array_equal(trials[1], trials[0] / 2.0)
         assert np.all(np.diff(np.array(norms)) < 0.0)
@@ -236,21 +232,22 @@ class TestSolve:
     def test_analytic_derivatives_match_central_differences(self, sig):
         # the Jacobian of R's coordinates along the chart B exp(t X / 2)
         ens = random_ensemble(sum(sig), sig, seed=17)
-        blocks, b = _haar_weights(ens, sum(sig))
+        layout, b = _haar_weights(ens, sum(sig))
         n = sum(r * r for r in sig)
-        _, r, jacobian = _residual(ens.psi, blocks, b)
+        _, r, _, jacobian = _residual(ens.psi, layout, b)
         jac = jacobian()
         assert r.shape == (n,) and jac.shape == (n, n)
 
         def f(z):
-            return blocks.real(_residual(ens.psi, blocks, _chart(b, blocks, z))[1])
+            return layout.real(_residual(ens.psi, layout, _chart(b, layout, z))[1])
 
-        np.testing.assert_allclose(f(np.zeros(n)), blocks.real(r), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(f(np.zeros(n)), layout.real(r), rtol=0, atol=1e-15)
         h = 1e-6
         fd = np.array([(f(h * e) - f(-h * e)) / (2 * h) for e in np.eye(n)]).T
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-8)
         # X = I only rescales B, so R does not move along it
-        ones = np.where(blocks.rows == blocks.cols, 1.0, 0.0)
+        rows, cols, _, _ = layout.entries
+        ones = np.where(rows == cols, 1.0, 0.0)
         assert np.abs(jac @ ones).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -362,22 +359,22 @@ class TestFrame:
             for seed in range(2):
                 ens = random_ensemble(dim, sig, seed=seed)
                 weighted = ens.weighted_states()
-                slices = _signature_slices(sig)
+                slices = _layout(sig).slices
                 u = haar_unitary(dim, np.random.default_rng(seed))
                 m = _k_times(weighted, sig, u)
                 # one batched mat-vec per run, bit for bit the per-coordinate gather
                 labels = np.repeat(np.arange(len(sig)), sig)
                 assert np.array_equal(m, (weighted[labels] @ u.T[..., None])[..., 0].T)
                 k = u.conj().T @ m
-                projectors = _projectors_from_unitary(u, slices)
+                projectors = _projectors_from_unitary(u, sig)
                 expected = u.conj().T @ sum(w @ p for w, p in zip(weighted, projectors)) @ u
                 assert np.linalg.norm(k - expected) <= 1e-13 * np.linalg.norm(expected)
                 # B = blockdiag(C_ii): polar(Psi B) is the polar step polar(K U), and
                 # column block i of K~ there is S_{:,i} (B_i^dag B_i)^{-1} S_ii
                 left, _, right = np.linalg.svd(m)
-                blocks = _blocks(sig)
-                b = _diagonal_blocks(ens.psi.conj().T @ u, blocks)
-                moved, _, _ = _residual(ens.psi, blocks, b)
+                layout = _layout(sig)
+                b = layout.diagonal(ens.psi.conj().T @ u)
+                moved, _, _, _ = _residual(ens.psi, layout, b)
                 assert np.linalg.norm(moved - left @ right) <= 1e-12 * np.sqrt(dim)
                 k = moved.conj().T @ _k_times(weighted, sig, moved)
                 s = moved.conj().T @ ens.psi @ b
@@ -387,19 +384,31 @@ class TestFrame:
                     assert np.linalg.norm(k[:, block] - formed) <= 1e-11 * np.linalg.norm(k)
 
     def test_one_shared_read_only_space_per_signature(self):
-        blocks = _blocks((2, 1, 1))
-        assert _blocks((2, 1, 1)) is blocks
-        assert _blocks((1, 2, 1)) is not blocks
-        assert blocks.signature == (2, 1, 1)
+        layout = _layout((2, 1, 1))
+        assert _layout((2, 1, 1)) is layout
+        assert _layout((1, 2, 1)) is not layout
+        assert layout.signature == (2, 1, 1)
+        assert layout.slices == (slice(0, 2), slice(2, 3), slice(3, 4))
+        assert layout.runs == ((slice(0, 1), slice(0, 2), 1, 2), (slice(1, 3), slice(2, 4), 2, 1))
         # O(d^2) indices: the entries of the diagonal blocks, and no direction basis
-        np.testing.assert_array_equal(blocks.rows, [0, 0, 1, 1, 2, 3])
-        np.testing.assert_array_equal(blocks.cols, [0, 1, 0, 1, 2, 3])
-        np.testing.assert_array_equal(blocks.flip, [0, 2, 1, 3, 4, 5])
-        for arr in (blocks.rows, blocks.cols, blocks.flip, blocks.coef):
+        rows, cols, flip, coef = layout.entries
+        assert layout.entries is layout.entries
+        np.testing.assert_array_equal(rows, [0, 0, 1, 1, 2, 3])
+        np.testing.assert_array_equal(cols, [0, 1, 0, 1, 2, 3])
+        np.testing.assert_array_equal(flip, [0, 2, 1, 3, 4, 5])
+        for arr in (rows, cols, flip, coef):
             assert arr.shape == (6,)
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+    @pytest.mark.parametrize("sig", [(1, 1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 3, 2), (2, 2, 2)])
+    def test_diagonal_is_the_pinching_by_the_slices(self, sig):
+        mat = haar_unitary(sum(sig), np.random.default_rng(len(sig)))
+        pinched = np.zeros_like(mat)
+        for block in _layout(sig).slices:
+            pinched[block, block] = mat[block, block]
+        assert np.array_equal(_layout(sig).diagonal(mat), pinched)
 
 
 class TestPolarSteps:
@@ -423,11 +432,10 @@ class TestPolarSteps:
         for sig in sorted(sig for sig in sigs if len(sig) > 1):
             ens = random_ensemble(dim, sig, seed=dim)
             weighted = ens.weighted_states()
-            slices = _signature_slices(sig)
             u = haar_unitary(dim, np.random.default_rng(dim))
             moved, steps, settled = _polar_steps(weighted, u, sig)
             assert steps == 1 and not settled
-            projectors = _projectors_from_unitary(u, slices)
+            projectors = _projectors_from_unitary(u, sig)
             left, _, right = np.linalg.svd(u.conj().T @ (weighted @ projectors).sum(axis=0) @ u)
             expected = u @ left @ right
             assert np.linalg.norm(moved - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -457,19 +465,18 @@ class TestPolarSteps:
         else:
             ens = inverse_map(near_collinear(dim, sig, noise, seed=1))[0]
         weighted = ens.weighted_states()
-        slices = _signature_slices(sig)
         stack = np.asarray(weighted)
         rng = np.random.default_rng(dim)
         taken = 0
         for _ in range(3):
             u = haar_unitary(dim, rng)
-            value = _objective(weighted, _projectors_from_unitary(u, slices))
+            value = _objective(weighted, _projectors_from_unitary(u, sig))
             for _ in range(30):
                 u, steps, _ = _polar_steps(stack, u, sig)
                 if steps == 0:
                     break
                 taken += 1
-                moved = _objective(weighted, _projectors_from_unitary(u, slices))
+                moved = _objective(weighted, _projectors_from_unitary(u, sig))
                 assert moved >= value - 1e-12
                 value = moved
         assert taken > 0
@@ -584,11 +591,11 @@ class TestWork:
         stiff = inverse_map(near_collinear(64, (1,) * 64, 1e-2, 1))[0]
         u, _, settled = _polar_steps(stiff.weighted_states(), _pgm_unitary(stiff), sig)
         assert not settled
-        blocks = _blocks(sig)
-        b = _diagonal_blocks(stiff.psi.conj().T @ u, blocks)
+        layout = _layout(sig)
+        b = layout.diagonal(stiff.psi.conj().T @ u)
         phases = (
             (_polar_steps, (stack, start, sig), stack.nbytes / 4),
-            (_newton, (stiff.psi, blocks, b), 16 * stack.nbytes),
+            (_newton, (stiff.psi, layout, b), 16 * stack.nbytes),
         )
         for phase, args, bound in phases:
             tracemalloc.start()
